@@ -3,9 +3,10 @@ with fixed-point verification, the dimension-subgroup filtration with its
 graded algebra, and a table-free Hausdorff-product group for nilpotent
 coordinate modules.
 
-Tables cap at TABLE_CAP elements.  Anything advertised as exhaustive
-(subgroup lattices, associativity sweeps, coset recomputation) is limited
-to EXHAUSTIVE_CAP and raises CapacityError beyond it.
+Tables cap at TABLE_CAP elements, and every table's group laws are
+checked exactly up to that cap.  Anything advertised as exhaustive
+(subgroup lattices, coset recomputation) is limited to EXHAUSTIVE_CAP and
+raises CapacityError beyond it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .rings import (
 TABLE_CAP = 5000
 EXHAUSTIVE_CAP = 512
 WELLDEF_CAP = 64  # coset-representative sweeps stay exhaustive up to here
-_ASSOC_SAMPLES = 4000
+_ASSOC_BLOCK = 1 << 18  # table entries compared per row block in Light's test
 
 
 # --- permutations of element ids ---
@@ -93,26 +94,48 @@ def perm_order(a) -> int:
 # --- table-backed groups ---
 
 
-def _check_associativity(table) -> None:
-    n = len(table)
-    if n <= EXHAUSTIVE_CAP:
-        t = np.asarray(table, dtype=np.int64)
-        for i in range(n):
-            if not np.array_equal(t[t[i]], t[i][t]):
+def _check_associativity(rows, identity: int) -> None:
+    """Light's associativity test (Clifford and Preston, The Algebraic
+    Theory of Semigroups I, section 1.2), exact at every order.
+
+    The ids s with (x*s)*y == x*(s*y) for all x and y include the identity
+    and are closed under the product.  So once every s in a set S passes,
+    and the right-multiplication closure of S from the identity covers the
+    table, the whole table is associative.  S grows greedily from the
+    lowest uncovered id, and each new member is tested before the closure
+    is extended: while every member passes, the covered ids form a group
+    that at least doubles with each new member, so |S| <= log2(order).
+    """
+    n = len(rows)
+    t = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.min_scalar_type(n - 1), count=n * n
+    ).reshape(n, n)
+    block = max(1, _ASSOC_BLOCK // n)
+    covered = bytearray(n)
+    covered[identity] = 1
+    reached = [identity]
+    gens: list[int] = []
+    for s in range(n):
+        if covered[s]:
+            continue
+        col, row = t[:, s], t[s]
+        for i in range(0, n, block):
+            if not np.array_equal(t[col[i:i + block]], t[i:i + block][:, row]):
                 raise InputError("table is not associative")
-    else:
-        rng = random.Random(0x5EED ^ n)
-        for _ in range(_ASSOC_SAMPLES):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise InputError("table is not associative")
+        gens.append(s)
+        for x in reached:  # the list grows while it is walked
+            for g in gens:
+                y = rows[x][g]
+                if not covered[y]:
+                    covered[y] = 1
+                    reached.append(y)
 
 
 class FiniteGroup:
     """Immutable group on element ids 0..order-1 backed by a full table.
 
-    Identity, inverse, and Latin-square laws are checked exactly;
-    associativity is exhaustive up to EXHAUSTIVE_CAP and sampled above.
+    Identity, inverse, Latin-square and associativity laws are checked
+    exactly at every order up to TABLE_CAP, associativity by Light's test.
     BCHGroup exposes the same element-id interface without a table.
     """
 
@@ -137,7 +160,7 @@ class FiniteGroup:
         )
         if ident is None:
             raise InputError("table has no two-sided identity")
-        _check_associativity(rows)
+        _check_associativity(rows, ident)
         inv = [0] * n
         for x in range(n):
             y = rows[x].index(ident)
@@ -376,22 +399,33 @@ def named_group(name: str) -> FiniteGroup:
 
 
 def subgroup_closure(G, gens) -> frozenset:
+    """The subgroup generated by gens, by Dimino's algorithm (Butler,
+    Fundamental Algorithms for Permutation Groups, 1991).
+
+    Generators are adjoined one at a time; one that is already a member
+    costs a lookup.  Otherwise the group H built so far grows by whole right
+    cosets H*r, whose representatives r are found by right multiplication
+    with every generator adjoined so far, starting from the identity.
+    Only G.mul and G.identity are used, so tables and BCHGroup both work.
+    """
+    mul = G.mul
+    elements = [G.identity]
     members = {G.identity}
-    gens = [g for g in set(gens)]
-    frontier = [G.identity]
+    adjoined = []
     for g in gens:
-        if g not in members:
-            members.add(g)
-            frontier.append(g)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(x, g)
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
+        if g in members:
+            continue
+        adjoined.append(g)
+        base = elements[:]
+        reps = [G.identity]
+        for r in reps:  # the list grows while it is walked
+            for s in adjoined:
+                x = mul(r, s)
+                if x not in members:
+                    coset = [mul(h, x) for h in base]
+                    elements.extend(coset)
+                    members.update(coset)
+                    reps.append(x)
     return frozenset(members)
 
 
@@ -487,20 +521,26 @@ def all_sylow_subgroups(G, p: int) -> list[frozenset]:
 
 
 def all_subgroups(G) -> list[frozenset]:
-    """The full subgroup lattice, by closure over one-element extensions."""
+    """The full subgroup lattice, by closure over one-element extensions
+    <H, x> of every subgroup H found.  Since <H, x> = <H, hx> for h in H,
+    each right coset Hx is extended once; each subgroup keeps the
+    generators it was first reached by, so the closure starts from those."""
     if G.order > EXHAUSTIVE_CAP:
         raise CapacityError(f"subgroup enumeration capped at order {EXHAUSTIVE_CAP}")
     trivial = frozenset({G.identity})
-    known = {trivial}
+    known = {trivial: ()}
     queue = [trivial]
     while queue:
         H = queue.pop()
+        tried = set(H)
         for x in range(G.order):
-            if x in H:
+            if x in tried:
                 continue
-            K = subgroup_closure(G, set(H) | {x})
+            tried.update(G.mul(h, x) for h in H)
+            gens = known[H] + (x,)
+            K = subgroup_closure(G, gens)
             if K not in known:
-                known.add(K)
+                known[K] = gens
                 queue.append(K)
     return sorted(known, key=lambda s: (len(s), sorted(s)))
 
@@ -583,16 +623,6 @@ def subgroup_as_group(G, S) -> tuple[FiniteGroup, tuple[int, ...]]:
                 raise InputError("the set is not closed under multiplication")
     table = [[index[G.mul(a, b)] for b in elems] for a in elems]
     return FiniteGroup(table), tuple(elems)
-
-
-def restrict_automorphism(sigma, elems) -> tuple[int, ...]:
-    index = {x: i for i, x in enumerate(elems)}
-    out = []
-    for x in elems:
-        if sigma[x] not in index:
-            raise InputError("the set is not invariant under sigma")
-        out.append(index[sigma[x]])
-    return tuple(out)
 
 
 # --- automorphism actions ---
@@ -809,9 +839,12 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
     params = FrobeniusParams(n, k, p)
     # multiplication and the p-power map are additive; orders and the
     # twist relation hold by field arithmetic
-    assert is_automorphism(group, f) and is_automorphism(group, h)
-    assert perm_order(f) == n and perm_order(h) == k
-    assert perm_compose(h, perm_compose(f, perm_inverse(h))) == perm_power(f, p)
+    if not (is_automorphism(group, f) and is_automorphism(group, h)):
+        raise RuntimeError("field multiplication and the p-power map must be automorphisms")
+    if perm_order(f) != n or perm_order(h) != k:
+        raise RuntimeError(f"f and h must have orders {n} and {k}")
+    if perm_compose(h, perm_compose(f, perm_inverse(h))) != perm_power(f, p):
+        raise RuntimeError("h f h^-1 must equal f^p")
     return FieldActionResult(
         group=group,
         action=FrobeniusAction(f, h, params),
@@ -966,13 +999,15 @@ def _ea_coordinates(G, p: int):
         if x not in span:
             basis.append(x)
             span = subgroup_closure(G, basis)
-    assert p ** len(basis) == G.order
+    if p ** len(basis) != G.order:
+        raise RuntimeError("the greedy basis must span the group")
     coords_of = {}
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         e = G.identity
         for b, c in zip(basis, coeffs):
             e = G.mul(e, G.power(b, c))
-        assert e not in coords_of
+        if e in coords_of:
+            raise RuntimeError("coordinates must name distinct elements")
         coords_of[e] = coeffs
     return tuple(basis), coords_of
 
@@ -1029,7 +1064,8 @@ def _poly_invariant_factors(mat, p: int) -> list[tuple[int, ...]]:
             continue
         out.append(m[k][k])
         k += 1
-    assert k == size, "characteristic matrices have full rank"
+    if k != size:
+        raise RuntimeError("characteristic matrices have full rank")
     return [f for f in out if len(f) > 1]
 
 
@@ -1106,7 +1142,8 @@ class Filtration:
             ratio = len(a) // len(b)
             d = 0
             while ratio > 1:
-                assert ratio % self.prime == 0
+                if ratio % self.prime:
+                    raise InputError("filtration quotients must have prime-power order")
                 ratio //= self.prime
                 d += 1
             out.append(d)
@@ -1199,7 +1236,8 @@ def _build_component(G, degree: int, D, Dn, p: int) -> _Component:
         if x not in span:
             basis.append(x)
             span = subgroup_closure(G, set(basis) | set(Dn))
-    assert p ** len(basis) == len(reps)
+    if p ** len(basis) != len(reps):
+        raise RuntimeError("filtration quotient is not elementary abelian")
     coset_coords = {}
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         e = G.identity
@@ -1327,7 +1365,8 @@ def lazard_algebra(G, p: int) -> DLAlgebra:
                 brackets[(a, b)] = entry
     lie = GradedLieRing(ring, rank, brackets)
     report = validate(lie)
-    assert report.valid, "commutator brackets must satisfy the Lie laws"
+    if not report.valid:
+        raise RuntimeError("commutator brackets must satisfy the Lie laws")
     if G.order <= WELLDEF_CAP:
         _check_bracket_welldefined(G, filt, components, block_start, info, lie)
     first_block = [
@@ -1365,7 +1404,8 @@ def lazard_lemma_check(G, p: int) -> VerificationReport:
         if d is None or dp is None:
             expected = zero
         else:
-            assert dp >= p * d, "power depths must respect the filtration"
+            if dp < p * d:
+                raise RuntimeError("power depths must respect the filtration")
             expected = L.ad_matrix(vec_p) if dp == p * d else zero
         if ad_p != expected:
             return _report("lazard-lemma", t0, VIOLATION, {"element": x},

@@ -82,13 +82,6 @@ def poly_eval_mod(p, x: int, mod: int) -> int:
     return acc
 
 
-def poly_eval_frac(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(poly_trim(p)):
-        acc = acc * x + a
-    return acc
-
-
 def sylvester_resultant(p, q) -> int:
     """Resultant of two integer polynomials via the Sylvester determinant.
 
