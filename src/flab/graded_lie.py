@@ -658,14 +658,18 @@ def _check_fh_relations(L: GradedLieRing, f, h) -> None:
     fl = [[list(r) for r in m] for m in f]
     hl = [list(r) for r in h]
     for i in range(3):
-        assert mat_mul(R, fl[i], fl[i]) == ident
-        assert mat_mul(R, fl[i], fl[(i + 1) % 3]) == [list(r) for r in f[(i + 2) % 3]]
+        if mat_mul(R, fl[i], fl[i]) != ident:
+            raise RuntimeError(f"f{i + 1} is not an involution")
+        if mat_mul(R, fl[i], fl[(i + 1) % 3]) != [list(r) for r in f[(i + 2) % 3]]:
+            raise RuntimeError(f"f{i + 1} f{(i + 1) % 3 + 1} is not f{(i + 2) % 3 + 1}")
     h2 = mat_mul(R, hl, hl)
-    assert mat_mul(R, h2, hl) == ident
+    if mat_mul(R, h2, hl) != ident:
+        raise RuntimeError("h does not have order 3")
     for i in range(3):
         # h f_i h^-1 = f_{i+1}; h^-1 = h^2
         conj = mat_mul(R, mat_mul(R, hl, fl[i]), h2)
-        assert conj == fl[(i + 1) % 3]
+        if conj != fl[(i + 1) % 3]:
+            raise RuntimeError(f"h does not conjugate f{i + 1} to f{(i + 1) % 3 + 1}")
     # closure of {f_1, f_2, f_3, h} has exactly 12 elements
     seen = {tuple(map(tuple, m)) for m in ([ident] + fl + [hl])}
     frontier = list(seen)
@@ -679,10 +683,12 @@ def _check_fh_relations(L: GradedLieRing, f, h) -> None:
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    assert len(seen) == 12
-    for m in f:
-        assert not automorphism_issues(L, m)
-    assert not automorphism_issues(L, h)
+    if len(seen) != 12:
+        raise RuntimeError(f"f and h generate {len(seen)} matrices, not 12")
+    for m in f + (h,):
+        issues = automorphism_issues(L, m)
+        if issues:
+            raise RuntimeError("not a Lie automorphism: " + "; ".join(issues))
 
 
 def example_simple3(ring: Ring) -> ExampleAction:

@@ -6,7 +6,11 @@ coordinate modules.
 Tables cap at TABLE_CAP elements, and every table's group laws are
 checked exactly up to that cap.  Anything advertised as exhaustive
 (subgroup lattices, coset recomputation) is limited to EXHAUSTIVE_CAP and
-raises CapacityError beyond it.
+raises CapacityError beyond it.  The Hausdorff-product group evaluates its
+formula on ids, one product at a time on ints or in batches on int64
+coordinate columns; transports of Lie automorphisms are one matmul on
+those columns and are rechecked as homomorphisms exactly, against the
+coordinate generators.  Its orders cap at BCH_CAP.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .graded_lie import (
     lower_central_series,
     validate,
 )
-from .linalg import Subspace, field_kernel, mat_apply, mat_identity, mat_mul
+from .linalg import Subspace, field_kernel, mat_identity, mat_mul
 from .reports import INAPPLICABLE, PASS, VIOLATION, VerificationReport
 from .rings import (
     PrimeFieldRing,
@@ -41,6 +45,12 @@ from .rings import (
 
 TABLE_CAP = 5000
 EXHAUSTIVE_CAP = 512
+# Hausdorff-product groups work on int64 coordinate columns.  Below this
+# cap the modulus m is at most 2^17 and the rank at most 7 (p >= 5), so a
+# transport sum (under rank*m^2) and an unreduced product coordinate (under
+# 5*m^2) both stay below 2^37, far inside int64.
+BCH_CAP = 1 << 17
+_BCH_BLOCK = 1 << 12  # products per batch, so numpy temporaries stay small
 WELLDEF_CAP = 64  # coset-representative sweeps stay exhaustive up to here
 _ASSOC_BLOCK = 1 << 18  # table entries compared per row block in Light's test
 
@@ -1434,7 +1444,19 @@ def is_powerful(G, p: int) -> bool:
 class BCHGroup:
     """Group law x*y = x + y + [x,y]/2 + [x,[x,y]]/12 - [y,[x,y]]/12 on the
     coordinate vectors of a nilpotent Lie ring of class at most 3 over
-    Z/p^m with p at least 5; elements are mixed-radix ids, no table."""
+    Z/p^m with p at least 5; elements are mixed-radix ids, no table.
+
+    `coords` is the coordinate view: rank read-only int64 columns holding
+    every id's digits, and `encode` turns columns back into ids.  The
+    product formula is written once over per-coordinate values, so `mul`
+    runs it on plain ints, one product at a time for closures and element
+    orders, and `mul_many` runs it on numpy columns for whole id arrays.
+    `transport` is one matmul on `coords` mod p^m.  Orders above BCH_CAP
+    are refused.  Associativity is checked on the full table up to
+    EXHAUSTIVE_CAP and on 2,000 seeded triples above it, the one sampled
+    check left; the formula is exact for class at most 3, which is
+    checked exactly, so the sample guards the code, not the mathematics.
+    """
 
     def __init__(self, lie: GradedLieRing):
         if lie.ring.kind not in ("IntegersMod", "PrimeField"):
@@ -1446,6 +1468,10 @@ class BCHGroup:
         p = next(iter(fac))
         if p < 5:
             raise InputError("p must be at least 5 so 2 and 3 are invertible")
+        order = modulus**lie.rank
+        if order > BCH_CAP:
+            raise CapacityError(
+                f"Hausdorff-product group of order {order} exceeds the cap {BCH_CAP}")
         cls = lower_central_series(lie).nilpotency_class()
         if cls is None or cls > 3:
             raise InputError("the Lie ring must be nilpotent of class at most 3")
@@ -1453,7 +1479,7 @@ class BCHGroup:
         self.prime = p
         self.modulus = modulus
         self.rank = lie.rank
-        self.order = modulus**lie.rank
+        self.order = order
         self.identity = 0
         self.lie_class = cls
         self._half = pow(2, -1, modulus)
@@ -1461,52 +1487,58 @@ class BCHGroup:
         self._sc = {}
         for i in range(self.rank):
             for j in range(i + 1, self.rank):
-                vec = tuple(int(c) for c in lie.structure_constant(i, j))
-                if any(vec):
-                    self._sc[(i, j)] = vec
+                terms = tuple((t, int(s)) for t, s in enumerate(lie.structure_constant(i, j)) if s)
+                if terms:
+                    self._sc[(i, j)] = terms
+        self.coords = np.array(self.decode(np.arange(order, dtype=np.int64)))
+        self.coords.flags.writeable = False
         if self.order <= EXHAUSTIVE_CAP:
             self.to_finite_group()  # full table validation, associativity included
         else:
             rng = random.Random(0xBC4)
-            for _ in range(2000):
-                a, b, c = (rng.randrange(self.order) for _ in range(3))
-                if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                    raise RuntimeError("Hausdorff product is not associative")
+            a, b, c = np.array(
+                [[rng.randrange(order) for _ in range(3)] for _ in range(2000)]).T
+            if not np.array_equal(self.mul_many(self.mul_many(a, b), c),
+                                  self.mul_many(a, self.mul_many(b, c))):
+                raise RuntimeError("Hausdorff product is not associative")
 
-    def decode(self, a: int) -> tuple[int, ...]:
+    def decode(self, a) -> tuple:
+        """Digits of an id, or digit columns of an id array."""
         digits = []
         for _ in range(self.rank):
             digits.append(a % self.modulus)
-            a //= self.modulus
+            a = a // self.modulus
         return tuple(digits)
 
-    def encode(self, vec) -> int:
+    def encode(self, vec):
+        """Id of a coordinate vector, or id array of coordinate columns."""
         out = 0
         for c in reversed(vec):
             out = out * self.modulus + c % self.modulus
         return out
 
-    def _bracket(self, x, y) -> list[int]:
+    def _bracket(self, x, y) -> list:
         m = self.modulus
         out = [0] * self.rank
-        for (i, j), vec in self._sc.items():
+        for (i, j), terms in self._sc.items():
             c = (x[i] * y[j] - x[j] * y[i]) % m
-            if c:
-                for t, s in enumerate(vec):
-                    if s:
-                        out[t] = (out[t] + c * s) % m
+            for t, s in terms:
+                out[t] = (out[t] + c * s) % m
         return out
 
-    def mul(self, a: int, b: int) -> int:
-        x, y = self.decode(a), self.decode(b)
+    def _hausdorff(self, x, y) -> list:
+        # [x,[x,y]]/12 - [y,[x,y]]/12 as one bracket [x - y, [x,y]]/12
         z = self._bracket(x, y)
-        xz = self._bracket(x, z)
-        yz = self._bracket(y, z)
+        w = self._bracket([x[t] - y[t] for t in range(self.rank)], z)
         m, half, tw = self.modulus, self._half, self._twelfth
-        return self.encode(tuple(
-            (x[t] + y[t] + half * z[t] + tw * xz[t] - tw * yz[t]) % m
-            for t in range(self.rank)
-        ))
+        return [(x[t] + y[t] + half * z[t] + tw * w[t]) % m for t in range(self.rank)]
+
+    def mul(self, a: int, b: int) -> int:
+        return self.encode(self._hausdorff(self.decode(a), self.decode(b)))
+
+    def mul_many(self, a, b) -> np.ndarray:
+        """Elementwise products of two broadcastable id arrays."""
+        return self.encode(self._hausdorff(self.coords[:, a], self.coords[:, b]))
 
     def inv(self, a: int) -> int:
         return self.encode(tuple(-c % self.modulus for c in self.decode(a)))
@@ -1536,27 +1568,29 @@ class BCHGroup:
         return o
 
     def transport(self, matrix) -> tuple[int, ...]:
-        """Pointwise image of a Lie automorphism as a permutation of ids."""
+        """Pointwise image of a Lie automorphism as a permutation of ids:
+        the image columns are matrix @ coords mod p^m, one matmul."""
         issues = automorphism_issues(self.lie, matrix)
         if issues:
             raise InputError("; ".join(issues))
         R = self.lie.ring
-        perm = []
-        for a in range(self.order):
-            img = mat_apply(R, matrix, [R.canon(c) for c in self.decode(a)])
-            perm.append(self.encode(tuple(int(c) for c in img)))
-        return tuple(perm)
+        M = np.array([[int(R.canon(c)) for c in row] for row in matrix], dtype=np.int64)
+        return tuple(self.encode(M @ self.coords).tolist())
 
     def to_finite_group(self) -> FiniteGroup:
         if self.order > TABLE_CAP:
             raise CapacityError(f"order {self.order} exceeds the table cap")
-        return FiniteGroup(
-            [[self.mul(a, b) for b in range(self.order)] for a in range(self.order)]
-        )
+        ids = np.arange(self.order)
+        step = max(1, _BCH_BLOCK // self.order)
+        rows = []
+        for start in range(0, self.order, step):
+            rows += self.mul_many(ids[start:start + step, None], ids).tolist()
+        return FiniteGroup(rows)
 
 
 def bch_generators(G: BCHGroup) -> tuple[int, ...]:
-    """Ids of the coordinate basis vectors; they generate the group."""
+    """Ids of the coordinate basis vectors.  They generate the group: their
+    images span L / (pL + [L,L]), which is G over its Frattini subgroup."""
     return tuple(G.modulus**i for i in range(G.rank))
 
 
@@ -1596,22 +1630,23 @@ class LazardGroup:
 
 def lazard_group_from_lie(L: GradedLieRing, automorphisms=()) -> LazardGroup:
     """Hausdorff-product group on L plus the pointwise transports of the
-    given Lie automorphisms; transports are rechecked as homomorphisms,
-    exhaustively for small orders and on seeded samples above."""
+    given Lie automorphisms, each rechecked exactly as a homomorphism.
+
+    The recheck is perm[a*s] == perm[a]*perm[s] for every id a and every s
+    in bch_generators(G), one batched product per generator.  That covers
+    all pairs: the basis vectors generate G and every element is a word
+    s_1...s_k in them (s^-1 is a power of s), so by induction on k,
+    regrouping by associativity, perm[a*w*s] = perm[a*w]*perm[s] =
+    perm[a]*perm[w]*perm[s] = perm[a]*perm[w*s].  Orders above BCH_CAP
+    raise CapacityError before any work."""
     G = BCHGroup(L)
-    perms = []
-    for matrix in automorphisms:
-        perm = G.transport(matrix)
-        if G.order <= EXHAUSTIVE_CAP:
-            pairs = itertools.product(range(G.order), repeat=2)
-        else:
-            rng = random.Random(0x7A21)
-            pairs = (
-                (rng.randrange(G.order), rng.randrange(G.order))
-                for _ in range(1000)
-            )
-        for a, b in pairs:
-            if perm[G.mul(a, b)] != G.mul(perm[a], perm[b]):
-                raise RuntimeError("transported map is not a homomorphism")
-        perms.append(perm)
-    return LazardGroup(G, tuple(perms), G.lie_class)
+    perms = tuple(G.transport(matrix) for matrix in automorphisms)
+    images = [np.array(perm) for perm in perms]
+    for lo in range(0, G.order, _BCH_BLOCK):
+        a = np.arange(lo, min(lo + _BCH_BLOCK, G.order))
+        for s in bch_generators(G):
+            prod = G.mul_many(a, s)
+            for image in images:
+                if not np.array_equal(image[prod], G.mul_many(image[a], image[s])):
+                    raise RuntimeError("transported map is not a homomorphism")
+    return LazardGroup(G, perms, G.lie_class)

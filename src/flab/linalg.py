@@ -19,9 +19,14 @@ from .rings import CyclotomicRing, Ring, xgcd
 # field elimination
 
 
+def _require_field(ring: Ring) -> None:
+    if not ring.is_field:
+        raise InputError(f"row reduction needs a field, not {ring!r}")
+
+
 def rref(ring: Ring, rows: Sequence[Sequence]) -> list[list]:
     """Reduced row echelon form over a field; zero rows dropped."""
-    assert ring.is_field
+    _require_field(ring)
     mat = [[ring.canon(x) for x in row] for row in rows]
     out: list[list] = []
     piv_cols: list[int] = []
@@ -53,7 +58,7 @@ def rref_with_transform(ring: Ring, rows: Sequence[Sequence]) -> tuple[list[list
 
     Zero rows are kept (trailing) so T stays square.
     """
-    assert ring.is_field
+    _require_field(ring)
     n = len(rows)
     width = len(rows[0]) if rows else 0
     mat = [[ring.canon(x) for x in row] + [ring.one() if j == i else ring.zero() for j in range(n)]

@@ -135,7 +135,8 @@ def _det_fraction(rows: list[list[int]]) -> int:
                 f = m[r][col] * inv
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise RuntimeError("determinant of an integer matrix is not an integer")
     return int(det)
 
 
@@ -158,7 +159,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
         if n % d == 0:
             den = poly_mul(den, cyclotomic_poly(d))
     quo, rem = poly_divmod_monic(num, den)
-    assert rem == ()
+    if rem != ():
+        raise RuntimeError(f"cyclotomic division for n = {n} leaves a remainder")
     return quo
 
 

@@ -1,23 +1,29 @@
-"""The table-group kernels against independent oracles: subgroup closure
-against breadth-first search, the subgroup lattice against closed-form
-counts, and Light's associativity test against a brute-force triple check."""
+"""The group kernels against independent oracles: subgroup closure against
+breadth-first search, the subgroup lattice against closed-form counts,
+Light's associativity test against a brute-force triple check, and the
+batched Hausdorff-product group against per-id evaluation."""
 from __future__ import annotations
 
 import functools
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import divisor_count, divisor_sigma
 
 import flab
+from flab import cli
 from flab import graded_lie as gl
 from flab import group_engine as ge
-from flab.errors import InputError
+from flab.errors import CapacityError, InputError
+from flab.linalg import mat_apply
+from flab.rings import IntegersModRing
 
 
 def bfs_closure(G, gens) -> frozenset:
@@ -195,8 +201,11 @@ def test_large_groups_pass_the_exact_test():
 
 
 _OPTIMIZED_SCRIPT = """
+import flab.graded_lie as gl
 import flab.group_engine as ge
 from flab.errors import InputError
+from flab.linalg import rref
+from flab.rings import IntegersModRing
 
 if __debug__:
     raise SystemExit("not running under -O")
@@ -211,6 +220,15 @@ try:
     ge.build_field_action(2, 2)
 except RuntimeError as exc:
     print("field:", exc)
+try:
+    rref(IntegersModRing(6), [[1, 2]])
+except InputError as exc:
+    print("rref:", exc)
+gl.automorphism_issues = lambda L, M: ["made up"]
+try:
+    gl.example_pm(5, 1)
+except RuntimeError as exc:
+    print("example:", exc)
 """
 
 
@@ -225,6 +243,8 @@ def test_invariants_survive_optimized_mode():
     assert out == [
         "table: table is not associative",
         "field: field multiplication and the p-power map must be automorphisms",
+        "rref: row reduction needs a field, not IntegersModRing(6)",
+        "example: not a Lie automorphism: made up",
     ]
 
 
@@ -232,3 +252,128 @@ def test_filtration_dims_refuses_non_prime_power_quotients():
     filt = ge.Filtration(2, (frozenset(range(6)), frozenset({0})))
     with pytest.raises(InputError):
         filt.dims()
+
+
+# --- the Hausdorff-product group against per-id evaluation ---
+
+
+def transport_oracle(G, matrix) -> tuple[int, ...]:
+    """The per-id transport: decode, apply the matrix over the ring, encode."""
+    R = G.lie.ring
+    return tuple(
+        G.encode(tuple(int(c) for c in mat_apply(R, matrix, [R.canon(c) for c in G.decode(a)])))
+        for a in range(G.order)
+    )
+
+
+def hausdorff_oracle(G, a: int, b: int) -> int:
+    """x + y + [x,y]/2 + [x,[x,y]]/12 - [y,[x,y]]/12 through the Lie ring's
+    own bracket."""
+    L, m = G.lie, G.modulus
+    x, y = list(G.decode(a)), list(G.decode(b))
+    z = L.bracket(x, y)
+    half, tw = pow(2, -1, m), pow(12, -1, m)
+    return G.encode(tuple(
+        x[t] + y[t] + half * z[t] + tw * (u - v)
+        for t, u, v in zip(range(G.rank), L.bracket(x, z), L.bracket(y, z))
+    ))
+
+
+def filiform(p: int) -> gl.GradedLieRing:
+    """[e1,e2] = e3, [e1,e3] = e4 over Z/p: class 3, so every term of the
+    product formula is live (example_pm(p, m) stops at class m <= 2 here)."""
+    return gl.GradedLieRing(IntegersModRing(p), 4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
+
+
+@functools.cache
+def bch_group(key):
+    if key == "filiform5":
+        return ge.BCHGroup(filiform(5))
+    return ge.BCHGroup(gl.example_pm(*key).lie)
+
+
+BCH_KEYS = [(5, 1), (7, 1), (11, 1), (5, 2), "filiform5"]
+
+
+@pytest.mark.parametrize("pm", [(5, 1), (7, 1), (11, 1), (5, 2), (7, 2)])
+def test_transport_matches_per_id_oracle(pm):
+    ex = gl.example_pm(*pm)
+    G = ge.BCHGroup(ex.lie)
+    autos = list(ex.f) + [ex.h]
+    if pm == (7, 2):  # the cap's group, where the oracle takes 2.5 s per map;
+        autos = [ex.f[0]]  # f1 has the entries p^m - 1, the largest products
+    for matrix in autos:
+        assert G.transport(matrix) == transport_oracle(G, matrix)
+
+
+def test_transport_matches_oracle_on_a_class_3_ring():
+    G = bch_group("filiform5")
+    assert G.lie_class == 3
+    # e1 -> 2e1 and e2 -> e2 + e3 force e3 -> 2e3 + 2e4 and e4 -> 4e4;
+    # column j is the image of e_j
+    matrix = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 1, 2, 0], [0, 0, 2, 4]]
+    assert G.transport(matrix) == transport_oracle(G, matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mul_many_matches_scalar_mul(data):
+    G = bch_group(data.draw(st.sampled_from(BCH_KEYS)))
+    ids = st.integers(0, G.order - 1)
+    a = data.draw(st.lists(ids, min_size=1, max_size=50))
+    b = data.draw(st.lists(ids, min_size=len(a), max_size=len(a)))
+    batched = G.mul_many(np.array(a), np.array(b)).tolist()
+    assert batched == [G.mul(x, y) for x, y in zip(a, b)]
+    assert batched == [hausdorff_oracle(G, x, y) for x, y in zip(a, b)]
+    # a scalar operand broadcasts against an array
+    assert G.mul_many(a[0], np.array(b)).tolist() == [G.mul(a[0], y) for y in b]
+
+
+def test_to_finite_group_matches_scalar_table():
+    G = bch_group((5, 1))
+    F = G.to_finite_group()
+    assert all(F.mul(a, b) == G.mul(a, b) for a in range(G.order) for b in range(G.order))
+
+
+@pytest.mark.parametrize("key", [(5, 1), (5, 2), "filiform5"])
+def test_coordinate_generators_generate(key):
+    # the premise of the generator-only homomorphism recheck
+    G = bch_group(key)
+    assert len(ge.subgroup_closure(G, ge.bch_generators(G))) == G.order
+
+
+@pytest.mark.parametrize("pm", [(5, 1), (5, 2)])
+def test_recheck_refuses_a_transport_with_two_ids_swapped(pm, monkeypatch):
+    ex = gl.example_pm(*pm)
+    honest = ge.BCHGroup.transport
+
+    def swapped(self, matrix):
+        perm = list(honest(self, matrix))
+        perm[1], perm[2] = perm[2], perm[1]
+        return tuple(perm)
+
+    monkeypatch.setattr(ge.BCHGroup, "transport", swapped)
+    with pytest.raises(RuntimeError, match="not a homomorphism"):
+        ge.lazard_group_from_lie(ex.lie, [ex.h])
+
+
+def test_bch_cap_admits_7_2_and_refuses_beyond():
+    assert 7**6 <= ge.BCH_CAP
+    ex = gl.example_pm(7, 2)
+    out = ge.lazard_group_from_lie(ex.lie, [ex.h])
+    assert out.group.order == 117649
+    assert len(ge.fixed_points(out.group, out.transported)) == 49
+    for L, order in ((gl.example_pm(5, 3).lie, 5**9), (filiform(25), 25**4)):
+        with pytest.raises(CapacityError) as info:
+            ge.lazard_group_from_lie(L)
+        assert f"order {order}" in str(info.value)
+        assert f"cap {ge.BCH_CAP}" in str(info.value)
+
+
+def test_cli_bch_file_refuses_beyond_the_cap(capsys, tmp_path):
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps(gl.example_pm(5, 3).lie.to_json()))
+    code = cli.run(["group", "bch", "--file", str(path), "--format", "json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 2 and rec["status"] == "capacity-error"
+    assert str(ge.BCH_CAP) in rec["reason"] and str(5**9) in rec["reason"]
