@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from . import combinatorics as comb
@@ -690,19 +689,16 @@ def _run_task(task) -> VerificationReport:
     return TASK_KINDS[kind](task["id"], task.get("args", {}))
 
 
-def run_suite(jobs: int | None = None) -> list[VerificationReport]:
-    """Run every fixture task and compare against its golden report;
-    ordering follows task ids regardless of completion order."""
+def run_suite() -> list[VerificationReport]:
+    """Run every fixture task in id order and compare against its golden
+    report."""
     tasks = []
     for fixture in load_fixtures():
         tasks.extend(fixture.get("tasks", ()))
     tasks.sort(key=lambda t: t["id"])
-    workers = jobs or min(8, max(1, len(tasks)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_task, task) for task in tasks]
-        actuals = [f.result() for f in futures]
     out = []
-    for task, actual in zip(tasks, actuals):
+    for task in tasks:
+        actual = _run_task(task)
         golden = task["expected"]
         got = actual.to_json(with_timing=False)
         if got == golden:
@@ -718,7 +714,7 @@ def run_suite(jobs: int | None = None) -> list[VerificationReport]:
 def cmd_suite(args):
     if args.target != "paper":
         raise InputError(f"unknown suite {args.target!r}")
-    return "reports", run_suite(args.jobs)
+    return "reports", run_suite()
 
 
 # --- parser wiring ---
@@ -897,7 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = top.add_parser("suite", help="run the bundled fixture corpus")
     sub.add_argument("target", choices=("paper",))
-    sub.add_argument("--jobs", type=int, default=None)
     _add_format(sub)
     sub.set_defaults(func=cmd_suite, label="suite")
 

@@ -289,7 +289,12 @@ def centralizer(L: GradedLieRing, elements: Iterable[Sequence]) -> Subspace:
 
 
 def automorphism_issues(L: GradedLieRing, M: Sequence[Sequence]) -> list[str]:
-    """Reasons M fails to be a Lie automorphism (empty when it is one)."""
+    """Reasons M fails to be a Lie automorphism (empty when it is one).
+
+    A matrix that is not rank x rank gets the shape as its one reason.
+    """
+    if len(M) != L.rank or any(len(row) != L.rank for row in M):
+        return [f"matrix shape is not {L.rank} x {L.rank}"]
     R = L.ring
     mat = [[R.canon(c) for c in row] for row in M]
     out = []

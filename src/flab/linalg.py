@@ -4,7 +4,9 @@ Fields use Gaussian elimination to reduced row echelon form.  Z uses the
 Hermite normal form, Z/m the Howell normal form, and the cyclotomic ring is
 handled by restriction of scalars to Z (one lattice coordinate per power of
 the root of unity).  All forms are canonical, so subspaces compare by their
-stored rows.
+stored rows.  Determinants and adjugates come from the characteristic
+polynomial by Berkowitz's algorithm, which never divides and so works over
+every ring here, fields or not.
 """
 from __future__ import annotations
 
@@ -24,22 +26,22 @@ def _require_field(ring: Ring) -> None:
         raise InputError(f"row reduction needs a field, not {ring!r}")
 
 
-def rref(ring: Ring, rows: Sequence[Sequence]) -> list[list]:
-    """Reduced row echelon form over a field; zero rows dropped."""
+def _gauss_jordan(ring: Ring, mat: list[list], width: int) -> tuple[list[list], list[list], list[int]]:
+    """Gauss-Jordan elimination of canonical rows over a field, pivoting on
+    the first `width` columns only.
+
+    Returns (pivot rows, leftover rows, pivot columns): the pivot rows are
+    monic and reduced on every pivot column; the leftover rows, in their
+    input order, vanish on the first `width` columns.
+    """
     _require_field(ring)
-    mat = [[ring.canon(x) for x in row] for row in rows]
     out: list[list] = []
     piv_cols: list[int] = []
-    width = len(mat[0]) if mat else 0
     for col in range(width):
-        piv = None
-        for row in mat:
-            if not ring.is_zero(row[col]):
-                piv = row
-                break
-        if piv is None:
+        k = next((k for k, row in enumerate(mat) if not ring.is_zero(row[col])), None)
+        if k is None:
             continue
-        mat.remove(piv)
+        piv = mat.pop(k)
         inv = ring.inv(piv[col])
         piv = [ring.mul(inv, x) for x in piv]
         for dst in (mat, out):
@@ -49,8 +51,13 @@ def rref(ring: Ring, rows: Sequence[Sequence]) -> list[list]:
                     dst[i] = [ring.sub(x, ring.mul(f, p)) for x, p in zip(row, piv)]
         out.append(piv)
         piv_cols.append(col)
-        mat = [r for r in mat if any(not ring.is_zero(x) for x in r)]
-    return out
+    return out, mat, piv_cols
+
+
+def rref(ring: Ring, rows: Sequence[Sequence]) -> list[list]:
+    """Reduced row echelon form over a field; zero rows dropped."""
+    mat = [[ring.canon(x) for x in row] for row in rows]
+    return _gauss_jordan(ring, mat, len(mat[0]) if mat else 0)[0]
 
 
 def rref_with_transform(ring: Ring, rows: Sequence[Sequence]) -> tuple[list[list], list[list], list[int]]:
@@ -58,32 +65,12 @@ def rref_with_transform(ring: Ring, rows: Sequence[Sequence]) -> tuple[list[list
 
     Zero rows are kept (trailing) so T stays square.
     """
-    _require_field(ring)
     n = len(rows)
     width = len(rows[0]) if rows else 0
     mat = [[ring.canon(x) for x in row] + [ring.one() if j == i else ring.zero() for j in range(n)]
            for i, row in enumerate(rows)]
-    out: list[list] = []
-    piv_cols: list[int] = []
-    for col in range(width):
-        piv = None
-        for row in mat:
-            if not ring.is_zero(row[col]):
-                piv = row
-                break
-        if piv is None:
-            continue
-        mat.remove(piv)
-        inv = ring.inv(piv[col])
-        piv = [ring.mul(inv, x) for x in piv]
-        for dst in (mat, out):
-            for i, row in enumerate(dst):
-                f = row[col]
-                if not ring.is_zero(f):
-                    dst[i] = [ring.sub(x, ring.mul(f, p)) for x, p in zip(row, piv)]
-        out.append(piv)
-        piv_cols.append(col)
-    full = out + mat
+    out, rest, piv_cols = _gauss_jordan(ring, mat, width)
+    full = out + rest
     return [r[:width] for r in full], [r[width:] for r in full], piv_cols
 
 
@@ -107,13 +94,7 @@ def field_solve(ring: Ring, rows: Sequence[Sequence], target: Sequence):
 
 def field_kernel(ring: Ring, mat: Sequence[Sequence], width: int) -> list[list]:
     """Basis of {x : mat @ x == 0} over a field (mat given as rows)."""
-    red = rref(ring, mat) if mat else []
-    piv_cols = []
-    for row in red:
-        for j, x in enumerate(row):
-            if not ring.is_zero(x):
-                piv_cols.append(j)
-                break
+    red, _, piv_cols = _gauss_jordan(ring, [[ring.canon(x) for x in row] for row in mat], width)
     free_cols = [j for j in range(width) if j not in piv_cols]
     basis = []
     for fc in free_cols:
@@ -129,10 +110,14 @@ def field_kernel(ring: Ring, mat: Sequence[Sequence], width: int) -> list[list]:
 # integer lattices (Hermite normal form)
 
 
-def hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Canonical row Hermite normal form; zero rows dropped."""
-    mat = [list(map(int, r)) for r in rows if any(r)]
-    width = len(rows[0]) if rows else 0
+def _hermite(mat: list[list[int]], width: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Hermite elimination of integer rows on the first `width` columns.
+
+    Returns (pivot rows, leftover rows): the pivot rows have positive
+    pivots and reduced entries above them; the leftover rows vanish on the
+    first `width` columns.  Zero rows are dropped.
+    """
+    mat = [r for r in mat if any(r)]
     out: list[list[int]] = []
     for col in range(width):
         live = [r for r in mat if r[col] != 0]
@@ -157,39 +142,22 @@ def hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
             if q:
                 out[i] = [x - q * y for x, y in zip(row, piv)]
         out.append(piv)
-    return out
+    return out, mat
+
+
+def hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Canonical row Hermite normal form; zero rows dropped."""
+    return _hermite([list(map(int, r)) for r in rows], len(rows[0]) if rows else 0)[0]
 
 
 def hnf_with_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """(H, U) with U unimodular, U @ rows == H (zero rows of H kept)."""
     n = len(rows)
     width = len(rows[0]) if rows else 0
+    # an augmented row never vanishes, since U stays unimodular
     aug = [list(map(int, r)) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
-    out: list[list[int]] = []
-    mat = list(aug)
-    for col in range(width):
-        live = [r for r in mat if r[col] != 0]
-        if not live:
-            continue
-        piv = live[0]
-        mat.remove(piv)
-        for r in live[1:]:
-            mat.remove(r)
-            a, b = piv[col], r[col]
-            g, s, t = xgcd(a, b)
-            piv, r = (
-                [s * x + t * y for x, y in zip(piv, r)],
-                [(a // g) * y - (b // g) * x for x, y in zip(piv, r)],
-            )
-            mat.append(r)
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        for i, row in enumerate(out):
-            q = row[col] // piv[col]
-            if q:
-                out[i] = [x - q * y for x, y in zip(row, piv)]
-        out.append(piv)
-    full = out + mat
+    out, rest = _hermite(aug, width)
+    full = out + rest
     return [r[:width] for r in full], [r[width:] for r in full]
 
 
@@ -527,34 +495,54 @@ def solve_ring_one(ring: CyclotomicRing, a):
     return ring.unflatten(sol[:d])
 
 
+def _charpoly(ring: Ring, rows: Sequence[Sequence]) -> list:
+    """Coefficients [1, c_1, ..., c_n] of det(x*I - M), highest degree
+    first, by Berkowitz's division-free algorithm: O(n^4) ring operations
+    over any commutative ring.
+
+    With M_r the leading r x r block, M_{r+1} = [[M_r, C], [R, a]] has
+    characteristic polynomial T @ p_r, where T is the lower-triangular
+    Toeplitz matrix with first column (1, -a, -R C, -R M_r C, ...,
+    -R M_r^(r-1) C).
+    """
+    mat = [[ring.canon(x) for x in row] for row in rows]
+    if any(len(row) != len(mat) for row in mat):
+        raise InputError("the matrix must be square")
+    poly = [ring.one()]
+    for r in range(len(mat)):
+        # _dot zips, so mat[r] and the rows of mat[:r] are cut to r entries
+        col = [ring.one(), ring.neg(mat[r][r])]
+        w = [row[r] for row in mat[:r]]
+        for _ in range(r):
+            col.append(ring.neg(_dot(ring, mat[r], w)))
+            w = [_dot(ring, row, w) for row in mat[:r]]
+        poly = [_dot(ring, col[i::-1], poly) for i in range(r + 2)]
+    return poly
+
+
 def ring_det(ring: Ring, rows: Sequence[Sequence]):
-    """Determinant by cofactor expansion; fine for the small ranks used here."""
-    n = len(rows)
-    if n == 0:
-        return ring.one()
-    if n == 1:
-        return ring.canon(rows[0][0])
-    total = ring.zero()
-    for j in range(n):
-        a = ring.canon(rows[0][j])
-        if ring.is_zero(a):
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = ring.mul(a, ring_det(ring, minor))
-        total = ring.add(total, term) if j % 2 == 0 else ring.sub(total, term)
-    return total
+    """Determinant (-1)^n c_n from the characteristic polynomial; division
+    free, so exact over every supported ring."""
+    c = _charpoly(ring, rows)[-1]
+    return ring.neg(c) if len(rows) % 2 else c
 
 
 def ring_adjugate(ring: Ring, rows: Sequence[Sequence]) -> list[list]:
-    """Adjugate matrix: adj(M) @ M == det(M) * I."""
+    """Adjugate matrix: adj(M) @ M == det(M) * I.
+
+    By Cayley-Hamilton, adj(M) = (-1)^(n+1) (M^(n-1) + c_1 M^(n-2) + ...
+    + c_(n-1) I), evaluated by Horner's rule.
+    """
     n = len(rows)
-    adj = [[ring.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = ring_det(ring, minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else ring.neg(cof)
-    return adj
+    poly = _charpoly(ring, rows)
+    acc = mat_identity(ring, n)
+    for c in poly[1:n]:
+        acc = mat_mul(ring, acc, rows)
+        for i in range(n):
+            acc[i][i] = ring.add(acc[i][i], c)
+    if n % 2 == 0:
+        acc = [[ring.neg(x) for x in row] for row in acc]
+    return acc
 
 
 def mat_apply(ring: Ring, mat: Sequence[Sequence], vec: Sequence) -> list:
@@ -568,14 +556,16 @@ def mat_apply(ring: Ring, mat: Sequence[Sequence], vec: Sequence) -> list:
 
 
 def mat_mul(ring: Ring, a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    cols = list(zip(*b))
-    return [[_dot(ring, row, col) for col in cols] for row in a]
+    rows = [[ring.canon(x) for x in row] for row in a]
+    cols = list(zip(*([ring.canon(x) for x in row] for row in b)))
+    return [[_dot(ring, row, col) for col in cols] for row in rows]
 
 
 def _dot(ring: Ring, u, v):
+    """Sum of u[i] * v[i] over canonical entries, zipped to the shorter."""
     acc = ring.zero()
     for x, y in zip(u, v):
-        acc = ring.add(acc, ring.mul(ring.canon(x), ring.canon(y)))
+        acc = ring.add(acc, ring.mul(x, y))
     return acc
 
 

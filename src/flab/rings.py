@@ -113,31 +113,9 @@ def sylvester_resultant(p, q) -> int:
         for j, b in enumerate(reversed(q)):
             row[i + j] = b
         rows.append(row)
-    return _det_fraction(rows)
+    from .linalg import ring_det  # local import avoids a cycle
 
-
-def _det_fraction(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by Fraction elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    if det.denominator != 1:
-        raise RuntimeError("determinant of an integer matrix is not an integer")
-    return int(det)
+    return ring_det(IntegersRing(), rows)
 
 
 @lru_cache(maxsize=None)

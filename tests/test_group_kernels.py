@@ -1,7 +1,8 @@
 """The group kernels against independent oracles: subgroup closure against
 breadth-first search, the subgroup lattice against closed-form counts,
 Light's associativity test against a brute-force triple check, and the
-batched Hausdorff-product group against per-id evaluation."""
+batched Hausdorff-product group against per-id evaluation and on the
+inputs it must refuse."""
 from __future__ import annotations
 
 import functools
@@ -377,3 +378,41 @@ def test_cli_bch_file_refuses_beyond_the_cap(capsys, tmp_path):
     rec = json.loads(capsys.readouterr().out)
     assert code == 2 and rec["status"] == "capacity-error"
     assert str(ge.BCH_CAP) in rec["reason"] and str(5**9) in rec["reason"]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 3), (3, 4)])
+def test_wrong_shape_matrices_are_refused(shape, capsys, tmp_path):
+    ex = gl.example_pm(5, 1)  # rank 3
+    rows, cols = shape
+    matrix = [[int(i == j) for j in range(cols)] for i in range(rows)]
+    assert gl.automorphism_issues(ex.lie, matrix) == ["matrix shape is not 3 x 3"]
+    with pytest.raises(InputError, match="shape"):
+        bch_group((5, 1)).transport(matrix)
+    with pytest.raises(InputError, match="shape"):
+        gl.fixed_subring(ex.lie, [matrix])
+    path = tmp_path / "eigen.json"
+    path.write_text(json.dumps({"lie": ex.lie.to_json(), "phi": matrix, "n": 2, "omega": 4}))
+    code = cli.run(["lie", "eigen", str(path), "--format", "json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 2 and "shape" in rec["reason"]
+
+
+def broken_jacobi_ring(c: int) -> gl.GradedLieRing:
+    """[e1,e2] = e4, [e1,e3] = e6, [e3,e4] = e5 and [e2,e6] = c*e5 over
+    Z/5: class 3, rank 6, order 15,625.  Jacobi on (e1, e2, e3) reads
+    (c - 1)*e5, so the ring is a Lie ring exactly when c = 1."""
+    return gl.GradedLieRing(IntegersModRing(5), 6, {
+        (0, 1): {3: 1}, (0, 2): {5: 1}, (2, 3): {4: 1}, (1, 5): {4: c}})
+
+
+def test_bch_refuses_a_broken_jacobi_constant_above_the_cap():
+    good, bad = broken_jacobi_ring(1), broken_jacobi_ring(2)
+    assert gl.validate(good).valid
+    assert [(i.kind, i.indices) for i in gl.validate(bad).issues] == [("jacobi", (0, 1, 2))]
+    G = ge.BCHGroup(good)
+    assert G.order == 5**6 > ge.EXHAUSTIVE_CAP and G.lie_class == 3
+    assert gl.lower_central_series(bad).nilpotency_class() == 3
+    with pytest.raises(InputError, match="jacobi fails on basis indices \\(0, 1, 2\\)"):
+        ge.BCHGroup(bad)
+    with pytest.raises(InputError, match="jacobi"):
+        ge.lazard_group_from_lie(bad)

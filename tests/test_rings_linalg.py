@@ -29,6 +29,7 @@ from flab.linalg import (
     mat_identity,
     mat_mul,
     rref,
+    rref_with_transform,
     ring_adjugate,
     ring_det,
 )
@@ -343,6 +344,20 @@ def test_hnf_transform_is_exact():
         ] == h
 
 
+small_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrices)
+def test_plain_forms_are_the_nonzero_rows_of_the_transform_forms(mat):
+    F = PrimeFieldRing(7)
+    red = rref_with_transform(F, mat)[0]
+    assert rref(F, mat) == [row for row in red if any(row)]
+    h = hnf_with_transform(mat)[0]
+    assert hnf(mat) == [row for row in h if any(row)]
+
+
 def test_int_solve():
     rng = random.Random(41)
     for _ in range(100):
@@ -453,10 +468,16 @@ def test_kernel_subspace():
 
 def test_det_and_adjugate_over_rings():
     rng = random.Random(47)
-    for ring in (IntegersRing(), IntegersModRing(9), PrimeFieldRing(5)):
+    rings = (IntegersRing(), IntegersModRing(9), PrimeFieldRing(5),
+             IntegersModRing(25), CyclotomicRing(5))
+    for ring in rings:
         for _ in range(50):
-            n = rng.randint(1, 3)
-            mat = [[ring.canon(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+            n = rng.randint(1, 5)
+            if ring.kind == "Cyclotomic":
+                mat = [[ring.canon(tuple(rng.randint(-3, 3) for _ in range(4)))
+                        for _ in range(n)] for _ in range(n)]
+            else:
+                mat = [[ring.canon(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
             det = ring_det(ring, mat)
             adj = ring_adjugate(ring, mat)
             prod = mat_mul(ring, adj, mat)
@@ -468,9 +489,23 @@ def test_det_and_adjugate_over_rings():
 
 
 def test_det_matches_fraction_expansion():
+    # sympy's determinant is the oracle: exact over Z and Q, reduced mod m
     rng = random.Random(53)
     for _ in range(40):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 8)
         mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        sym = sympy.Matrix(mat).det()
+        sym = int(sympy.Matrix(mat).det())
         assert ring_det(IntegersRing(), mat) == sym
+        for ring in (IntegersModRing(9), PrimeFieldRing(5)):
+            assert ring_det(ring, mat) == sym % ring.modulus
+        frac = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(n)]
+        sym = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                            for row in frac]).det()
+        assert ring_det(RationalsRing(), frac) == Fraction(int(sym.p), int(sym.q))
+    assert ring_det(IntegersRing(), []) == 1
+
+
+def test_det_refuses_a_non_square_matrix():
+    with pytest.raises(InputError, match="square"):
+        ring_det(IntegersRing(), [[1, 2, 3], [4, 5, 6]])
