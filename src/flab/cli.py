@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from importlib import resources
 
@@ -26,7 +25,7 @@ from .reports import (
     VerificationReport,
     report_check,
 )
-from .rings import multiplicative_order, ring_from_json
+from .rings import ring_from_json
 
 # --- argument parsing helpers ---
 
@@ -146,20 +145,11 @@ def _rename(rep: VerificationReport, name: str) -> VerificationReport:
 
 def report_prim(name: str, n: int, q: int, r: int) -> VerificationReport:
     def body():
-        params = _params(n, q, r)
-        if params.passes_prim():
+        failure = comb.prim_failure(n, q, r)
+        if failure is None:
             return PASS, {"n": n, "q": q, "r": r}, None
-        witness = {"n": n, "q": q, "r": r}
-        for d in range(2, n + 1):
-            if n % d:
-                continue
-            order = (
-                multiplicative_order(r % d, d) if math.gcd(r, d) == 1 else None
-            )
-            if order != q:
-                witness["divisor"] = d
-                witness["order"] = order
-                break
+        d, order = failure
+        witness = {"n": n, "q": q, "r": r, "divisor": d, "order": order}
         return VIOLATION, witness, "r lacks multiplicative order q modulo a divisor of n"
 
     return report_check(name, body)
@@ -477,14 +467,8 @@ def cmd_free_basis(args):
     words = fl.hall_basis(_parse_generators(args.gens), args.max_weight)
     return "data", {
         "count": len(words),
-        "words": [fl.format_tree(_word_tree(w)) for w in words],
+        "words": [fl.format_tree(w) for w in words],
     }
-
-
-def _word_tree(word: fl.HallWord):
-    if word.gen is not None:
-        return word.gen
-    return (_word_tree(word.left), _word_tree(word.right))
 
 
 def cmd_free_normalize(args):

@@ -15,15 +15,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapacityError, InputError
 from .rings import (
     CyclotomicRing,
     factorize,
-    is_prime,
     multiplicative_order,
-    poly_degree,
     poly_eval_mod,
     poly_trim,
     sylvester_resultant,
@@ -86,6 +84,28 @@ def _canon_seq(seq: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def prim_failure(n: int, q: int, r: int) -> tuple[int, int | None] | None:
+    """The least divisor d > 1 of n modulo which r lacks multiplicative
+    order q, with r's order there (None when r is not a unit mod d); None
+    when there is no such divisor.
+
+    >>> prim_failure(15, 4, 2)
+    (3, 2)
+    >>> prim_failure(6, 2, 2)
+    (2, None)
+    >>> prim_failure(7, 3, 2) is None
+    True
+    """
+    FrobeniusParams(n, q, r)  # validates the triple
+    for d in range(2, n + 1):
+        if n % d:
+            continue
+        order = multiplicative_order(r % d, d)
+        if order != q:
+            return d, order
+    return None
+
+
 def check_prim(n: int, q: int, r: int) -> bool:
     """True when r has multiplicative order exactly q modulo every divisor
     d > 1 of n.
@@ -95,18 +115,7 @@ def check_prim(n: int, q: int, r: int) -> bool:
     >>> check_prim(15, 4, 2)
     False
     """
-    if n < 2:
-        raise InputError("n must be at least 2")
-    if not 1 <= r <= n - 1:
-        raise InputError(f"r={r} outside [1, {n - 1}]")
-    if q < 1:
-        raise InputError("q must be positive")
-    for d in range(2, n + 1):
-        if n % d:
-            continue
-        if multiplicative_order(r % d, d) != q:
-            return False
-    return True
+    return prim_failure(n, q, r) is None
 
 
 def additive_order(b: int, n: int) -> int:

@@ -219,17 +219,12 @@ class SubringChain:
             raise InputError("chain terms are 1-based")
         return self.members[min(k - 1, len(self.members) - 1)]
 
-    def _first_zero(self) -> int | None:
-        for t, m in enumerate(self.members):
-            if m.is_zero():
-                return t
-        return None
-
     def nilpotency_class(self) -> int | None:
-        return self._first_zero()
+        """Index of the first zero member, None when there is none: the
+        class of a lower central chain, the length of a derived one."""
+        return next((t for t, m in enumerate(self.members) if m.is_zero()), None)
 
-    def derived_length(self) -> int | None:
-        return self._first_zero()
+    derived_length = nilpotency_class
 
 
 def _series_cap(L: GradedLieRing) -> int:
@@ -300,12 +295,11 @@ def automorphism_issues(L: GradedLieRing, M: Sequence[Sequence]) -> list[str]:
     out = []
     if not R.is_unit(ring_det(R, mat)):
         out.append("determinant is not a unit")
+    images = [list(col) for col in zip(*mat)]  # M b_i is column i
     for i in range(L.rank):
         for j in range(i + 1, L.rank):
             lhs = mat_apply(R, mat, list(L.structure_constant(i, j)))
-            rhs = L.bracket(mat_apply(R, mat, L.basis_vector(i)),
-                            mat_apply(R, mat, L.basis_vector(j)))
-            if lhs != rhs:
+            if lhs != L.bracket(images[i], images[j]):
                 out.append(f"bracket not preserved on pair ({i}, {j})")
     return out
 

@@ -37,6 +37,7 @@ from .rings import (
     factorize,
     is_prime,
     poly_add,
+    poly_divmod_monic,
     poly_mul,
     poly_neg,
     poly_trim,
@@ -97,6 +98,42 @@ def perm_order(a) -> int:
             j = a[j]
             length += 1
         out = math.lcm(out, length)
+    return out
+
+
+# --- base-p digits of element ids ---
+
+
+def _digits(a, base: int, k: int) -> tuple:
+    """The k base-`base` digits of an id, least significant first; on an
+    id array, the k digit arrays.
+
+    >>> _digits(11, 3, 3)
+    (2, 0, 1)
+    >>> [d.tolist() for d in _digits(np.arange(4), 2, 2)]
+    [[0, 1, 0, 1], [0, 0, 1, 1]]
+    """
+    out = []
+    for _ in range(k):
+        a, d = divmod(a, base)
+        out.append(d)
+    return tuple(out)
+
+
+def _from_digits(digits, base: int):
+    """Id of base-`base` digits given least significant first, each digit
+    reduced mod base; on digit arrays, the id array.
+
+    >>> _from_digits((2, 0, 1), 3)
+    11
+    >>> _from_digits((2, 3, -1), 3)
+    20
+    >>> _from_digits([np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])], 2).tolist()
+    [0, 1, 2, 3]
+    """
+    out = 0
+    for d in reversed(digits):
+        out = out * base + d % base
     return out
 
 
@@ -259,17 +296,9 @@ def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
         raise InputError("k must be nonnegative")
     n = p**k
     _require_table_cap(n)
-
-    def add(a, b):
-        out, mult = 0, 1
-        for _ in range(k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    return FiniteGroup([[add(a, b) for b in range(n)] for a in range(n)])
+    digits = _digits(np.arange(n), p, k)
+    table = _from_digits([d[:, None] + d for d in digits], p)
+    return FiniteGroup(np.broadcast_to(table, (n, n)).tolist())  # k = 0 sums no digits
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -315,13 +344,10 @@ def heisenberg_group(p: int) -> FiniteGroup:
         raise InputError("p must be prime")
     n = p**3
     _require_table_cap(n)
-
-    def mul(x, y):
-        a1, b1, c1 = x % p, x // p % p, x // (p * p)
-        a2, b2, c2 = y % p, y // p % p, y // (p * p)
-        return (a1 + a2) % p + p * ((b1 + b2) % p) + p * p * ((c1 + c2 + a1 * b2) % p)
-
-    return FiniteGroup([[mul(a, b) for b in range(n)] for a in range(n)])
+    ids = np.arange(n)
+    a1, b1, c1 = _digits(ids[:, None], p, 3)
+    a2, b2, c2 = _digits(ids, p, 3)
+    return FiniteGroup(_from_digits((a1 + a2, b1 + b2, c1 + c2 + a1 * b2), p).tolist())
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
@@ -466,35 +492,37 @@ def center(G) -> frozenset:
     )
 
 
-def lower_central_series_sets(G) -> list[frozenset]:
-    full = frozenset(range(G.order))
-    terms = [full]
+def _series_sets(G, step) -> list[frozenset]:
+    """G, step(G), step(step(G)), ... up to the trivial group or a repeat."""
+    terms = [frozenset(range(G.order))]
     while len(terms[-1]) > 1:
-        nxt = commutator_subgroup(G, terms[-1], full)
+        nxt = step(terms[-1])
         if nxt == terms[-1]:
             break
         terms.append(nxt)
     return terms
 
 
-def nilpotency_class(G) -> int | None:
-    terms = lower_central_series_sets(G)
+def _series_length(terms) -> int | None:
+    """Steps to the trivial group, None when the series stalls above it."""
     return len(terms) - 1 if len(terms[-1]) == 1 else None
+
+
+def lower_central_series_sets(G) -> list[frozenset]:
+    full = frozenset(range(G.order))
+    return _series_sets(G, lambda S: commutator_subgroup(G, S, full))
 
 
 def derived_series_sets(G) -> list[frozenset]:
-    terms = [frozenset(range(G.order))]
-    while len(terms[-1]) > 1:
-        nxt = commutator_subgroup(G, terms[-1], terms[-1])
-        if nxt == terms[-1]:
-            break
-        terms.append(nxt)
-    return terms
+    return _series_sets(G, lambda S: commutator_subgroup(G, S, S))
+
+
+def nilpotency_class(G) -> int | None:
+    return _series_length(lower_central_series_sets(G))
 
 
 def derived_length(G) -> int | None:
-    terms = derived_series_sets(G)
-    return len(terms) - 1 if len(terms[-1]) == 1 else None
+    return _series_length(derived_series_sets(G))
 
 
 def _is_power_of(n: int, p: int) -> bool:
@@ -725,21 +753,14 @@ def _fpp(poly, p: int) -> tuple[int, ...]:
 
 
 def _fpp_divmod(a, b, p: int):
+    """Quotient and remainder over F_p: divide over Z by the monic b/lc(b),
+    which commutes with reduction mod p, and scale the quotient by 1/lc(b)."""
     b = _fpp(b, p)
     if not b:
         raise InputError("polynomial division by zero")
     inv_lc = pow(b[-1], -1, p)
-    rem = list(_fpp(a, p))
-    quo = [0] * max(len(rem) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        c = rem[-1] * inv_lc % p
-        k = len(rem) - len(b)
-        quo[k] = c
-        for i, z in enumerate(b):
-            rem[k + i] = (rem[k + i] - c * z) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return poly_trim(quo), tuple(rem)
+    quo, rem = poly_divmod_monic(_fpp(a, p), _fpp([c * inv_lc for c in b], p))
+    return _fpp([c * inv_lc for c in quo], p), _fpp(rem, p)
 
 
 def _fpp_mulmod(a, b, g, p: int):
@@ -771,11 +792,7 @@ def _irreducible_poly(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of prime degree k over F_p, counter order."""
     x = (0, 1)
     for counter in range(p**k):
-        digits, c = [], counter
-        for _ in range(k):
-            digits.append(c % p)
-            c //= p
-        g = tuple(digits) + (1,)
+        g = _digits(counter, p, k) + (1,)
         if _fpp_powmod(x, p**k, g, p) != x:
             continue
         diff = _fpp(poly_add(_fpp_powmod(x, p, g, p), poly_neg(x)), p)
@@ -806,29 +823,18 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
     if size > TABLE_CAP:
         raise CapacityError(f"field size {size} exceeds the table cap {TABLE_CAP}")
     g = _irreducible_poly(p, k)
-    group = elementary_abelian_group(p, k)  # its ids are the base-p digits decode reads
-
-    def decode(a):
-        digits = []
-        for _ in range(k):
-            digits.append(a % p)
-            a //= p
-        return tuple(digits)
-
-    def from_poly(poly):
-        return sum(c * p**i for i, c in enumerate(poly[:k]))
+    group = elementary_abelian_group(p, k)  # ids are coefficient digits mod g
 
     def fmul(a, b):
-        return from_poly(_fpp_mulmod(decode(a), decode(b), g, p))
+        return _from_digits(_fpp_mulmod(_digits(a, p, k), _digits(b, p, k), g, p), p)
 
     def fpow(a, e):
-        return from_poly(_fpp_powmod(decode(a), e, g, p))
+        return _from_digits(_fpp_powmod(_digits(a, p, k), e, g, p), p)
 
     n = size - 1
-    one = from_poly((1,))
-    gen = next(
+    gen = next(  # id 1 is the constant polynomial 1
         cand for cand in range(1, size)
-        if all(fpow(cand, n // ell) != one for ell in sorted(factorize(n)))
+        if all(fpow(cand, n // ell) != 1 for ell in sorted(factorize(n)))
     )
     f = tuple(fmul(gen, x) for x in range(size))
     h = tuple(fpow(x, p) for x in range(size))
@@ -1153,13 +1159,9 @@ def jz_filtration(G, p: int) -> Filtration:
         raise InputError(f"the group is not a {p}-group")
     if G.order == 1:
         return Filtration(p, ())
-    full = frozenset(range(G.order))
-    gammas = [full]
-    while len(gammas[-1]) > 1:
-        nxt = commutator_subgroup(G, gammas[-1], full)
-        if nxt == gammas[-1]:
-            raise RuntimeError("a p-group must have a terminating central series")
-        gammas.append(nxt)
+    gammas = lower_central_series_sets(G)
+    if len(gammas[-1]) > 1:
+        raise RuntimeError("a p-group must have a terminating central series")
     exponent = G.exponent()
     terms = []
     i = 1
@@ -1477,18 +1479,11 @@ class BCHGroup:
 
     def decode(self, a) -> tuple:
         """Digits of an id, or digit columns of an id array."""
-        digits = []
-        for _ in range(self.rank):
-            digits.append(a % self.modulus)
-            a = a // self.modulus
-        return tuple(digits)
+        return _digits(a, self.modulus, self.rank)
 
     def encode(self, vec):
         """Id of a coordinate vector, or id array of coordinate columns."""
-        out = 0
-        for c in reversed(vec):
-            out = out * self.modulus + c % self.modulus
-        return out
+        return _from_digits(vec, self.modulus)
 
     def _bracket(self, x, y) -> list:
         m = self.modulus
@@ -1514,7 +1509,7 @@ class BCHGroup:
         return self.encode(self._hausdorff(self.coords[:, a], self.coords[:, b]))
 
     def inv(self, a: int) -> int:
-        return self.encode(tuple(-c % self.modulus for c in self.decode(a)))
+        return self.encode([-c for c in self.decode(a)])
 
     def conjugate(self, g: int, x: int) -> int:
         return self.mul(self.mul(g, x), self.inv(g))

@@ -33,11 +33,18 @@ def test_prim_pass_violation_error(capsys):
                           "--format", "json")
     assert code == 0 and recs[0]["status"] == "pass"
 
-    code, recs = run_json(capsys, "prim", "--n", "15", "--q", "4", "--r", "2",
-                          "--format", "json")
-    assert code == 1
-    assert recs[0]["status"] == "violation"
-    assert "divisor" in recs[0]["witness"]
+    # the least failing divisor, with r's order there (null off the units)
+    for (n, q, r), divisor, order in [
+        ((15, 4, 2), 3, 2),
+        ((6, 2, 2), 2, None),
+        ((8, 2, 3), 2, 1),
+    ]:
+        code, recs = run_json(capsys, "prim", "--n", str(n), "--q", str(q),
+                              "--r", str(r), "--format", "json")
+        assert code == 1
+        assert recs[0]["status"] == "violation"
+        assert recs[0]["witness"] == {
+            "n": n, "q": q, "r": r, "divisor": divisor, "order": order}
 
     code, recs = run_json(capsys, "prim", "--n", "1", "--q", "3", "--r", "1",
                           "--format", "json")

@@ -8,6 +8,7 @@ import pytest
 import flab.combinatorics
 import flab.free_lie
 import flab.graded_lie
+import flab.group_engine
 import flab.rings
 
 
@@ -16,6 +17,7 @@ import flab.rings
     flab.combinatorics,
     flab.free_lie,
     flab.graded_lie,
+    flab.group_engine,
 ], ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module)
