@@ -6,6 +6,18 @@ nonzero residues is "r-dependent" when some not-all-zero exponent tuple makes
 the r-twisted sum match the plain sum; the D-set of an independent sequence
 collects the residues whose adjunction breaks independence.
 
+Dependence and D-sets are read off residue reach sets.  For each suffix of a
+sequence a_1..a_k, an n-bit int holds the twisted sums sum r**e_i * a_i of
+that suffix over all exponent tuples, and a second one the sums over tuples
+with a nonzero exponent.  One level is q rotations of the next shorter
+suffix's sets, so a sequence costs O(k*q) big-int operations, where walking
+the exponent tuples costs O(q**k) steps.  The sets of proper suffixes are
+kept in a bounded LRU, so sequences that share a tail share its work; the
+whole sequence is never cached.  The route is chosen from the input: when a
+set would be large next to the search (n > 64 * q**k) or large outright
+(n > BITSET_MAX_N), the exponent odometer runs instead, in memory that does
+not grow with n.
+
 All searches are exhaustive.  Requests past the configured caps raise
 CapacityError rather than sampling.
 """
@@ -13,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -29,6 +42,7 @@ from .rings import (
 
 DEFAULT_EXPONENT_CAP = 8
 DEFAULT_SUM_LENGTH_CAP = 6
+CHAR0_TERM_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -74,16 +88,13 @@ class DependenceWitness:
 
 
 def _canon_seq(seq: Sequence[int], n: int) -> tuple[int, ...]:
-    out = []
-    for a in seq:
-        v = int(a) % n
-        if v == 0:
-            raise InputError(f"sequence entry {a} is zero mod {n}")
-        out.append(v)
-    return tuple(out)
+    out = tuple([int(a) % n for a in seq])
+    if 0 in out:
+        raise InputError(f"sequence entry {seq[out.index(0)]} is zero mod {n}")
+    return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def prim_failure(n: int, q: int, r: int) -> tuple[int, int | None] | None:
     """The least divisor d > 1 of n modulo which r lacks multiplicative
     order q, with r's order there (None when r is not a unit mod d); None
@@ -97,9 +108,10 @@ def prim_failure(n: int, q: int, r: int) -> tuple[int, int | None] | None:
     True
     """
     FrobeniusParams(n, q, r)  # validates the triple
-    for d in range(2, n + 1):
-        if n % d:
-            continue
+    divisors = [1]
+    for p, e in factorize(n).items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    for d in sorted(divisors)[1:]:
         order = multiplicative_order(r % d, d)
         if order != q:
             return d, order
@@ -129,27 +141,88 @@ def additive_order(b: int, n: int) -> int:
     return n // math.gcd(b % n, n)
 
 
-def is_r_dependent(
-    seq: Sequence[int],
-    params: FrobeniusParams,
-    cap: int = DEFAULT_EXPONENT_CAP,
-) -> tuple[bool, DependenceWitness | None]:
-    """Exhaustive dependence test over all q**k exponent tuples.
+@lru_cache(maxsize=64)
+def _exponent_tables(n: int, q: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """r**e mod n for 0 <= e < q, and the inverses of 1 - r**i mod n for
+    0 < i < q (None when one of them is not a unit)."""
+    powers = tuple(pow(r, e, n) for e in range(q))
+    inverses = []
+    for p in powers[1:]:
+        denom = (1 - p) % n
+        if math.gcd(denom, n) != 1:
+            return powers, None
+        inverses.append(pow(denom, -1, n))
+    return powers, tuple(inverses)
 
-    Returns (dependent, witness); the witness is the first tuple found in
-    lexicographic order.  Sequences longer than cap raise CapacityError.
-    """
-    entries = _canon_seq(seq, params.n)
+
+# Reach sets: bit s of an n-bit int is set when residue s is reached.  A node
+# (reach, nonzero, tail) holds the twisted sums of one suffix of a sequence,
+# over all exponent tuples and over those with a nonzero exponent, and the
+# node of the next shorter suffix; the empty suffix reaches 0 alone.
+_EMPTY_REACH = (1, 0, None)
+BITSET_MAX_N = 1 << 20  # a reach set never exceeds 128 KiB
+REACH_CACHE_SIZE = 1024  # proper-suffix nodes kept
+CACHED_SET_MAX_N = 1024  # only sets and D-set masks this small are cached
+_REACH_CACHE: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
+
+
+def _reach(entries: tuple[int, ...], n: int, q: int, r: int, powers) -> tuple:
+    """Reach node of the whole sequence, built on the longest proper suffix
+    found in the LRU; the new proper suffixes are stored there."""
     k = len(entries)
-    if k == 0:
-        raise InputError("sequence must be nonempty")
-    if k > cap:
-        raise CapacityError(f"sequence length {k} exceeds cap {cap}")
-    n, q, r = params.n, params.q, params.r
-    target = sum(entries) % n
-    powers = [pow(r, e, n) for e in range(q)]
-    tables = [[p * a % n for p in powers] for a in entries]
+    node, start = _EMPTY_REACH, k
+    for i in range(1, k):
+        key = (n, q, r) + entries[i:]
+        hit = _REACH_CACHE.pop(key, None)
+        if hit is not None:
+            _REACH_CACHE[key] = hit  # now the most recent
+            node, start = hit, i
+            break
+    mask = (1 << n) - 1
+    for i in range(start - 1, -1, -1):
+        a = entries[i]
+        reach, nonzero, _ = node
+        # rotating x left by v is (x | x << n) >> (n - v), masked
+        doubled = reach | reach << n
+        twisted = 0
+        for p in powers[1:]:
+            twisted |= doubled >> (n - p * a % n)
+        nonzero |= nonzero << n
+        node = ((twisted | doubled >> (n - a)) & mask,
+                (twisted | nonzero >> (n - a)) & mask, node)
+        if i and n <= CACHED_SET_MAX_N:
+            _REACH_CACHE[(n, q, r) + entries[i:]] = node
+            if len(_REACH_CACHE) > REACH_CACHE_SIZE:
+                _REACH_CACHE.popitem(last=False)
+    return node
 
+
+def _descend(node: tuple, entries: tuple[int, ...], n: int, powers, target: int):
+    """Lexicographically first nonzero exponent tuple whose twisted sum is
+    target, by greedy descent over the suffix nodes; None when there is none."""
+    if not node[1] >> target & 1:
+        return None
+    exps = []
+    nonzero = False
+    for a in entries:
+        tail_reach, tail_nonzero, _ = node = node[2]
+        for e, p in enumerate(powers):
+            s = (target - p * a) % n
+            if (tail_reach if nonzero or e else tail_nonzero) >> s & 1:
+                break
+        else:
+            raise RuntimeError("reach sets disagree with their suffixes")
+        exps.append(e)
+        target = s
+        nonzero = nonzero or e > 0
+    return tuple(exps)
+
+
+def _odometer(entries: tuple[int, ...], n: int, q: int, powers, target: int):
+    """Lexicographically first nonzero exponent tuple whose twisted sum is
+    target, by walking all q**k tuples; None when there is none."""
+    k = len(entries)
+    tables = [[p * a % n for p in powers] for a in entries]
     exps = [0] * k
     sums = [0] * (k + 1)
     # odometer over exponent tuples with incremental prefix sums
@@ -157,16 +230,60 @@ def is_r_dependent(
     while True:
         if i == k:
             if any(exps) and sums[k] == target:
-                return True, DependenceWitness(tuple(exps))
+                return tuple(exps)
             i -= 1
             while i >= 0 and exps[i] == q - 1:
                 exps[i] = 0
                 i -= 1
             if i < 0:
-                return False, None
+                return None
             exps[i] += 1
         sums[i + 1] = (sums[i] + tables[i][exps[i]]) % n
         i += 1
+
+
+def _first_dependence(entries: tuple[int, ...], n: int, q: int, r: int):
+    """(first witness exponents or None, the sequence's reach node or None on
+    the odometer route)."""
+    powers = _exponent_tables(n, q, r)[0]
+    target = sum(entries) % n
+    # reach sets unless one would be large next to the q**k search, or large
+    # outright; the odometer's memory does not grow with n
+    if n > BITSET_MAX_N or n > 64 * q ** len(entries):
+        return _odometer(entries, n, q, powers, target), None
+    node = _reach(entries, n, q, r, powers)
+    return _descend(node, entries, n, powers, target), node
+
+
+def is_r_dependent(
+    seq: Sequence[int],
+    params: FrobeniusParams,
+    cap: int = DEFAULT_EXPONENT_CAP,
+) -> tuple[bool, DependenceWitness | None]:
+    """Exhaustive dependence test over all q**k exponent tuples.
+
+    Returns (dependent, witness); the witness is the lexicographically first
+    nonzero exponent tuple whose twisted sum is the plain sum.  Sequences
+    longer than cap raise CapacityError.
+
+    The sequence is dependent when the plain sum lies in the nonzero reach
+    set of the whole sequence, and the witness is read off by a greedy
+    descent that picks at each position the least exponent whose remainder
+    the next suffix still reaches.  Where the sets would be large next to
+    the search (n > 64 * q**k) or past BITSET_MAX_N bits, the exponent
+    odometer walks the tuples in lexicographic order instead.
+
+    >>> is_r_dependent((1, 2), FrobeniusParams(7, 3, 2))
+    (True, DependenceWitness(exponents=(1, 2)))
+    """
+    n, q, r = params.n, params.q, params.r
+    entries = _canon_seq(seq, n)
+    if not entries:
+        raise InputError("sequence must be nonempty")
+    if len(entries) > cap:
+        raise CapacityError(f"sequence length {len(entries)} exceeds cap {cap}")
+    exps = _first_dependence(entries, n, q, r)[0]
+    return (False, None) if exps is None else (True, DependenceWitness(exps))
 
 
 def d_set(
@@ -179,50 +296,71 @@ def d_set(
     dependent.
 
     The input must itself be r-independent.  Two routes are implemented and
-    cross-checked by the test suite: "brute" tries every j directly from the
-    definition, "formula" enumerates the solved-for-j values (valid whenever
-    1 - r**i is invertible for 0 < i < q, in particular under check_prim).
-    "auto" picks formula when the inverses exist, brute otherwise.
+    cross-checked by the test suite: "brute" tests every j from the
+    definition (j goes in front, so that the sequence is the cached suffix;
+    dependence does not depend on the order), "formula" solves for j: with
+    s a twisted sum of the sequence and plain its plain sum, adjoining j with
+    exponent i is dependent exactly when j = (s - plain) / (1 - r**i), which
+    needs 1 - r**i invertible for 0 < i < q (true under check_prim).  The
+    sums s are the set bits of the sequence's reach set, or on the odometer
+    route (see is_r_dependent) the q**k tuples themselves.  "auto" picks
+    formula when the inverses exist, brute otherwise.
+
+    >>> sorted(d_set((1,), FrobeniusParams(7, 3, 2)))
+    [2, 4, 6]
     """
-    entries = _canon_seq(seq, params.n)
+    n, q, r = params.n, params.q, params.r
+    entries = _canon_seq(seq, n)
     if len(entries) + 1 > cap:
         raise CapacityError(f"extension length {len(entries) + 1} exceeds cap {cap}")
-    dep, _ = is_r_dependent(entries, params, cap)
-    if dep:
+    if not entries:
+        raise InputError("sequence must be nonempty")
+    exps, node = _first_dependence(entries, n, q, r)
+    if exps is not None:
         raise InputError("d_set requires an r-independent sequence")
-    n, q, r = params.n, params.q, params.r
+    powers, inverses = _exponent_tables(n, q, r)
     if method == "auto":
-        invertible = all(math.gcd((1 - pow(r, i, n)) % n, n) == 1 for i in range(1, q))
-        method = "formula" if invertible else "brute"
+        method = "brute" if inverses is None else "formula"
     if method == "brute":
-        out = set()
-        for j in range(1, n):
-            dep, _ = is_r_dependent(entries + (j,), params, cap)
-            if dep:
-                out.add(j)
-        return out
+        return {j for j in range(1, n)
+                if _first_dependence((j,) + entries, n, q, r)[0] is not None}
     if method != "formula":
         raise InputError(f"unknown d_set method {method!r}")
-    inverses = []
-    for i in range(1, q):
-        denom = (1 - pow(r, i, n)) % n
-        if math.gcd(denom, n) != 1:
-            raise InputError("formula route needs 1 - r**i invertible")
-        inverses.append(pow(denom, -1, n))
+    if inverses is None:
+        raise InputError("formula route needs 1 - r**i invertible")
     plain = sum(entries) % n
-    powers = [pow(r, e, n) for e in range(q)]
-    tables = [[p * a % n for p in powers] for a in entries]
-    out = set()
-    for tup in itertools.product(range(q), repeat=len(entries)):
-        twisted = 0
-        for t, e in zip(tables, tup):
-            twisted += t[e]
-        diff = (twisted - plain) % n
+    if node is not None and n <= CACHED_SET_MAX_N:
+        # bit d of the reach set rotated right by plain: plain + d is reached
+        diffs = (node[0] | node[0] << n) >> plain & ((1 << n) - 1)
+        images = _solution_masks(n, q, r)
+        found = 0
+        for d in _residues(diffs):
+            found |= images[d]
+        return set(_residues(found))
+    if node is None:
+        tables = [[p * a % n for p in powers] for a in entries]
+        sums = {sum(tup) % n for tup in itertools.product(*tables)}
+    else:
+        sums = _residues(node[0])
+    return {(s - plain) * inv % n for s in sums if s != plain for inv in inverses}
+
+
+@lru_cache(maxsize=8)
+def _solution_masks(n: int, q: int, r: int) -> tuple[int, ...]:
+    """Bit masks of {d / (1 - r**i) mod n : 0 < i < q}, one per residue d."""
+    inverses = _exponent_tables(n, q, r)[1]
+    out = [0]
+    for d in range(1, n):
+        m = 0
         for inv in inverses:
-            j = diff * inv % n
-            if j:
-                out.add(j)
-    return out
+            m |= 1 << (d * inv % n)
+        out.append(m)
+    return tuple(out)
+
+
+def _residues(bits: int):
+    """Positions of the set bits of bits, least first."""
+    return itertools.compress(itertools.count(), map("1".__eq__, bin(bits)[:1:-1]))
 
 
 def find_independent_subseq(
@@ -373,12 +511,27 @@ def char0_exhaust(n: int, m: int, cap: int = DEFAULT_SUM_LENGTH_CAP) -> set[tupl
     w**i_1 + ... + w**i_m == m for w a primitive n-th root of unity.
 
     Computed exactly in Z[x]/(n-th cyclotomic polynomial); the all-zero
-    multiset is always present and is expected to be alone.
+    multiset is always present and is expected to be alone.  m past cap, or
+    more than CHAR0_TERM_CAP multisets times phi(n) coefficients, raise
+    CapacityError before any work.
     """
     if n < 1 or m < 1:
         raise InputError("n and m must be positive")
     if m > cap:
         raise CapacityError(f"m={m} exceeds cap {cap}")
+    # each of the C(n+m-1, m) multisets is a sum of ring elements with
+    # phi(n) coefficients; phi(n) is only worked out once the count is in range
+    multisets = math.comb(n + m - 1, m)
+    terms = multisets
+    if multisets <= CHAR0_TERM_CAP:
+        phi = n
+        for p in factorize(n):
+            phi -= phi // p
+        terms *= phi
+    if terms > CHAR0_TERM_CAP:
+        raise CapacityError(
+            f"char0_exhaust({n}, {m}) needs {terms} coefficient terms "
+            f"({multisets} multisets), over the cap {CHAR0_TERM_CAP}")
     ring = CyclotomicRing(n)
     target = ring.canon(m)
     omegas = [ring.pow_omega(i) for i in range(n)]

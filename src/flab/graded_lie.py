@@ -75,6 +75,14 @@ class GradedLieRing:
                 vec = [ring.canon(c) for c in entry]
             table[(i, j)] = tuple(vec)
         self._table = table
+        # (i, j) -> ((k, c), ...): the nonzero entries of [b_i, b_j] for each
+        # pair i < j that has one, pairs and entries in increasing order
+        self.nonzero_constants = {}
+        for i, j in sorted({(min(i, j), max(i, j)) for i, j in table if i != j}):
+            terms = tuple((k, c) for k, c in enumerate(self.structure_constant(i, j))
+                          if not ring.is_zero(c))
+            if terms:
+                self.nonzero_constants[(i, j)] = terms
 
     # --- bracket plumbing ---
 
@@ -102,17 +110,15 @@ class GradedLieRing:
         return tuple(self.zero_vector())
 
     def bracket(self, x: Sequence, y: Sequence) -> list:
+        """sum over i < j of (x_i y_j - x_j y_i) [b_i, b_j]."""
         R = self.ring
         out = self.zero_vector()
-        for i in range(self.rank):
-            xi, yi = x[i], y[i]
-            for j in range(i + 1, self.rank):
-                c = R.sub(R.mul(xi, y[j]), R.mul(x[j], yi))
-                if R.is_zero(c):
-                    continue
-                for k, s in enumerate(self.structure_constant(i, j)):
-                    if not R.is_zero(s):
-                        out[k] = R.add(out[k], R.mul(c, s))
+        for (i, j), terms in self.nonzero_constants.items():
+            c = R.sub(R.mul(x[i], y[j]), R.mul(x[j], y[i]))
+            if R.is_zero(c):
+                continue
+            for k, s in terms:
+                out[k] = R.add(out[k], R.mul(c, s))
         return out
 
     def ad_matrix(self, y: Sequence) -> list[list]:
@@ -132,19 +138,12 @@ class GradedLieRing:
     # --- serialization ---
 
     def to_json(self) -> dict:
-        brackets = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if (i, j) in self._table and (j, i) in self._table:
-                    lhs = self._table[(i, j)]
-                    rhs = tuple(self.ring.neg(c) for c in self._table[(j, i)])
-                    if lhs != rhs:
-                        raise InputError(f"inconsistent pair ({i}, {j}); validate first")
-                vec = self.structure_constant(i, j)
-                entry = [[k, self.ring.to_json(c)] for k, c in enumerate(vec)
-                         if not self.ring.is_zero(c)]
-                if entry:
-                    brackets.append([i, j, entry])
+        for i, j in sorted(self._table):
+            if i < j and (j, i) in self._table:
+                if self._table[(i, j)] != tuple(self.ring.neg(c) for c in self._table[(j, i)]):
+                    raise InputError(f"inconsistent pair ({i}, {j}); validate first")
+        brackets = [[i, j, [[k, self.ring.to_json(c)] for k, c in terms]]
+                    for (i, j), terms in self.nonzero_constants.items()]
         out = {"rank": self.rank, "ring": ring_to_json(self.ring), "brackets": brackets}
         if self.grading is not None:
             out["grading"] = list(self.grading)

@@ -1466,12 +1466,6 @@ class BCHGroup:
         self.lie_class = cls
         self._half = pow(2, -1, modulus)
         self._twelfth = pow(12, -1, modulus)
-        self._sc = {}
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                terms = tuple((t, int(s)) for t, s in enumerate(lie.structure_constant(i, j)) if s)
-                if terms:
-                    self._sc[(i, j)] = terms
         self.coords = np.array(self.decode(np.arange(order, dtype=np.int64)))
         self.coords.flags.writeable = False
         if self.order <= EXHAUSTIVE_CAP:
@@ -1488,7 +1482,7 @@ class BCHGroup:
     def _bracket(self, x, y) -> list:
         m = self.modulus
         out = [0] * self.rank
-        for (i, j), terms in self._sc.items():
+        for (i, j), terms in self.lie.nonzero_constants.items():
             c = (x[i] * y[j] - x[j] * y[i]) % m
             for t, s in terms:
                 out[t] = (out[t] + c * s) % m

@@ -3,11 +3,17 @@ capacity and characteristic bounds."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from flab import combinatorics as comb
 from flab.combinatorics import (
     FrobeniusParams,
     additive_order,
@@ -20,6 +26,7 @@ from flab.combinatorics import (
     engel_width,
     find_independent_subseq,
     is_r_dependent,
+    prim_failure,
 )
 from flab.errors import CapacityError, InputError
 from flab.rings import multiplicative_order
@@ -49,6 +56,30 @@ def test_check_prim_definition_small():
                     if n % d == 0
                 )
                 assert check_prim(n, q, r) == expected
+
+
+def test_prim_failure_matches_the_definitional_scan():
+    # the least failing divisor, by walking every d in 2..n
+    order_mod = functools.cache(multiplicative_order)
+    for n in range(2, 301):
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        for r in range(1, n):
+            for q in {1, 2, order_mod(r, n) or 3}:
+                expected = None
+                for d in divisors:
+                    order = order_mod(r % d, d)
+                    if order != q:
+                        expected = (d, order)
+                        break
+                assert prim_failure(n, q, r) == expected, (n, q, r)
+
+
+def test_prim_failure_at_a_large_prime_is_fast():
+    t0 = time.perf_counter()
+    assert prim_failure(10_000_019, 2, 10_000_018) is None
+    assert prim_failure(10**9 + 7, 2, 10**9 + 6) is None
+    assert prim_failure(2 * (10**9 + 7), 2, 10**9 + 6) == (2, None)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_params_validation():
@@ -111,6 +142,79 @@ def test_dependence_capacity():
         is_r_dependent(tuple([1] * 9), params(7, 3, 2))
 
 
+def _first_solution(seq, n, q, r):
+    """The first nonzero exponent tuple in the odometer's lexicographic order
+    whose twisted sum is the plain sum, by plain search."""
+    plain = sum(seq) % n
+    for exps in itertools.product(range(q), repeat=len(seq)):
+        if any(exps) and sum(pow(r, e, n) * a for e, a in zip(exps, seq)) % n == plain:
+            return exps
+    return None
+
+
+@st.composite
+def _dependence_cases(draw):
+    q = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 5))
+    assume(q**k <= 1296)
+    route_bound = 64 * q**k  # reach sets up to here, the odometer past it
+    if q**k <= 8 and draw(st.booleans()):
+        n = draw(st.integers(route_bound + 1, route_bound + 300))
+    else:
+        n = draw(st.integers(2, min(route_bound, 700)))
+    r = draw(st.integers(1, n - 1))
+    seq = tuple(draw(st.lists(st.integers(-3 * n, 3 * n).filter(lambda a: a % n),
+                              min_size=k, max_size=k)))
+    return n, q, r, seq
+
+
+@settings(max_examples=250, deadline=None)
+@given(_dependence_cases())
+def test_dependence_and_d_set_match_the_odometer_oracle(case):
+    n, q, r, seq = case
+    p = params(n, q, r)
+    dep, wit = is_r_dependent(seq, p)
+    want = _first_solution([a % n for a in seq], n, q, r)
+    assert (wit.exponents if dep else None) == want
+    if not dep and len(seq) < 8:
+        assert d_set(seq, p) == d_set(seq, p, method="brute")
+
+
+def test_dependence_length_8_at_q_14_is_fast():
+    # the odometer would walk 14**8 tuples; a meet-in-the-middle search over
+    # two halves of 14**4 sums each finds no nonzero solution
+    p = params(1000133, 14, 199730)
+    t0 = time.perf_counter()
+    assert is_r_dependent((1,) * 8, p) == (False, None)
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("n", [1_000_003, 1_000_000_007])
+def test_dependence_memory_does_not_grow_with_n(n):
+    # 2**3 exponent tuples: a million-bit reach set would dwarf the search
+    p = params(n, 2, n - 1)
+    tracemalloc.start()
+    try:
+        assert is_r_dependent((1, 2, 3), p) == (False, None)
+        assert d_set((1, 2, 3), p) == {n - j for j in range(1, 7)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_reach_cache_holds_a_bounded_number_of_proper_suffixes():
+    comb._REACH_CACHE.clear()
+    p = params(31, 5, 2)
+    for seq in itertools.islice(itertools.combinations_with_replacement(range(1, 31), 4), 2000):
+        is_r_dependent(seq, p)
+    assert len(comb._REACH_CACHE) == comb.REACH_CACHE_SIZE
+    assert all(len(key) - 3 < 4 for key in comb._REACH_CACHE)
+    comb._REACH_CACHE.clear()
+    is_r_dependent((1, 2, 3), p)
+    assert set(comb._REACH_CACHE) == {(31, 5, 2, 2, 3), (31, 5, 2, 3)}
+
+
 def test_dependence_invariant_under_permutation():
     rng = random.Random(9)
     p = params(31, 5, 2)
@@ -148,6 +252,14 @@ def test_d_set_routes_agree():
             if dep:
                 continue
             assert d_set(seq, p, method="brute") == d_set(seq, p, method="formula")
+
+
+def test_d_set_routes_agree_on_reach_sets_too_large_to_cache():
+    p = params(2053, 6, 2)
+    assert p.n > comb.CACHED_SET_MAX_N
+    for seq in ((1, 5), (7, 100)):
+        assert is_r_dependent(seq, p) == (False, None)
+        assert d_set(seq, p) == d_set(seq, p, method="brute")
 
 
 def test_d_set_requires_independent_input():
@@ -283,6 +395,15 @@ def test_char0_exhaust_only_zero():
     assert char0_exhaust(3, 2) == {(0, 0)}
     assert char0_exhaust(5, 1) == {(0,)}
     assert char0_exhaust(12, 3) == {(0, 0, 0)}
+
+
+def test_char0_exhaust_refuses_what_cannot_finish():
+    with pytest.raises(CapacityError, match=r"95746959700 .*cap 2000000"):
+        char0_exhaust(200, 6)
+    with pytest.raises(CapacityError, match="cap"):
+        char0_exhaust(10**18, 1)
+    with pytest.raises(CapacityError, match="cap"):
+        char0_exhaust(5000, 1)  # 5000 ring elements of 2000 coefficients
 
 
 def test_char0_exhaust_small_sweep():

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flab import graded_lie as gl
 from flab.combinatorics import FrobeniusParams
@@ -26,6 +28,37 @@ def heis(ring):
 
 
 # --- construction and bracket plumbing ---
+
+
+@st.composite
+def _table_ring_and_pair(draw):
+    p, m = draw(st.sampled_from([(2, 1), (3, 2), (5, 1), (7, 1), (2, 3)]))
+    R = IntegersModRing(p**m)
+    rank = draw(st.integers(1, 6))
+    index = st.integers(0, rank - 1)
+    coeff = st.integers(-p**m, p**m)
+    # either orientation of a pair, the diagonal, zero constants and vectors
+    brackets = draw(st.dictionaries(st.tuples(index, index),
+                                    st.dictionaries(index, coeff, max_size=rank),
+                                    max_size=rank * rank))
+    vec = st.lists(coeff, min_size=rank, max_size=rank)
+    L = gl.GradedLieRing(R, rank, brackets)
+    return L, L.element(draw(vec)), L.element(draw(vec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_ring_and_pair())
+def test_bracket_matches_the_dense_definition(case):
+    # sum over every pair i < j of (x_i y_j - x_j y_i) times [b_i, b_j]
+    L, x, y = case
+    R = L.ring
+    want = L.zero_vector()
+    for i in range(L.rank):
+        for j in range(i + 1, L.rank):
+            c = R.sub(R.mul(x[i], y[j]), R.mul(x[j], y[i]))
+            for k, s in enumerate(L.structure_constant(i, j)):
+                want[k] = R.add(want[k], R.mul(c, s))
+    assert L.bracket(x, y) == want
 
 
 def test_bracket_bilinear_and_antisymmetric():
