@@ -13,10 +13,12 @@ with a nonzero exponent.  One level is q rotations of the next shorter
 suffix's sets, so a sequence costs O(k*q) big-int operations, where walking
 the exponent tuples costs O(q**k) steps.  The sets of proper suffixes are
 kept in a bounded LRU, so sequences that share a tail share its work; the
-whole sequence is never cached.  The route is chosen from the input: when a
-set would be large next to the search (n > 64 * q**k) or large outright
-(n > BITSET_MAX_N), the exponent odometer runs instead, in memory that does
-not grow with n.
+whole sequence is never cached.  The route is chosen from the input: when
+walking the q**k tuples is no dearer than k*q rotations of n-bit sets (a
+rotation costs about one odometer step per ROTATION_BITS_PER_STEP bits), or
+a set would be large outright (n > BITSET_MAX_N), the exponent odometer runs
+instead, in memory that does not grow with n.  Past ROTATION_BITS_PER_STEP
+bits that includes every length-1 sequence.
 
 All searches are exhaustive.  Requests past the configured caps raise
 CapacityError rather than sampling.
@@ -141,18 +143,40 @@ def additive_order(b: int, n: int) -> int:
     return n // math.gcd(b % n, n)
 
 
-@lru_cache(maxsize=64)
-def _exponent_tables(n: int, q: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
-    """r**e mod n for 0 <= e < q, and the inverses of 1 - r**i mod n for
-    0 < i < q (None when one of them is not a unit)."""
-    powers = tuple(pow(r, e, n) for e in range(q))
-    inverses = []
-    for p in powers[1:]:
+TABLE_CACHE_MAX_Q = 256  # exponent tables for larger q are rebuilt per call
+
+
+def _kept_if_small(build):
+    """Keep build(n, q, r) in a 64-entry LRU while q <= TABLE_CACHE_MAX_Q;
+    larger tables die with the call that needed them."""
+    cached = lru_cache(maxsize=64)(build)
+
+    def table(n: int, q: int, r: int):
+        return cached(n, q, r) if q <= TABLE_CACHE_MAX_Q else build(n, q, r)
+
+    return table
+
+
+@_kept_if_small
+def _powers(n: int, q: int, r: int) -> tuple[int, ...]:
+    """r**e mod n for 0 <= e < q."""
+    out = [1]
+    for _ in range(q - 1):
+        out.append(out[-1] * r % n)
+    return tuple(out)
+
+
+@_kept_if_small
+def _inverses(n: int, q: int, r: int) -> tuple[int, ...] | None:
+    """The inverses of 1 - r**i mod n for 0 < i < q; None when one of them
+    is not a unit."""
+    out = []
+    for p in _powers(n, q, r)[1:]:
         denom = (1 - p) % n
         if math.gcd(denom, n) != 1:
-            return powers, None
-        inverses.append(pow(denom, -1, n))
-    return powers, tuple(inverses)
+            return None
+        out.append(pow(denom, -1, n))
+    return tuple(out)
 
 
 # Reach sets: bit s of an n-bit int is set when residue s is reached.  A node
@@ -162,7 +186,14 @@ def _exponent_tables(n: int, q: int, r: int) -> tuple[tuple[int, ...], tuple[int
 _EMPTY_REACH = (1, 0, None)
 BITSET_MAX_N = 1 << 20  # a reach set never exceeds 128 KiB
 REACH_CACHE_SIZE = 1024  # proper-suffix nodes kept
-CACHED_SET_MAX_N = 1024  # only sets and D-set masks this small are cached
+CACHED_SET_MAX_N = 1024  # only sets this small are cached
+# A rotation of an n-bit reach set costs about one odometer step per
+# ROTATION_BITS_PER_STEP bits (CPython 3.11: 30-70 us per rotation at
+# n = 10**6, 0.28 us per step), so a sequence costs about
+# k*q*(n // ROTATION_BITS_PER_STEP) steps on reach sets and q**k on the
+# odometer.  Below that many bits a rotation costs about as much as a step,
+# and the suffix LRU tips the balance to reach sets.
+ROTATION_BITS_PER_STEP = 4096
 _REACH_CACHE: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
 
 
@@ -242,14 +273,13 @@ def _odometer(entries: tuple[int, ...], n: int, q: int, powers, target: int):
         i += 1
 
 
-def _first_dependence(entries: tuple[int, ...], n: int, q: int, r: int):
+def _first_dependence(entries: tuple[int, ...], n: int, q: int, r: int, powers):
     """(first witness exponents or None, the sequence's reach node or None on
     the odometer route)."""
-    powers = _exponent_tables(n, q, r)[0]
     target = sum(entries) % n
-    # reach sets unless one would be large next to the q**k search, or large
-    # outright; the odometer's memory does not grow with n
-    if n > BITSET_MAX_N or n > 64 * q ** len(entries):
+    k = len(entries)
+    # the cheaper route; the odometer's memory does not grow with n
+    if n > BITSET_MAX_N or q**k <= k * q * (n // ROTATION_BITS_PER_STEP):
         return _odometer(entries, n, q, powers, target), None
     node = _reach(entries, n, q, r, powers)
     return _descend(node, entries, n, powers, target), node
@@ -269,9 +299,10 @@ def is_r_dependent(
     The sequence is dependent when the plain sum lies in the nonzero reach
     set of the whole sequence, and the witness is read off by a greedy
     descent that picks at each position the least exponent whose remainder
-    the next suffix still reaches.  Where the sets would be large next to
-    the search (n > 64 * q**k) or past BITSET_MAX_N bits, the exponent
-    odometer walks the tuples in lexicographic order instead.
+    the next suffix still reaches.  Where the q**k tuples cost no more to
+    walk than k*q rotations of the sets, or the sets would pass BITSET_MAX_N
+    bits, the exponent odometer walks the tuples in lexicographic order
+    instead.
 
     >>> is_r_dependent((1, 2), FrobeniusParams(7, 3, 2))
     (True, DependenceWitness(exponents=(1, 2)))
@@ -282,7 +313,7 @@ def is_r_dependent(
         raise InputError("sequence must be nonempty")
     if len(entries) > cap:
         raise CapacityError(f"sequence length {len(entries)} exceeds cap {cap}")
-    exps = _first_dependence(entries, n, q, r)[0]
+    exps = _first_dependence(entries, n, q, r, _powers(n, q, r))[0]
     return (False, None) if exps is None else (True, DependenceWitness(exps))
 
 
@@ -315,47 +346,27 @@ def d_set(
         raise CapacityError(f"extension length {len(entries) + 1} exceeds cap {cap}")
     if not entries:
         raise InputError("sequence must be nonempty")
-    exps, node = _first_dependence(entries, n, q, r)
+    powers = _powers(n, q, r)
+    exps, node = _first_dependence(entries, n, q, r, powers)
     if exps is not None:
         raise InputError("d_set requires an r-independent sequence")
-    powers, inverses = _exponent_tables(n, q, r)
+    inverses = _inverses(n, q, r)
     if method == "auto":
         method = "brute" if inverses is None else "formula"
     if method == "brute":
         return {j for j in range(1, n)
-                if _first_dependence((j,) + entries, n, q, r)[0] is not None}
+                if _first_dependence((j,) + entries, n, q, r, powers)[0] is not None}
     if method != "formula":
         raise InputError(f"unknown d_set method {method!r}")
     if inverses is None:
         raise InputError("formula route needs 1 - r**i invertible")
     plain = sum(entries) % n
-    if node is not None and n <= CACHED_SET_MAX_N:
-        # bit d of the reach set rotated right by plain: plain + d is reached
-        diffs = (node[0] | node[0] << n) >> plain & ((1 << n) - 1)
-        images = _solution_masks(n, q, r)
-        found = 0
-        for d in _residues(diffs):
-            found |= images[d]
-        return set(_residues(found))
     if node is None:
         tables = [[p * a % n for p in powers] for a in entries]
         sums = {sum(tup) % n for tup in itertools.product(*tables)}
     else:
         sums = _residues(node[0])
     return {(s - plain) * inv % n for s in sums if s != plain for inv in inverses}
-
-
-@lru_cache(maxsize=8)
-def _solution_masks(n: int, q: int, r: int) -> tuple[int, ...]:
-    """Bit masks of {d / (1 - r**i) mod n : 0 < i < q}, one per residue d."""
-    inverses = _exponent_tables(n, q, r)[1]
-    out = [0]
-    for d in range(1, n):
-        m = 0
-        for inv in inverses:
-            m |= 1 << (d * inv % n)
-        out.append(m)
-    return tuple(out)
 
 
 def _residues(bits: int):

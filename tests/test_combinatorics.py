@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from flab import combinatorics as comb
 from flab.combinatorics import (
+    DependenceWitness,
     FrobeniusParams,
     additive_order,
     capacity_n,
@@ -157,11 +158,12 @@ def _dependence_cases(draw):
     q = draw(st.integers(1, 6))
     k = draw(st.integers(1, 5))
     assume(q**k <= 1296)
-    route_bound = 64 * q**k  # reach sets up to here, the odometer past it
-    if q**k <= 8 and draw(st.booleans()):
-        n = draw(st.integers(route_bound + 1, route_bound + 300))
+    # reach sets below edge, the odometer from edge up
+    edge = comb.ROTATION_BITS_PER_STEP * -(-q ** (k - 1) // k)
+    if q**k <= 16 and draw(st.booleans()):
+        n = draw(st.integers(edge, edge + 300))
     else:
-        n = draw(st.integers(2, min(route_bound, 700)))
+        n = draw(st.integers(2, 700))
     r = draw(st.integers(1, n - 1))
     seq = tuple(draw(st.lists(st.integers(-3 * n, 3 * n).filter(lambda a: a % n),
                               min_size=k, max_size=k)))
@@ -187,6 +189,25 @@ def test_dependence_length_8_at_q_14_is_fast():
     t0 = time.perf_counter()
     assert is_r_dependent((1,) * 8, p) == (False, None)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_length_1_dependence_at_a_million_exponents_is_fast():
+    # r = 2 has order q = n - 1: the odometer walks q tuples, where q
+    # rotations of million-bit reach sets would take about half a minute
+    p = params(1_000_003, 1_000_002, 2)
+    t0 = time.perf_counter()
+    assert is_r_dependent((1,), p) == (False, None)
+    assert time.perf_counter() - t0 < 5
+
+
+def test_exponent_tables_for_large_q_are_not_kept():
+    tracemalloc.start()
+    try:
+        assert is_r_dependent((1,), params(7, 300_000, 2)) == (True, DependenceWitness((3,)))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20  # the 300,000 powers alone take 2.4 MB
 
 
 @pytest.mark.parametrize("n", [1_000_003, 1_000_000_007])
