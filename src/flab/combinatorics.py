@@ -18,7 +18,9 @@ walking the q**k tuples is no dearer than k*q rotations of n-bit sets (a
 rotation costs about one odometer step per ROTATION_BITS_PER_STEP bits), or
 a set would be large outright (n > BITSET_MAX_N), the exponent odometer runs
 instead, in memory that does not grow with n.  Past ROTATION_BITS_PER_STEP
-bits that includes every length-1 sequence.
+bits that includes every length-1 sequence.  Both routes, and the choice
+between them, count only the exponents up to the first repeated power of r
+(at most n + 1 of them), so no call's work grows with q past r's order.
 
 All searches are exhaustive.  Requests past the configured caps raise
 CapacityError rather than sampling.
@@ -159,10 +161,22 @@ def _kept_if_small(build):
 
 @_kept_if_small
 def _powers(n: int, q: int, r: int) -> tuple[int, ...]:
-    """r**e mod n for 0 <= e < q."""
+    """r**e mod n for 0 <= e < q, stopping before the first e >= 1 whose
+    power already occurred at some 1 <= j < e, so at most n + 1 of them.
+
+    Past that e the powers only repeat, and an exponent there can be
+    replaced by the smaller j with the same power and the same zero or
+    nonzero status: no first witness, reach set or D-set needs it.
+    """
     out = [1]
+    seen = set()
+    p = 1
     for _ in range(q - 1):
-        out.append(out[-1] * r % n)
+        p = p * r % n
+        if p in seen:
+            break
+        seen.add(p)
+        out.append(p)
     return tuple(out)
 
 
@@ -249,10 +263,11 @@ def _descend(node: tuple, entries: tuple[int, ...], n: int, powers, target: int)
     return tuple(exps)
 
 
-def _odometer(entries: tuple[int, ...], n: int, q: int, powers, target: int):
+def _odometer(entries: tuple[int, ...], n: int, powers, target: int):
     """Lexicographically first nonzero exponent tuple whose twisted sum is
-    target, by walking all q**k tuples; None when there is none."""
+    target, by walking all len(powers)**k tuples; None when there is none."""
     k = len(entries)
+    q = len(powers)
     tables = [[p * a % n for p in powers] for a in entries]
     exps = [0] * k
     sums = [0] * (k + 1)
@@ -278,9 +293,10 @@ def _first_dependence(entries: tuple[int, ...], n: int, q: int, r: int, powers):
     the odometer route)."""
     target = sum(entries) % n
     k = len(entries)
-    # the cheaper route; the odometer's memory does not grow with n
-    if n > BITSET_MAX_N or q**k <= k * q * (n // ROTATION_BITS_PER_STEP):
-        return _odometer(entries, n, q, powers, target), None
+    # the cheaper route (len(powers)**k tuples against k*len(powers)
+    # rotations); the odometer's memory does not grow with n
+    if n > BITSET_MAX_N or len(powers) ** (k - 1) <= k * (n // ROTATION_BITS_PER_STEP):
+        return _odometer(entries, n, powers, target), None
     node = _reach(entries, n, q, r, powers)
     return _descend(node, entries, n, powers, target), node
 

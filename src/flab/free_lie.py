@@ -14,7 +14,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .combinatorics import (
     FrobeniusParams,
@@ -51,8 +51,19 @@ class IndexedGenerator:
     index: int = 0
 
 
+# intern tables: the one HallWord per generator, and per (left, right) pair
+_LEAVES: dict[IndexedGenerator, "HallWord"] = {}
+_NODES: dict[tuple["HallWord", "HallWord"], "HallWord"] = {}
+
+
 class HallWord:
-    """Bracket tree in Hall normal form; compares by (weight, structure)."""
+    """Bracket tree in Hall normal form; compares by (weight, structure).
+
+    Words are hash-consed: leaf() and node() return the one instance per
+    tree, so equality and hashing are by identity, and equal subtrees share
+    their keys (ordering compares keys, and tuple comparison skips shared
+    parts).  Copies and unpickled words go back through leaf() and node().
+    """
 
     __slots__ = ("gen", "left", "right", "weight", "index_sum", "key")
 
@@ -66,23 +77,30 @@ class HallWord:
 
     @classmethod
     def leaf(cls, gen: IndexedGenerator) -> "HallWord":
-        return cls(gen, None, None, 1, gen.index, (1, 0, (gen.name, gen.index)))
+        word = _LEAVES.get(gen)
+        if word is None:
+            word = _LEAVES[gen] = cls(gen, None, None, 1, gen.index,
+                                      (1, 0, (gen.name, gen.index)))
+        return word
 
     @classmethod
     def node(cls, left: "HallWord", right: "HallWord") -> "HallWord":
-        w = left.weight + right.weight
-        return cls(None, left, right, w, left.index_sum + right.index_sum,
-                   (w, 1, left.key, right.key))
+        pair = (left, right)
+        word = _NODES.get(pair)
+        if word is None:
+            w = left.weight + right.weight
+            word = _NODES[pair] = cls(None, left, right, w, left.index_sum + right.index_sum,
+                                      (w, 1, left.key, right.key))
+        return word
+
+    def __reduce__(self):
+        if self.is_leaf:
+            return HallWord.leaf, (self.gen,)
+        return HallWord.node, (self.left, self.right)
 
     @property
     def is_leaf(self) -> bool:
         return self.gen is not None
-
-    def __eq__(self, other):
-        return isinstance(other, HallWord) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __lt__(self, other):
         return self.key < other.key
@@ -162,44 +180,45 @@ class FreeLieElement:
 
 # --- Hall rewriting ---
 
-_BRACKET_MEMO: dict[tuple[HallWord, HallWord], dict[HallWord, int]] = {}
+_BRACKET_MEMO: dict[tuple[HallWord, HallWord], tuple[tuple[HallWord, int], ...]] = {}
 
 
-def _hall_bracket(u: HallWord, v: HallWord) -> dict[HallWord, int]:
-    """[u, v] for Hall words u, v, expanded into the Hall basis."""
-    if u == v:
-        return {}
+def _hall_bracket(u: HallWord, v: HallWord) -> tuple[tuple[HallWord, int], ...]:
+    """[u, v] for Hall words u, v, expanded into the Hall basis as
+    (word, coefficient) pairs."""
+    if u is v:
+        return ()
     if u < v:
-        return {w: -c for w, c in _hall_bracket(v, u).items()}
+        return tuple((w, -c) for w, c in _hall_bracket(v, u))
     got = _BRACKET_MEMO.get((u, v))
     if got is not None:
         return got
     if u.is_leaf or u.right <= v:
-        out = {HallWord.node(u, v): 1}
+        out = ((HallWord.node(u, v), 1),)
     else:
         # u = [u1, u2] with u2 > v: [[u1,u2],v] = [[u1,v],u2] + [u1,[u2,v]]
-        out: dict[HallWord, int] = {}
-        for w, c in _dict_bracket(_hall_bracket(u.left, v), {u.right: 1}).items():
-            out[w] = out.get(w, 0) + c
-        for w, c in _dict_bracket({u.left: 1}, _hall_bracket(u.right, v)).items():
-            out[w] = out.get(w, 0) + c
-        out = {w: c for w, c in out.items() if c}
+        acc = _dict_bracket(_hall_bracket(u.left, v), ((u.right, 1),))
+        for w, c in _dict_bracket(((u.left, 1),), _hall_bracket(u.right, v)).items():
+            acc[w] = acc.get(w, 0) + c
+        out = tuple((w, c) for w, c in acc.items() if c)
     _BRACKET_MEMO[(u, v)] = out
     return out
 
 
-def _dict_bracket(a: Mapping[HallWord, int], b: Mapping[HallWord, int]) -> dict[HallWord, int]:
+def _dict_bracket(a: Collection[tuple[HallWord, int]],
+                  b: Collection[tuple[HallWord, int]]) -> dict[HallWord, int]:
+    """Bracket of two combinations given as (word, coefficient) pairs."""
     out: dict[HallWord, int] = {}
-    for u, cu in a.items():
-        for v, cv in b.items():
-            for w, c in _hall_bracket(u, v).items():
+    for u, cu in a:
+        for v, cv in b:
+            for w, c in _hall_bracket(u, v):
                 out[w] = out.get(w, 0) + cu * cv * c
     return {w: c for w, c in out.items() if c}
 
 
 def bracket(a: FreeLieElement, b: FreeLieElement) -> FreeLieElement:
     """Lie bracket of two normalized elements."""
-    return FreeLieElement(_dict_bracket(a.terms, b.terms))
+    return FreeLieElement(_dict_bracket(a.terms.items(), b.terms.items()))
 
 
 def normalize(expr) -> FreeLieElement:

@@ -184,18 +184,28 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def multiplicative_order(a: int, m: int) -> int | None:
-    """Order of a in (Z/m)*, or None when gcd(a, m) != 1.  m=1 gives 1."""
+    """Order of a in (Z/m)*, or None when gcd(a, m) != 1.  m=1 gives 1.
+
+    The order divides the Carmichael value lambda(m), read off
+    factorize(m); each prime factor p is stripped from it while
+    a**(order/p) is still 1 mod m.
+
+    >>> multiplicative_order(2, 1_000_000_007)
+    500000003
+    """
     if m < 1:
         raise InputError("modulus must be positive")
     if m == 1:
         return 1
     if math.gcd(a, m) != 1:
         return None
-    k, x = 1, a % m
-    while x != 1:
-        x = (x * a) % m
-        k += 1
-    return k
+    order = 1
+    for p, e in factorize(m).items():
+        order = math.lcm(order, 2 ** (e - 2) if p == 2 and e > 2 else p ** (e - 1) * (p - 1))
+    for p in factorize(order):
+        while order % p == 0 and pow(a, order // p, m) == 1:
+            order //= p
+    return order
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -210,6 +210,50 @@ def test_exponent_tables_for_large_q_are_not_kept():
     assert kept < 1 << 20  # the 300,000 powers alone take 2.4 MB
 
 
+def _distinct_powers(n, r):
+    """How many values r**e mod n takes for e >= 1: the order of r when r is
+    a unit, the tail plus the cycle otherwise."""
+    seen, p = set(), r % n
+    while p not in seen:
+        seen.add(p)
+        p = p * r % n
+    return len(seen)
+
+
+def test_exponents_past_the_first_repeated_power_change_nothing():
+    # q from one past the powers' cycle to three times it, units and non-units
+    for n in (6, 7, 8, 9, 10, 12):
+        for r in range(2, n):
+            cycle = _distinct_powers(n, r)
+            for q in range(cycle + 1, 3 * cycle + 1):
+                p = params(n, q, r)
+                for k in (1, 2):
+                    for seq in itertools.combinations_with_replacement(range(1, n), k):
+                        dep, wit = is_r_dependent(seq, p)
+                        want = _first_solution(seq, n, q, r)
+                        assert (wit.exponents if dep else None) == want, (n, q, r, seq)
+                        if dep or k > 1:
+                            continue
+                        assert d_set(seq, p) == {
+                            j for j in range(1, n)
+                            if _first_solution((j,) + seq, n, q, r) is not None}, (n, q, r, seq)
+
+
+def test_exponent_count_far_past_the_order_is_fast():
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        assert is_r_dependent((1,), params(7, 10**9, 2)) == (True, DependenceWitness((3,)))
+        # 2 is no unit mod 12: its powers 2, 4, 8, 4, ... repeat from e = 4
+        assert d_set((1,), params(12, 10**9, 2)) == d_set((1,), params(12, 4, 2))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("n", [1_000_003, 1_000_000_007])
 def test_dependence_memory_does_not_grow_with_n(n):
     # 2**3 exponent tuples: a million-bit reach set would dwarf the search

@@ -2,7 +2,15 @@
 procedures, and span membership."""
 from __future__ import annotations
 
+import copy
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +115,53 @@ def test_normalize_rejects_non_binary():
         fl.normalize((X, Y, Z))
     with pytest.raises(InputError):
         fl.normalize("x")
+
+
+# --- interned Hall words ---
+
+
+def test_node_returns_the_one_instance_per_tree():
+    a, b = fl.HallWord.leaf(X), fl.HallWord.leaf(Y)
+    assert fl.HallWord.node(b, a) is fl.HallWord.node(b, a)
+    assert fl.HallWord.node(fl.HallWord.node(b, a), a) is fl.HallWord.node(
+        fl.HallWord.node(b, a), a)
+    assert fl.HallWord.node(b, a) is not fl.HallWord.node(a, b)
+
+
+def test_equal_generators_give_the_same_leaf():
+    twin = fl.IndexedGenerator("w", 2)
+    other = fl.IndexedGenerator("w", 2)
+    assert twin is not other
+    assert fl.HallWord.leaf(twin) is fl.HallWord.leaf(other)
+    assert fl.HallWord.leaf(twin) is not fl.HallWord.leaf(fl.IndexedGenerator("w", 3))
+
+
+def test_copies_and_pickles_return_the_interned_word():
+    word = next(iter(fl.normalize(((X, Y), (Z, (X, Y)))).terms))
+    assert copy.copy(word) is word
+    assert copy.deepcopy(word) is word
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(word, protocol)) is word
+    leaf = fl.HallWord.leaf(X)
+    assert copy.deepcopy(leaf) is leaf
+    assert pickle.loads(pickle.dumps(leaf)) is leaf
+    elem = fl.normalize(((X, Y), Z)) - fl.normalize(((Y, Z), X))
+    back = pickle.loads(pickle.dumps(elem))
+    assert back == elem and hash(back) == hash(elem)
+    assert copy.deepcopy(elem) == elem
+
+
+def test_elements_normalized_apart_are_equal_and_hash_alike():
+    rng = random.Random(11)
+    for _ in range(30):
+        tree = gen_tree(rng, [X, Y, Z], rng.randrange(2, 7))
+        first = fl.normalize(tree)
+        fl._BRACKET_MEMO.clear()
+        again = fl.normalize(fl.parse_expression(fl.format_tree(tree)))
+        assert first == again
+        assert hash(first) == hash(again)
+        assert len({first, again}) == 1
+        assert fl.format_element(first) == fl.format_element(again)
 
 
 # --- parsing and formatting ---
@@ -325,3 +380,27 @@ def test_weight_cap_env(monkeypatch):
         fl.hall_basis([a], 3)
     monkeypatch.delenv("FLAB_WEIGHT_CAP")
     assert len(fl.hall_basis([a], 3)) == 1
+
+
+# --- the benchmark's reads from free_lie ---
+
+
+def test_benchmark_child_reads_free_lie_metrics():
+    # one traced smoke round of the lie-rewrite workload, as the benchmark
+    # runs it: every verdict holds and the bracket memo is reported
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"),
+         "lie-rewrite", "1", "smoke", "1", repr(time.perf_counter())],
+        capture_output=True, text=True, timeout=120,
+        env={**{k: v for k, v in os.environ.items()
+                if not k.startswith("FLAB_") and k not in ("PYTHONPATH", "PYTHONHOME")},
+             "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "0",
+             "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert sum(out["attempted"].values()) > 0
+    assert not out["failed"] and not out["failures"]
+    entries, absent = out["layers"]["free_lie.bracket_memo.entries"]
+    assert absent is None and entries > 0

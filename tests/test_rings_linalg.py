@@ -201,6 +201,25 @@ def test_multiplicative_order_is_least(m, a):
         assert pow(a, t, m) != 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**10), st.integers(-10**6, 10**6))
+def test_multiplicative_order_matches_sympy(m, a):
+    got = multiplicative_order(a, m)
+    if math.gcd(a, m) != 1:
+        assert got is None
+    else:
+        assert got == sympy.n_order(a % m, m)
+
+
+def test_multiplicative_order_at_prime_powers_of_two_and_a_large_prime():
+    for e in range(1, 12):
+        m = 2**e
+        for a in range(1, m, 2):
+            assert multiplicative_order(a, m) == sympy.n_order(a, m)
+    assert multiplicative_order(2, 10**9 + 7) == 500_000_003
+    assert multiplicative_order(10**9 + 6, 10**9 + 7) == 2
+
+
 # --- ring wrappers ---
 
 
