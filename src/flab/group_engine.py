@@ -3,8 +3,9 @@ with fixed-point verification, the dimension-subgroup filtration with its
 graded algebra, and a table-free Hausdorff-product group for nilpotent
 coordinate modules.
 
-Tables cap at TABLE_CAP elements, and every table's group laws are
-checked exactly up to that cap.  Anything advertised as exhaustive
+Tables cap at TABLE_CAP elements.  A table group stores its table once,
+as one read-only numpy array, and checks every group law on it exactly
+up to that cap, in whole-array passes.  Anything advertised as exhaustive
 (subgroup lattices, coset recomputation) is limited to EXHAUSTIVE_CAP and
 raises CapacityError beyond it.  The Hausdorff-product group evaluates its
 formula on ids, one product at a time on ints or in batches on int64
@@ -140,7 +141,7 @@ def _from_digits(digits, base: int):
 # --- table-backed groups ---
 
 
-def _check_associativity(rows, identity: int) -> None:
+def _check_associativity(t: np.ndarray, identity: int) -> None:
     """Light's associativity test (Clifford and Preston, The Algebraic
     Theory of Semigroups I, section 1.2), exact at every order.
 
@@ -152,10 +153,8 @@ def _check_associativity(rows, identity: int) -> None:
     is extended: while every member passes, the covered ids form a group
     that at least doubles with each new member, so |S| <= log2(order).
     """
-    n = len(rows)
-    t = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=np.min_scalar_type(n - 1), count=n * n
-    ).reshape(n, n)
+    n = len(t)
+    rows = memoryview(t)
     block = max(1, _ASSOC_BLOCK // n)
     covered = bytearray(n)
     covered[identity] = 1
@@ -171,50 +170,62 @@ def _check_associativity(rows, identity: int) -> None:
         gens.append(s)
         for x in reached:  # the list grows while it is walked
             for g in gens:
-                y = rows[x][g]
+                y = rows[x, g]
                 if not covered[y]:
                     covered[y] = 1
                     reached.append(y)
 
 
+_NOT_PERMUTED_ROWS = "each table row must permute the element ids"
+
+
 class FiniteGroup:
     """Immutable group on element ids 0..order-1 backed by a full table.
 
-    Identity, inverse, Latin-square and associativity laws are checked
-    exactly at every order up to TABLE_CAP, associativity by Light's test.
+    The table is one read-only np.min_scalar_type(order - 1) array, the
+    `table` property; scalar products read it through a memoryview of the
+    same buffer, so they return Python ints.  Identity, inverse,
+    Latin-square and associativity laws are checked exactly at every order
+    up to TABLE_CAP, in whole-array passes, associativity by Light's test.
     BCHGroup exposes the same element-id interface without a table.
     """
 
     def __init__(self, table, names=None):
-        n = len(table)
-        if n == 0:
+        try:
+            t = np.asarray(table)
+        except ValueError:  # ragged rows
+            raise InputError(_NOT_PERMUTED_ROWS) from None
+        if t.ndim >= 1 and len(t) == 0:
             raise InputError("empty multiplication table")
+        if t.ndim != 2:
+            raise InputError("a multiplication table is a list of rows")
+        n = len(t)
         if n > TABLE_CAP:
             raise CapacityError(f"order {n} exceeds the table cap {TABLE_CAP}")
-        rows = [tuple(row) for row in table]
-        full = set(range(n))
-        for row in rows:
-            if len(row) != n or set(row) != full:
-                raise InputError("each table row must permute the element ids")
-        for j in range(n):
-            if {row[j] for row in rows} != full:
-                raise InputError("each table column must permute the element ids")
-        ident = next(
-            (e for e in range(n)
-             if all(rows[e][x] == x and rows[x][e] == x for x in range(n))),
-            None,
-        )
-        if ident is None:
+        if t.shape[1] != n:
+            raise InputError(_NOT_PERMUTED_ROWS)
+        if t.dtype.kind not in "iu":
+            raise InputError("table entries must be integer ids")
+        if t.min() < 0 or t.max() >= n:
+            raise InputError(_NOT_PERMUTED_ROWS)
+        t = t.astype(np.min_scalar_type(n - 1))  # a copy the caller cannot reach
+        t.flags.writeable = False
+        ids = np.arange(n)
+        if not (np.sort(t, axis=1) == ids).all():
+            raise InputError(_NOT_PERMUTED_ROWS)
+        if not (np.sort(t, axis=0) == ids[:, None]).all():
+            raise InputError("each table column must permute the element ids")
+        two_sided = (t == ids).all(axis=1) & (t == ids[:, None]).all(axis=0)
+        if not two_sided.any():
             raise InputError("table has no two-sided identity")
-        _check_associativity(rows, ident)
-        inv = [0] * n
-        for x in range(n):
-            y = rows[x].index(ident)
-            if rows[y][x] != ident:
-                raise InputError("inverse law fails")
-            inv[x] = y
-        self._table = tuple(rows)
-        self._inv = tuple(inv)
+        ident = int(two_sided.argmax())
+        _check_associativity(t, ident)
+        inv = (t == ident).argmax(axis=1)
+        if not (t[inv, ids] == ident).all():
+            raise InputError("inverse law fails")
+        self._table = t
+        self._rows = memoryview(t)
+        self._inv = tuple(inv.tolist())
         self.identity = ident
         if names is not None and len(names) != n:
             raise InputError("names must cover every element")
@@ -224,36 +235,44 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self._table)
 
+    @property
+    def table(self) -> np.ndarray:
+        """The read-only multiplication table: table[a, b] is the id of a*b."""
+        return self._table
+
     def mul(self, a: int, b: int) -> int:
-        return self._table[a][b]
+        return self._rows[a, b]
 
     def inv(self, a: int) -> int:
         return self._inv[a]
 
     def conjugate(self, g: int, x: int) -> int:
         """g x g^-1."""
-        return self._table[self._table[g][x]][self._inv[g]]
+        t = self._rows
+        return t[t[g, x], self._inv[g]]
 
     def commutator(self, x: int, y: int) -> int:
         """x^-1 y^-1 x y."""
-        t = self._table
-        return t[t[t[self._inv[x]][self._inv[y]]][x]][y]
+        t = self._rows
+        return t[t[t[self._inv[x], self._inv[y]], x], y]
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self._inv[a], -k
+        t = self._rows
         acc, base = self.identity, a
         while k:
             if k & 1:
-                acc = self._table[acc][base]
-            base = self._table[base][base]
+                acc = t[acc, base]
+            base = t[base, base]
             k >>= 1
         return acc
 
     def element_order(self, a: int) -> int:
+        t = self._rows
         o, x = 1, a
         while x != self.identity:
-            x = self._table[x][a]
+            x = t[x, a]
             o += 1
         return o
 
@@ -264,11 +283,10 @@ class FiniteGroup:
         return out
 
     def is_abelian(self) -> bool:
-        t = self._table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
+        return bool(np.array_equal(self._table, self._table.T))
 
     def to_json(self) -> dict:
-        return {"table": [list(row) for row in self._table]}
+        return {"table": self._table.tolist()}
 
 
 # --- builders ---
@@ -285,7 +303,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("order must be positive")
     _require_table_cap(n)
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+    ids = np.arange(n, dtype=np.int32)
+    return FiniteGroup((ids[:, None] + ids) % n)
 
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
@@ -296,9 +315,9 @@ def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
         raise InputError("k must be nonnegative")
     n = p**k
     _require_table_cap(n)
-    digits = _digits(np.arange(n), p, k)
+    digits = _digits(np.arange(n, dtype=np.int32), p, k)
     table = _from_digits([d[:, None] + d for d in digits], p)
-    return FiniteGroup(np.broadcast_to(table, (n, n)).tolist())  # k = 0 sums no digits
+    return FiniteGroup(np.broadcast_to(table, (n, n)))  # k = 0 sums no digits
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -306,14 +325,9 @@ def dihedral_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("n must be positive")
     _require_table_cap(2 * n)
-
-    def mul(a, b):
-        i1, e1 = a % n, a // n
-        i2, e2 = b % n, b // n
-        i = (i1 + (i2 if e1 == 0 else -i2)) % n
-        return i + n * (e1 ^ e2)
-
-    return FiniteGroup([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)])
+    e, i = np.divmod(np.arange(2 * n, dtype=np.int32), n)
+    e1, i1 = e[:, None], i[:, None]
+    return FiniteGroup((i1 + (1 - 2 * e1) * i) % n + n * (e1 ^ e))
 
 
 _QUATERNION_UNITS = {
@@ -344,23 +358,20 @@ def heisenberg_group(p: int) -> FiniteGroup:
         raise InputError("p must be prime")
     n = p**3
     _require_table_cap(n)
-    ids = np.arange(n)
+    ids = np.arange(n, dtype=np.int32)
     a1, b1, c1 = _digits(ids[:, None], p, 3)
     a2, b2, c2 = _digits(ids, p, 3)
-    return FiniteGroup(_from_digits((a1 + a2, b1 + b2, c1 + c2 + a1 * b2), p).tolist())
+    return FiniteGroup(_from_digits((a1 + a2, b1 + b2, c1 + c2 + a1 * b2), p))
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Componentwise product; id of (g, h) is g*|H| + h."""
-    n = G.order * H.order
+    m, n = H.order, G.order * H.order
     _require_table_cap(n)
-
-    def mul(a, b):
-        g1, h1 = divmod(a, H.order)
-        g2, h2 = divmod(b, H.order)
-        return G.mul(g1, g2) * H.order + H.mul(h1, h2)
-
-    return FiniteGroup([[mul(a, b) for b in range(n)] for a in range(n)])
+    # entry (g1, h1, g2, h2) is the id of (g1, h1)(g2, h2); int32 so that
+    # g*|H| cannot overflow the stored id type
+    blocks = G.table.astype(np.int32)[:, None, :, None] * m + H.table[:, None, :]
+    return FiniteGroup(blocks.reshape(n, n))
 
 
 def group_from_permutations(degree: int, generators) -> FiniteGroup:
@@ -399,14 +410,26 @@ def group_from_permutations(degree: int, generators) -> FiniteGroup:
 def build_group(data) -> FiniteGroup:
     """JSON group formats: {"table": [[...]]} or
     {"permutations": {"degree": d, "generators": [[...], ...]}}."""
-    if "table" in data:
+    if isinstance(data, dict) and "table" in data:
         return FiniteGroup(data["table"])
-    if "permutations" in data:
+    if isinstance(data, dict) and "permutations" in data:
         block = data["permutations"]
+        if not (isinstance(block, dict) and _is_int(block.get("degree"))
+                and isinstance(block.get("generators"), list)
+                and all(isinstance(g, list) and all(map(_is_int, g))
+                        for g in block["generators"])):
+            raise InputError(
+                "'permutations' needs an integer 'degree' and 'generators' "
+                "as lists of integers"
+            )
         return group_from_permutations(
-            int(block["degree"]), [tuple(g) for g in block["generators"]]
+            block["degree"], [tuple(g) for g in block["generators"]]
         )
     raise InputError("unknown group format; expected 'table' or 'permutations'")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 NAMED_GROUPS = {
@@ -669,8 +692,8 @@ def is_automorphism(G, perm) -> bool:
     n = G.order
     if len(perm) != n or set(perm) != set(range(n)):
         return False
-    p = np.asarray(perm, dtype=np.int64)
-    t = np.asarray(G._table, dtype=np.int64)
+    t = G.table
+    p = np.array(perm, dtype=t.dtype)
     return bool(np.array_equal(p[t], t[np.ix_(p, p)]))
 
 
@@ -1544,10 +1567,10 @@ class BCHGroup:
             raise CapacityError(f"order {self.order} exceeds the table cap")
         ids = np.arange(self.order)
         step = max(1, _BCH_BLOCK // self.order)
-        rows = []
-        for start in range(0, self.order, step):
-            rows += self.mul_many(ids[start:start + step, None], ids).tolist()
-        return FiniteGroup(rows)
+        return FiniteGroup(np.concatenate([
+            self.mul_many(ids[start:start + step, None], ids)
+            for start in range(0, self.order, step)
+        ]))
 
 
 def bch_generators(G: BCHGroup) -> tuple[int, ...]:

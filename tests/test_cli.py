@@ -346,6 +346,26 @@ def test_group_requires_source(capsys):
     assert recs[0]["status"] == "input-error"
 
 
+@pytest.mark.parametrize("data", [
+    {"table": [[0.0, 1.0], [1.0, 0.0]]},
+    {"table": 5},
+    {"table": [[False]]},
+    {"permutations": {"degree": 3}},
+    {"permutations": {"degree": 3, "generators": [[1.0, 2.0, 0.0]]}},
+    {"permutations": {"degree": "3", "generators": [[1, 2, 0]]}},
+    {"permutations": {"degree": 3, "generators": [1, 2, 0]}},
+    {"permutations": [3]},
+    [[0]],
+])
+def test_group_build_refuses_malformed_json(capsys, tmp_path, data):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    code, recs = run_json(capsys, "group", "build", "--file", str(path),
+                          "--format", "json")
+    assert code == 2
+    assert recs[0]["status"] == "input-error"
+
+
 # --- suite ---
 
 

@@ -382,16 +382,16 @@ def test_weight_cap_env(monkeypatch):
     assert len(fl.hall_basis([a], 3)) == 1
 
 
-# --- the benchmark's reads from free_lie ---
+# --- the benchmark's reads from free_lie and group_engine ---
 
 
-def test_benchmark_child_reads_free_lie_metrics():
-    # one traced smoke round of the lie-rewrite workload, as the benchmark
-    # runs it: every verdict holds and the bracket memo is reported
+def run_benchmark_child(workload: str) -> dict:
+    """One traced smoke round of a benchmark workload, as the benchmark runs
+    it; the round's JSON output, after checking that every verdict held."""
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "child.py"),
-         "lie-rewrite", "1", "smoke", "1", repr(time.perf_counter())],
+         workload, "1", "smoke", "1", repr(time.perf_counter())],
         capture_output=True, text=True, timeout=120,
         env={**{k: v for k, v in os.environ.items()
                 if not k.startswith("FLAB_") and k not in ("PYTHONPATH", "PYTHONHOME")},
@@ -402,5 +402,19 @@ def test_benchmark_child_reads_free_lie_metrics():
     out = json.loads(proc.stdout)
     assert sum(out["attempted"].values()) > 0
     assert not out["failed"] and not out["failures"]
+    return out
+
+
+def test_benchmark_child_reads_free_lie_metrics():
+    # the bracket memo is reported
+    out = run_benchmark_child("lie-rewrite")
     entries, absent = out["layers"]["free_lie.bracket_memo.entries"]
     assert absent is None and entries > 0
+
+
+def test_benchmark_child_traces_table_groups():
+    # the tracer wraps FiniteGroup.__init__, cyclic_group and dihedral_group
+    # by name, so a rename shows here as a zero count
+    out = run_benchmark_child("fixed-point-checks")
+    calls, absent = out["layers"]["group_engine.FiniteGroup.init.calls"]
+    assert absent is None and calls > 0

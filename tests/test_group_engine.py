@@ -2,6 +2,7 @@
 actions, filtrations, and the Hausdorff-product groups."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from flab import group_engine as ge
@@ -28,18 +29,46 @@ def test_perm_helpers():
 # --- group construction ---
 
 
-def test_table_validation():
-    with pytest.raises(InputError):
-        ge.FiniteGroup([])
-    with pytest.raises(InputError):
-        ge.FiniteGroup([[0, 0], [1, 1]])  # rows not permutations
-    with pytest.raises(InputError):
-        ge.FiniteGroup([[1, 0], [1, 0]])  # columns not permutations
-    # Latin square without identity: rows are distinct nontrivial shifts
-    with pytest.raises(InputError):
-        ge.FiniteGroup([[1, 0], [0, 1], [0, 1]][:2] if False else
-                       [[1, 2, 0], [2, 0, 1], [0, 1, 2]][:0] or
-                       [[1, 0], [0, 1]][:0] or [[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+_ROWS = "each table row must permute the element ids"
+_COLUMNS = "each table column must permute the element ids"
+_INTEGERS = "table entries must be integer ids"
+
+
+@pytest.mark.parametrize("table, message", [
+    pytest.param([], "empty multiplication table", id="empty"),
+    pytest.param(5, "a multiplication table is a list of rows", id="scalar"),
+    pytest.param([0, 1], "a multiplication table is a list of rows", id="flat"),
+    pytest.param([[0, 1], [1]], _ROWS, id="ragged"),
+    pytest.param([[0, 1, 2], [1, 2, 0]], _ROWS, id="not-square"),
+    pytest.param([[]], _ROWS, id="empty-row"),
+    pytest.param([[True, False], [False, True]], _INTEGERS, id="bool"),
+    pytest.param([[0.0, 1.0], [1.0, 0.0]], _INTEGERS, id="float"),
+    pytest.param([["0", "1"], ["1", "0"]], _INTEGERS, id="str"),
+    pytest.param([[0, 2**70], [2**70, 0]], _INTEGERS, id="past-int64"),
+    pytest.param([[0, -1], [-1, 0]], _ROWS, id="negative-id"),
+    pytest.param([[0, 2], [2, 0]], _ROWS, id="id-past-order"),
+    pytest.param([[0, 0], [1, 1]], _ROWS, id="row-repeats"),
+    # rows are checked before columns
+    pytest.param([[0, 0], [0, 0]], _ROWS, id="rows-first"),
+    pytest.param([[1, 0], [1, 0]], _COLUMNS, id="column-repeats"),
+    # a Latin square whose only identity row (1) is not an identity column
+    pytest.param([[1, 2, 0], [0, 1, 2], [2, 0, 1]], "table has no two-sided identity",
+                 id="no-identity"),
+])
+def test_table_validation(table, message):
+    with pytest.raises(InputError) as exc:
+        ge.FiniteGroup(table)
+    assert str(exc.value) == message
+
+
+def test_table_is_one_read_only_array():
+    G = ge.FiniteGroup([[0, 1], [1, 0]])
+    assert G.table.dtype == np.uint8 and not G.table.flags.writeable
+    assert type(G.mul(1, 1)) is int and G.to_json() == {"table": [[0, 1], [1, 0]]}
+    source = np.array([[0, 1], [1, 0]])
+    H = ge.FiniteGroup(source)
+    source[0, 0] = 1  # the group keeps its own copy
+    assert H.mul(0, 0) == 0
 
 
 def test_basic_invariants():
