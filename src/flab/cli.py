@@ -598,7 +598,7 @@ def cmd_group_verify(args):
         group, action = res.group, res.action
     elif args.file:
         data = _load_json(args.file)
-        if "group" not in data or "action" not in data:
+        if not isinstance(data, dict) or "group" not in data or "action" not in data:
             raise InputError("verify input needs 'group' and 'action'")
         group = ge.build_group(data["group"])
         action = ge.action_from_json(group, data["action"])

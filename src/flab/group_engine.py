@@ -277,10 +277,22 @@ class FiniteGroup:
         return o
 
     def exponent(self) -> int:
-        out = 1
-        for x in range(self.order):
-            out = math.lcm(out, self.element_order(x))
-        return out
+        """lcm of the element orders, by one power walk over all ids at
+        once: step k keeps the ids whose k-th power is not yet the
+        identity, so each distinct order is read off when its ids leave."""
+        t, e = self._table, self.identity
+        ids = np.arange(self.order)
+        x = ids
+        orders = set()
+        k = 1
+        while len(ids):
+            done = x == e
+            if done.any():
+                orders.add(k)
+                ids, x = ids[~done], x[~done]
+            x = t[x, ids]
+            k += 1
+        return math.lcm(*orders)
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self._table, self._table.T))
@@ -358,10 +370,22 @@ def heisenberg_group(p: int) -> FiniteGroup:
         raise InputError("p must be prime")
     n = p**3
     _require_table_cap(n)
-    ids = np.arange(n, dtype=np.int32)
-    a1, b1, c1 = _digits(ids[:, None], p, 3)
-    a2, b2, c2 = _digits(ids, p, 3)
-    return FiniteGroup(_from_digits((a1 + a2, b1 + b2, c1 + c2 + a1 * b2), p))
+    # (a1, b1, c1)(a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1*b2), built
+    # one digit at a time, most significant first, in two order x order
+    # arrays of the stored id type: no partial sum exceeds p^3 - 1
+    a, b, c = _digits(np.arange(n, dtype=np.min_scalar_type(n - 1)), p, 3)
+    table = np.multiply.outer(a, b)
+    table += c[:, None]
+    table += c
+    table %= p
+    digit = np.empty_like(table)
+    for x in (b, a):
+        np.add(x[:, None], x, out=digit)
+        digit %= p
+        table *= p
+        table += digit
+    del digit  # freed before the table is validated
+    return FiniteGroup(table)
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
@@ -580,13 +604,23 @@ def all_sylow_subgroups(G, p: int) -> list[frozenset]:
     return sorted(out, key=sorted)
 
 
-def all_subgroups(G) -> list[frozenset]:
-    """The full subgroup lattice, by closure over one-element extensions
-    <H, x> of every subgroup H found.  Since <H, x> = <H, hx> for h in H,
-    each right coset Hx is extended once; each subgroup keeps the
-    generators it was first reached by, so the closure starts from those."""
+def _lattice(G, orbit_of) -> list[frozenset]:
+    """Every subgroup that is a union of the orbits orbit_of[x], by
+    closure over orbit extensions K = <H, O(x)> of every such H found,
+    sorted by (size, elements).
+
+    The orbits are those of a group A of automorphisms, so the subgroups
+    returned are the A-invariant ones.  Each K found is invariant, being
+    generated by an invariant set.  Every invariant K is found: it is the
+    end of a chain of orbit extensions inside K, because for any invariant
+    H < K and x in K - H, <H, O(x)> is invariant, lies in K and is larger
+    than H.  Since H is invariant, every y in H*O(x) has <H, O(y)> = K, so
+    all of H*O(x) is marked tried after one closure.  Each subgroup keeps
+    the generators it was first reached by, so the closure starts from
+    those.  Singleton orbits give the whole lattice."""
     if G.order > EXHAUSTIVE_CAP:
         raise CapacityError(f"subgroup enumeration capped at order {EXHAUSTIVE_CAP}")
+    mul = G.mul
     trivial = frozenset({G.identity})
     known = {trivial: ()}
     queue = [trivial]
@@ -596,8 +630,9 @@ def all_subgroups(G) -> list[frozenset]:
         for x in range(G.order):
             if x in tried:
                 continue
-            tried.update(G.mul(h, x) for h in H)
-            gens = known[H] + (x,)
+            orbit = orbit_of[x]
+            tried.update(mul(h, y) for h in H for y in orbit)
+            gens = known[H] + orbit
             K = subgroup_closure(G, gens)
             if K not in known:
                 known[K] = gens
@@ -605,16 +640,68 @@ def all_subgroups(G) -> list[frozenset]:
     return sorted(known, key=lambda s: (len(s), sorted(s)))
 
 
+def _orbits(n: int, perms) -> list[tuple[int, ...]]:
+    """orbit_of[x]: the orbit of x under the group the permutations of
+    range(n) generate, by breadth-first search over their images."""
+    orbit_of: list = [None] * n
+    for x in range(n):
+        if orbit_of[x] is not None:
+            continue
+        orbit, seen = [x], {x}
+        for y in orbit:  # the list grows while it is walked
+            for a in perms:
+                z = a[y]
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        orbit = tuple(orbit)
+        for y in orbit:
+            orbit_of[y] = orbit
+    return orbit_of
+
+
+def _generating_set(G) -> list[int]:
+    """Greedy generators of G: each id outside the closure so far joins
+    and at least doubles it, so there are at most log2|G| of them."""
+    gens: list[int] = []
+    span = frozenset({G.identity})
+    for x in range(G.order):
+        if x not in span:
+            gens.append(x)
+            span = subgroup_closure(G, gens)
+    return gens
+
+
+def all_subgroups(G) -> list[frozenset]:
+    """The full subgroup lattice: the orbit-extension closure of _lattice
+    with every orbit a single id, so each right coset Hx of each subgroup
+    H found is extended once.  Refused above EXHAUSTIVE_CAP."""
+    return _lattice(G, [(x,) for x in range(G.order)])
+
+
 def invariant_subgroups(G, automorphisms) -> list[frozenset]:
-    autos = [tuple(a) for a in automorphisms]
-    return [
-        S for S in all_subgroups(G)
-        if all(frozenset(a[x] for x in S) == S for a in autos)
-    ]
+    """The subgroups mapped onto themselves by every listed automorphism,
+    enumerated over the orbits of the group they generate, without the
+    rest of the lattice."""
+    return _lattice(G, _orbits(G.order, _automorphism_list(G, automorphisms)))
 
 
 def invariant_normal_subgroups(G, automorphisms) -> list[frozenset]:
-    return [S for S in invariant_subgroups(G, automorphisms) if is_normal(G, S)]
+    """Invariant subgroups that are also normal: those invariant under the
+    listed automorphisms and under conjugation by a generating set of G."""
+    autos = _automorphism_list(G, automorphisms)
+    inner = [
+        tuple(G.conjugate(g, x) for x in range(G.order)) for g in _generating_set(G)
+    ]
+    return _lattice(G, _orbits(G.order, autos + inner))
+
+
+def _automorphism_list(G, automorphisms) -> list[tuple[int, ...]]:
+    # orbit closure is only sound for automorphisms; anything else is refused
+    autos = [tuple(a) for a in automorphisms]
+    if not all(is_automorphism(G, a) for a in autos):
+        raise InputError("every listed map must be an automorphism of the group")
+    return autos
 
 
 def minimal_generator_count(G, S) -> int:
@@ -644,26 +731,25 @@ def exponent_of_subset(G, S) -> int:
 
 
 def quotient_group(G, N) -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
-    """(G/N, coset id per element, representative per coset)."""
+    """(G/N, coset id per element, representative per coset).
+
+    The representative of a coset xN is its least id, and cosets are
+    numbered in the order of their representatives, as a scan over the
+    ids that opens a coset at each id not yet covered would number them.
+    Both the coset ids and the quotient table are read off G.table in
+    whole-array passes."""
     N = frozenset(N)
     if not is_subgroup(G, N):
         raise InputError("N is not a subgroup")
     if not is_normal(G, N):
         raise InputError("N is not normal")
-    coset_of = [-1] * G.order
-    reps = []
-    for x in range(G.order):
-        if coset_of[x] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for t in N:
-            coset_of[G.mul(x, t)] = idx
-    q = len(reps)
-    table = [
-        [coset_of[G.mul(reps[a], reps[b])] for b in range(q)] for a in range(q)
-    ]
-    return FiniteGroup(table), tuple(coset_of), tuple(reps)
+    t = G.table
+    least = t[:, sorted(N)].min(axis=1)  # row x of t[:, N] is the coset xN
+    is_rep = least == np.arange(G.order)
+    reps = np.flatnonzero(is_rep)
+    coset_of = (np.cumsum(is_rep) - 1)[least]
+    table = coset_of[t[np.ix_(reps, reps)]]
+    return FiniteGroup(table), tuple(coset_of.tolist()), tuple(reps.tolist())
 
 
 def induced_automorphism(G, N, coset_of, reps, sigma) -> tuple[int, ...]:
@@ -756,7 +842,16 @@ def make_frobenius_action(G, f, h, params: FrobeniusParams) -> FrobeniusAction:
 
 
 def action_from_json(G, data) -> FrobeniusAction:
-    params = FrobeniusParams(int(data["n"]), int(data["q"]), int(data["r"]))
+    """{"f": [...], "h": [...], "n": n, "q": q, "r": r} with f and h as
+    lists of element ids and n, q, r integers; anything else, and any
+    action that fails its invariants, is an InputError."""
+    if not (isinstance(data, dict) and all(_is_int(data.get(key)) for key in "nqr")
+            and all(isinstance(data.get(key), list) and all(map(_is_int, data[key]))
+                    for key in "fh")):
+        raise InputError(
+            "an action needs integer 'n', 'q' and 'r', and 'f' and 'h' as lists of "
+            "integer element ids")
+    params = FrobeniusParams(data["n"], data["q"], data["r"])
     return make_frobenius_action(G, tuple(data["f"]), tuple(data["h"]), params)
 
 
@@ -838,6 +933,17 @@ class FieldActionResult:
 
 
 def build_field_action(p: int, k: int) -> FieldActionResult:
+    """GF(p^k) as the additive group (Z/p)^k, ids the coefficient digits of
+    polynomials mod the first irreducible g, with f the multiplication by
+    the first primitive element and h the p-power map.
+
+    Both maps are F_p-linear, so each is built from the images of the k
+    basis ids p^i (the monomials x^i), combined digit by digit for all p^k
+    ids.  Every hypothesis is then rechecked on the permutations: both are
+    automorphisms, f and h have orders p^k - 1 and k, and h f h^-1 = f^p.
+    With h[1] == 1 these pin h exactly: the twist gives h(gen*y) =
+    gen^p * h(y), so by induction h(gen^i) = gen^(p*i) * h(1) = (gen^i)^p
+    on every nonzero id, and h(0) = 0 by additivity."""
     if not is_prime(p):
         raise InputError("p must be prime")
     if not is_prime(k):
@@ -859,8 +965,16 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
         cand for cand in range(1, size)
         if all(fpow(cand, n // ell) != 1 for ell in sorted(factorize(n)))
     )
-    f = tuple(fmul(gen, x) for x in range(size))
-    h = tuple(fpow(x, p) for x in range(size))
+    digits = _digits(np.arange(size), p, k)
+
+    def linear(image) -> tuple[int, ...]:
+        # digit j of image(x) is the sum over i of x_i * (digit j of image(x^i))
+        cols = [_digits(image(p**i), p, k) for i in range(k)]
+        return tuple(_from_digits(
+            [sum(d * c[j] for d, c in zip(digits, cols)) for j in range(k)], p).tolist())
+
+    f = linear(lambda y: fmul(gen, y))
+    h = linear(lambda y: fpow(y, p))
     params = FrobeniusParams(n, k, p)
     # multiplication and the p-power map are additive; orders and the
     # twist relation hold by field arithmetic
@@ -870,6 +984,8 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
         raise RuntimeError(f"f and h must have orders {n} and {k}")
     if perm_compose(h, perm_compose(f, perm_inverse(h))) != perm_power(f, p):
         raise RuntimeError("h f h^-1 must equal f^p")
+    if h[1] != 1:
+        raise RuntimeError("the p-power map must fix 1")
     return FieldActionResult(
         group=group,
         action=FrobeniusAction(f, h, params),
@@ -909,7 +1025,12 @@ def verify_order_formula(G, action) -> VerificationReport:
 
 def verify_coverage(G, action) -> VerificationReport:
     """Fixed points of every qualifying quotient equal the projected fixed
-    points; quantifies over all invariant normal N with trivial C_N(F)."""
+    points; quantifies over all invariant normal N with trivial C_N(F).
+
+    The N come from invariant_normal_subgroups, which enumerates only the
+    subgroups invariant under f, h and conjugation, never the rest of the
+    lattice: on GF(p^k) that is the trivial group and the whole field.
+    Groups above EXHAUSTIVE_CAP are refused."""
     t0 = time.perf_counter()
     f, h = action.f, action.h
     ch = fixed_points(G, (h,))

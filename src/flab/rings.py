@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InputError
+from .errors import CapacityError, InputError
 
 # ---------------------------------------------------------------------------
 # integer polynomials, dense ascending coefficient lists
@@ -146,33 +146,28 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 # small number theory helpers
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for the sizes used here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+# Trial division covers the factors up to this bound; Miller-Rabin and
+# Brent's rho handle the cofactor.
+_TRIAL_LIMIT = 1 << 10
+# The first 13 primes as Miller-Rabin bases decide primality of every n
+# below this bound (Sorenson and Webster, Strong pseudoprimes to twelve
+# prime bases, Math. Comp. 2017).
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: multiplicity} by trial division."""
-    if n < 1:
-        raise InputError("factorize expects a positive integer")
-    out: dict[int, int] = {}
+def _strip_small_factors(n: int, out: dict[int, int]) -> int:
+    """Divide the primes up to _TRIAL_LIMIT out of n into out.  A cofactor
+    with no factor up to its square root is prime and goes into out too;
+    returns what is left, 1 or a number with no factor up to the limit."""
     for p in (2, 3):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 5
     while f * f <= n:
+        if f > _TRIAL_LIMIT:
+            return n
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
@@ -180,7 +175,100 @@ def factorize(n: int) -> dict[int, int]:
         f += 6
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+    return 1
+
+
+def _miller_rabin(n: int) -> bool:
+    """Primality of an odd n > 41 below MILLER_RABIN_BOUND, exact there."""
+    if n >= MILLER_RABIN_BOUND:
+        raise CapacityError(
+            f"primality of {n} is past the Miller-Rabin bound {MILLER_RABIN_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of the composite n, which has no factor of 2 or 3,
+    by Brent's variant of Pollard's rho (BIT 20, 1980) on x -> x^2 + c for
+    c = 1, 2, ... in turn, products of 128 differences per gcd."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise RuntimeError(f"no rho constant splits {n}")
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality: trial division up to _TRIAL_LIMIT, then the
+    deterministic Miller-Rabin test; refused (CapacityError) at and past
+    MILLER_RABIN_BOUND when no small factor decides it.
+
+    >>> is_prime(1_000_000_000_000_000_009)
+    True
+    """
+    if n < 2:
+        return False
+    found: dict[int, int] = {}
+    if _strip_small_factors(n, found) == 1:
+        return found == {n: 1}
+    return not found and _miller_rabin(n)
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: multiplicity}, primes in increasing order.
+
+    Trial division takes out the primes up to _TRIAL_LIMIT; a cofactor left
+    over is tested with Miller-Rabin and split with Brent's rho until every
+    piece is prime.  A piece at or past MILLER_RABIN_BOUND is refused with
+    CapacityError.
+
+    >>> factorize(1_000_000_000_000_000_008)
+    {2: 3, 3: 2, 97: 1, 26209: 1, 32779: 1, 166667: 1}
+    """
+    if n < 1:
+        raise InputError("factorize expects a positive integer")
+    out: dict[int, int] = {}
+    rest = _strip_small_factors(n, out)
+    pieces = [] if rest == 1 else [rest]
+    while pieces:
+        m = pieces.pop()
+        if _miller_rabin(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _brent_factor(m)
+            pieces += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 def multiplicative_order(a: int, m: int) -> int | None:

@@ -51,6 +51,19 @@ def test_prim_pass_violation_error(capsys):
     assert code == 2 and recs[0]["status"] == "input-error"
 
 
+def test_prim_finishes_or_refuses_on_large_moduli(capsys):
+    t0 = time.perf_counter()
+    # 10^18 + 9 is prime, and 2 has order 2 modulo no divisor of it
+    code, recs = run_json(capsys, "prim", "--n", "1000000000000000009", "--q", "2",
+                          "--r", "2", "--format", "json")
+    assert code == 1 and recs[0]["witness"]["divisor"] == 1000000000000000009
+    code, recs = run_json(capsys, "prim", "--n", str(2**89 - 1), "--q", "2", "--r", "2",
+                          "--format", "json")
+    assert code == 2 and recs[0]["status"] == "capacity-error"
+    assert "3317044064679887385961981" in recs[0]["reason"]
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_unknown_subcommand(capsys):
     code = cli.run(["frobnicate"])
     err = capsys.readouterr().err
@@ -364,6 +377,36 @@ def test_group_build_refuses_malformed_json(capsys, tmp_path, data):
                           "--format", "json")
     assert code == 2
     assert recs[0]["status"] == "input-error"
+
+
+_C3 = {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+_C3_ACTION = {"f": [0, 2, 1], "h": [0, 1, 2], "n": 2, "q": 1, "r": 1}
+
+
+@pytest.mark.parametrize("data", [
+    {"group": _C3, "action": dict(_C3_ACTION, f=[0.0, 2.0, 1.0])},
+    {"group": _C3, "action": {k: v for k, v in _C3_ACTION.items() if k != "h"}},
+    {"group": _C3, "action": dict(_C3_ACTION, n="2")},
+    {"group": _C3, "action": dict(_C3_ACTION, f=[0, 3, 1])},
+    {"group": _C3, "action": [0, 2, 1]},
+    5,
+])
+def test_group_verify_refuses_malformed_actions(capsys, tmp_path, data):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(data))
+    code, recs = run_json(capsys, "group", "verify", "all", "--file", str(path),
+                          "--format", "json")
+    assert code == 2
+    assert recs[0]["status"] == "input-error"
+
+
+def test_group_verify_accepts_a_file_action(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"group": _C3, "action": _C3_ACTION}))
+    code, recs = run_json(capsys, "group", "verify", "coverage", "--file", str(path),
+                          "--format", "json")
+    assert code == 0
+    assert recs[0]["status"] == "pass"
 
 
 # --- suite ---

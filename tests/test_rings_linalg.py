@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flab.errors import InputError
+from flab.errors import CapacityError, InputError
 from flab.linalg import (
     Subspace,
     field_kernel,
@@ -34,6 +34,7 @@ from flab.linalg import (
     ring_det,
 )
 from flab.rings import (
+    MILLER_RABIN_BOUND,
     CyclotomicRing,
     IntegersModRing,
     IntegersRing,
@@ -173,6 +174,43 @@ def test_factorize_recombines(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
+
+
+def _sympy_factors(n):
+    return dict(sorted(sympy.factorint(n).items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**22))
+def test_factorize_matches_sympy(n):
+    assert factorize(n) == _sympy_factors(n)
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(10**3, 10**10), st.integers(10**3, 10**10), st.integers(1, 4))
+def test_factorize_splits_products_of_large_primes(a, b, e):
+    # both factors past trial division, so Miller-Rabin and Brent's rho decide
+    n = sympy.nextprime(a) * sympy.nextprime(b) ** e
+    assume(n < MILLER_RABIN_BOUND)
+    assert factorize(n) == _sympy_factors(n)
+    assert not is_prime(n)
+
+
+def test_factorize_refuses_past_the_miller_rabin_bound():
+    assert MILLER_RABIN_BOUND == 3_317_044_064_679_887_385_961_981
+    # the bound is the least strong pseudoprime to the first 13 prime bases
+    assert _sympy_factors(MILLER_RABIN_BOUND) == {1287836182261: 1, 2575672364521: 1}
+    below = sympy.prevprime(MILLER_RABIN_BOUND)
+    assert is_prime(below) and factorize(below) == {below: 1}
+    for n in (MILLER_RABIN_BOUND, 2**89 - 1, 3 * (2**89 - 1)):
+        with pytest.raises(CapacityError, match=str(MILLER_RABIN_BOUND)):
+            factorize(n)
+    with pytest.raises(CapacityError, match=str(MILLER_RABIN_BOUND)):
+        is_prime(2**89 - 1)
+    # past the bound, numbers whose factors trial division finds still work
+    assert factorize(2**200 * 3**5 * 1009) == {2: 200, 3: 5, 1009: 1}
+    assert not is_prime(2**200 + 2)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
