@@ -381,12 +381,8 @@ def _bch_data(p: int, m: int, sweep: bool) -> dict:
         "group_class": ge.bch_nilpotency_class(P),
     }
     if sweep:
-        f_perms = lz.transported[:3]
-        h_perm = lz.transported[3]
-        fixed_f = [
-            x for x in range(P.order) if all(t[x] == x for t in f_perms)
-        ]
-        fixed_h = [x for x in range(P.order) if h_perm[x] == x]
+        fixed_f = ge.fixed_points(P, lz.transported[:3])
+        fixed_h = ge.fixed_points(P, (lz.transported[3],))
         out["fixed_f"] = len(fixed_f)
         out["fixed_h"] = len(fixed_h)
         out["fixed_h_cyclic"] = any(

@@ -21,6 +21,8 @@ instead, in memory that does not grow with n.  Past ROTATION_BITS_PER_STEP
 bits that includes every length-1 sequence.  Both routes, and the choice
 between them, count only the exponents up to the first repeated power of r
 (at most n + 1 of them), so no call's work grows with q past r's order.
+The distinct powers are capped at POWERS_CAP and a search's cost, in
+odometer steps, at SEARCH_STEP_CAP, each checked before the work it counts.
 
 All searches are exhaustive.  Requests past the configured caps raise
 CapacityError rather than sampling.
@@ -146,6 +148,12 @@ def additive_order(b: int, n: int) -> int:
 
 
 TABLE_CACHE_MAX_Q = 256  # exponent tables for larger q are rebuilt per call
+# CPython 3.11, 2-core host: 2**20 powers take 0.5 s and 80 MB to tabulate;
+# a step costs 0.28 us on the odometer and 0.2 us on reach sets, so 2**24
+# steps take at most 5 s.  A length-1 search walks its whole table, so the
+# step cap must stay above the table cap.
+POWERS_CAP = 1 << 20
+SEARCH_STEP_CAP = 1 << 24
 
 
 def _kept_if_small(build):
@@ -166,7 +174,8 @@ def _powers(n: int, q: int, r: int) -> tuple[int, ...]:
 
     Past that e the powers only repeat, and an exponent there can be
     replaced by the smaller j with the same power and the same zero or
-    nonzero status: no first witness, reach set or D-set needs it.
+    nonzero status: no first witness, reach set or D-set needs it.  The
+    table raises CapacityError as soon as it passes POWERS_CAP.
     """
     out = [1]
     seen = set()
@@ -175,6 +184,9 @@ def _powers(n: int, q: int, r: int) -> tuple[int, ...]:
         p = p * r % n
         if p in seen:
             break
+        if len(out) == POWERS_CAP:
+            raise CapacityError(
+                f"(n, q, r) = ({n}, {q}, {r}): r has over POWERS_CAP = {POWERS_CAP} powers mod n")
         seen.add(p)
         out.append(p)
     return tuple(out)
@@ -288,15 +300,26 @@ def _odometer(entries: tuple[int, ...], n: int, powers, target: int):
         i += 1
 
 
+def _over_step_cap(steps: int, n: int, q: int, r: int) -> CapacityError:
+    return CapacityError(f"(n, q, r) = ({n}, {q}, {r}) needs about {steps} search steps, "
+                         f"over SEARCH_STEP_CAP = {SEARCH_STEP_CAP}")
+
+
 def _first_dependence(entries: tuple[int, ...], n: int, q: int, r: int, powers):
     """(first witness exponents or None, the sequence's reach node or None on
     the odometer route)."""
     target = sum(entries) % n
-    k = len(entries)
-    # the cheaper route (len(powers)**k tuples against k*len(powers)
-    # rotations); the odometer's memory does not grow with n
-    if n > BITSET_MAX_N or len(powers) ** (k - 1) <= k * (n // ROTATION_BITS_PER_STEP):
+    k, size = len(entries), len(powers)
+    # the cheaper route, size**k tuples against k*size rotations of n //
+    # ROTATION_BITS_PER_STEP steps each; the odometer's memory does not grow
+    # with n.  Below that many bits, k*size steps stay far under the cap.
+    tuples, rotations = size**k, k * size * (n // ROTATION_BITS_PER_STEP)
+    if n > BITSET_MAX_N or tuples <= rotations:
+        if tuples > SEARCH_STEP_CAP:
+            raise _over_step_cap(tuples, n, q, r)
         return _odometer(entries, n, powers, target), None
+    if rotations > SEARCH_STEP_CAP:
+        raise _over_step_cap(rotations, n, q, r)
     node = _reach(entries, n, q, r, powers)
     return _descend(node, entries, n, powers, target), node
 
@@ -318,7 +341,7 @@ def is_r_dependent(
     the next suffix still reaches.  Where the q**k tuples cost no more to
     walk than k*q rotations of the sets, or the sets would pass BITSET_MAX_N
     bits, the exponent odometer walks the tuples in lexicographic order
-    instead.
+    instead.  Past POWERS_CAP or SEARCH_STEP_CAP it raises CapacityError.
 
     >>> is_r_dependent((1, 2), FrobeniusParams(7, 3, 2))
     (True, DependenceWitness(exponents=(1, 2)))
@@ -351,7 +374,8 @@ def d_set(
     needs 1 - r**i invertible for 0 < i < q (true under check_prim).  The
     sums s are the set bits of the sequence's reach set, or on the odometer
     route (see is_r_dependent) the q**k tuples themselves.  "auto" picks
-    formula when the inverses exist, brute otherwise.
+    formula when the inverses exist, brute otherwise.  Sums times inverses,
+    or n - 1 searches on brute, are capped at SEARCH_STEP_CAP.
 
     >>> sorted(d_set((1,), FrobeniusParams(7, 3, 2)))
     [2, 4, 6]
@@ -370,6 +394,10 @@ def d_set(
     if method == "auto":
         method = "brute" if inverses is None else "formula"
     if method == "brute":
+        # each search costs at most its odometer tuples, on either route
+        steps = (n - 1) * len(powers) ** (len(entries) + 1)
+        if steps > SEARCH_STEP_CAP:
+            raise _over_step_cap(steps, n, q, r)
         return {j for j in range(1, n)
                 if _first_dependence((j,) + entries, n, q, r, powers)[0] is not None}
     if method != "formula":
@@ -380,8 +408,11 @@ def d_set(
     if node is None:
         tables = [[p * a % n for p in powers] for a in entries]
         sums = {sum(tup) % n for tup in itertools.product(*tables)}
+        count = len(sums)
     else:
-        sums = _residues(node[0])
+        sums, count = _residues(node[0]), node[0].bit_count()
+    if count * len(inverses) > SEARCH_STEP_CAP:
+        raise _over_step_cap(count * len(inverses), n, q, r)
     return {(s - plain) * inv % n for s in sums if s != plain for inv in inverses}
 
 

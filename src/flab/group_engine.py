@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import FrobeniusParams
+from .combinatorics import FrobeniusParams, prim_failure
 from .errors import CapacityError, InputError
 from .graded_lie import (
     GradedLieRing,
@@ -88,18 +88,8 @@ def perm_power(a, k: int) -> tuple[int, ...]:
 
 
 def perm_order(a) -> int:
-    seen = [False] * len(a)
-    out = 1
-    for i in range(len(a)):
-        if seen[i]:
-            continue
-        length, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            length += 1
-        out = math.lcm(out, length)
-    return out
+    """The lcm of the cycle lengths, the orbits of <a>."""
+    return math.lcm(*{len(cycle) for cycle in _orbits(len(a), (a,))})
 
 
 # --- base-p digits of element ids ---
@@ -512,16 +502,29 @@ def subgroup_closure(G, gens) -> frozenset:
 
 
 def is_subgroup(G, S) -> bool:
-    return G.identity in S and all(G.mul(a, b) in S for a in S for b in S)
+    """S holds the identity and generates nothing outside itself."""
+    return G.identity in S and subgroup_closure(G, S) == frozenset(S)
+
+
+def _normal_closure_by_generators(G, seed, gens) -> frozenset:
+    """The least subgroup holding seed that conjugation by gens maps into
+    itself: the normal closure of seed when gens generate G (see is_normal)."""
+    current = subgroup_closure(G, seed)
+    while True:
+        extra = {G.conjugate(g, x) for g in gens for x in current}
+        if extra <= current:
+            return current
+        current = subgroup_closure(G, set(current) | extra)
 
 
 def normal_closure(G, gens) -> frozenset:
-    conj = {G.conjugate(g, x) for x in gens for g in range(G.order)}
-    return subgroup_closure(G, conj)
+    return _normal_closure_by_generators(G, gens, _generating_set(G))
 
 
 def is_normal(G, S) -> bool:
-    return all(G.conjugate(g, x) in S for x in S for g in range(G.order))
+    """Invariance under conjugation by a generating set of G: being
+    injective, each generator maps the finite S onto itself, so all of G does."""
+    return all(G.conjugate(g, x) in S for g in _generating_set(G) for x in S)
 
 
 def commutator_subgroup(G, A, B) -> frozenset:
@@ -533,10 +536,9 @@ def power_subgroup(G, S, k: int) -> frozenset:
 
 
 def center(G) -> frozenset:
-    n = G.order
-    return frozenset(
-        x for x in range(n) if all(G.mul(x, y) == G.mul(y, x) for y in range(n))
-    )
+    """The ids that commute with each member of a generating set of G."""
+    gens = _generating_set(G)
+    return frozenset(x for x in range(G.order) if all(G.mul(x, g) == G.mul(g, x) for g in gens))
 
 
 def _series_sets(G, step) -> list[frozenset]:
@@ -763,11 +765,10 @@ def subgroup_as_group(G, S) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Reindex a subgroup as its own FiniteGroup; returns (H, element ids)."""
     elems = sorted(S)
     index = {x: i for i, x in enumerate(elems)}
-    for a in elems:
-        for b in elems:
-            if G.mul(a, b) not in index:
-                raise InputError("the set is not closed under multiplication")
-    table = [[index[G.mul(a, b)] for b in elems] for a in elems]
+    try:
+        table = [[index[G.mul(a, b)] for b in elems] for a in elems]
+    except KeyError:
+        raise InputError("the set is not closed under multiplication") from None
     return FiniteGroup(table), tuple(elems)
 
 
@@ -794,26 +795,16 @@ class FrobeniusAction:
     params: FrobeniusParams
 
 
-def frobenius_condition_holds(f, h, n: int, q: int) -> bool:
-    """No nontrivial power of h centralizes a nontrivial power of f."""
-    ident = perm_identity(len(f))
-    f_pows = [ident]
-    for _ in range(n - 1):
-        f_pows.append(perm_compose(f, f_pows[-1]))
-    hi = ident
-    for _ in range(1, q):
-        hi = perm_compose(h, hi)
-        conj = perm_compose(hi, perm_compose(f, perm_inverse(hi)))
-        acc = ident
-        for j in range(1, n):
-            acc = perm_compose(conj, acc)
-            if acc == f_pows[j]:
-                return False
-    return True
-
-
 def action_issues(G, f, h, params: FrobeniusParams) -> list[str]:
-    """Invariant failures of a would-be action, empty when it conforms."""
+    """Invariant failures of a would-be action, empty when it conforms.
+
+    The Frobenius condition (no nontrivial power of h centralizes one of f)
+    is checked once the other checks pass, on (n, q, r) alone.  Then
+    h^i f^j h^-i = f^(j*r^i), so h^i centralizes f^j exactly when n divides
+    j*(r^i - 1), which some 0 < j < n does exactly when gcd(r^i - 1, n) > 1.
+    As h^q = 1, r^q = 1 mod n, so r's order modulo each divisor d > 1 of n
+    divides q, and is q exactly when d divides no r^i - 1 with 0 < i < q:
+    the condition holds exactly when prim_failure(n, q, r) is None."""
     f, h = tuple(f), tuple(h)
     issues = []
     if not is_automorphism(G, f):
@@ -829,7 +820,7 @@ def action_issues(G, f, h, params: FrobeniusParams) -> list[str]:
         issues.append(f"h has order {oh}, params expect {params.q}")
     if perm_compose(h, perm_compose(f, perm_inverse(h))) != perm_power(f, params.r):
         issues.append("h f h^-1 differs from f^r")
-    if not frobenius_condition_holds(f, h, params.n, params.q):
+    if not issues and prim_failure(params.n, params.q, params.r) is not None:
         issues.append("a nontrivial power of h centralizes a nontrivial power of f")
     return issues
 
@@ -922,7 +913,10 @@ def _irreducible_poly(p: int, k: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class FieldActionResult:
     """Additive group of GF(p^k) with multiplication-by-generator f and
-    the p-power map h; flags record which hypotheses the triple meets."""
+    the p-power map h; prim_ok records whether (p^k - 1, k, p) passes
+    check_prim.  frobenius_ok, that no nontrivial power of h centralizes
+    one of f, equals it: for maps with the checked orders and twist, that
+    condition is check_prim on the triple (see action_issues)."""
 
     group: FiniteGroup
     action: FrobeniusAction
@@ -943,7 +937,8 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
     automorphisms, f and h have orders p^k - 1 and k, and h f h^-1 = f^p.
     With h[1] == 1 these pin h exactly: the twist gives h(gen*y) =
     gen^p * h(y), so by induction h(gen^i) = gen^(p*i) * h(1) = (gen^i)^p
-    on every nonzero id, and h(0) = 0 by additivity."""
+    on every nonzero id, and h(0) = 0 by additivity.  Both flags are then
+    check_prim on (p^k - 1, k, p)."""
     if not is_prime(p):
         raise InputError("p must be prime")
     if not is_prime(k):
@@ -986,11 +981,12 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
         raise RuntimeError("h f h^-1 must equal f^p")
     if h[1] != 1:
         raise RuntimeError("the p-power map must fix 1")
+    prim_ok = params.passes_prim()
     return FieldActionResult(
         group=group,
         action=FrobeniusAction(f, h, params),
-        prim_ok=params.passes_prim(),
-        frobenius_ok=frobenius_condition_holds(f, h, n, k),
+        prim_ok=prim_ok,
+        frobenius_ok=prim_ok,
         poly=g,
         generator=gen,
     )
@@ -1003,18 +999,20 @@ def _report(name, t0, status, witness=None, reason=None) -> VerificationReport:
     return VerificationReport(name, status, witness, reason, time.perf_counter() - t0)
 
 
-def _fixed_free(G, action) -> tuple[bool, int]:
+def _unless_fixed_free(G, action, name, t0) -> VerificationReport | None:
+    """INAPPLICABLE when C_G(F) is not trivial, None when the hypothesis holds."""
     fixed = fixed_points(G, (action.f,))
-    return fixed == frozenset({G.identity}), len(fixed)
+    if fixed == frozenset({G.identity}):
+        return None
+    return _report(name, t0, INAPPLICABLE, {"fixed_by_f": len(fixed)},
+                   "C_G(F) is not trivial")
 
 
 def verify_order_formula(G, action) -> VerificationReport:
     """|G| must equal |C_G(H)|^q when C_G(F) is trivial."""
     t0 = time.perf_counter()
-    ok, cf = _fixed_free(G, action)
-    if not ok:
-        return _report("order-formula", t0, INAPPLICABLE,
-                       {"fixed_by_f": cf}, "C_G(F) is not trivial")
+    if (refused := _unless_fixed_free(G, action, "order-formula", t0)) is not None:
+        return refused
     ch = fixed_points(G, (action.h,))
     witness = {"order": G.order, "fixed_by_h": len(ch), "q": action.params.q}
     if G.order == len(ch) ** action.params.q:
@@ -1056,16 +1054,10 @@ def verify_coverage(G, action) -> VerificationReport:
 def verify_generation(G, action) -> VerificationReport:
     """The f-translates of C_G(H) must generate G."""
     t0 = time.perf_counter()
-    ok, cf = _fixed_free(G, action)
-    if not ok:
-        return _report("generation", t0, INAPPLICABLE,
-                       {"fixed_by_f": cf}, "C_G(F) is not trivial")
-    ch = fixed_points(G, (action.h,))
-    gens = set()
-    translate = perm_identity(G.order)
-    for _ in range(action.params.n):
-        gens.update(translate[x] for x in ch)
-        translate = perm_compose(action.f, translate)
+    if (refused := _unless_fixed_free(G, action, "generation", t0)) is not None:
+        return refused
+    orbit_of = _orbits(G.order, (action.f,))  # x's translates under <f>
+    gens = {y for x in fixed_points(G, (action.h,)) for y in orbit_of[x]}
     generated = subgroup_closure(G, gens)
     witness = {"generated_order": len(generated), "order": G.order}
     if len(generated) == G.order:
@@ -1077,10 +1069,8 @@ def verify_generation(G, action) -> VerificationReport:
 def verify_invariant_sylow(G, action) -> VerificationReport:
     """Exactly one Sylow p-subgroup per prime is invariant under f and h."""
     t0 = time.perf_counter()
-    ok, cf = _fixed_free(G, action)
-    if not ok:
-        return _report("invariant-sylow", t0, INAPPLICABLE,
-                       {"fixed_by_f": cf}, "C_G(F) is not trivial")
+    if (refused := _unless_fixed_free(G, action, "invariant-sylow", t0)) is not None:
+        return refused
     f, h = action.f, action.h
     counts = {}
     for p in sorted(factorize(G.order)):
@@ -1102,10 +1092,8 @@ def verify_invariant_sylow(G, action) -> VerificationReport:
 def verify_nilpotency_transfer(G, action) -> VerificationReport:
     """Nilpotency of C_G(H) must force nilpotency of G."""
     t0 = time.perf_counter()
-    ok, cf = _fixed_free(G, action)
-    if not ok:
-        return _report("nilpotency-transfer", t0, INAPPLICABLE,
-                       {"fixed_by_f": cf}, "C_G(F) is not trivial")
+    if (refused := _unless_fixed_free(G, action, "nilpotency-transfer", t0)) is not None:
+        return refused
     ch = fixed_points(G, (action.h,))
     H, _ = subgroup_as_group(G, ch)
     fixed_class = nilpotency_class(H)
@@ -1123,10 +1111,8 @@ def verify_nilpotency_transfer(G, action) -> VerificationReport:
 def exponent_relation_report(G, action) -> VerificationReport:
     """Empirical record: exponents of C_G(H) and of G side by side."""
     t0 = time.perf_counter()
-    ok, cf = _fixed_free(G, action)
-    if not ok:
-        return _report("exponent-relation", t0, INAPPLICABLE,
-                       {"fixed_by_f": cf}, "C_G(F) is not trivial")
+    if (refused := _unless_fixed_free(G, action, "exponent-relation", t0)) is not None:
+        return refused
     ch = fixed_points(G, (action.h,))
     return _report("exponent-relation", t0, PASS,
                    {"fixed_exponent": exponent_of_subset(G, ch),
@@ -1698,18 +1684,6 @@ def bch_generators(G: BCHGroup) -> tuple[int, ...]:
     """Ids of the coordinate basis vectors.  They generate the group: their
     images span L / (pL + [L,L]), which is G over its Frattini subgroup."""
     return tuple(G.modulus**i for i in range(G.rank))
-
-
-def _normal_closure_by_generators(G, seed, gens) -> frozenset:
-    conj_gens = list(gens) + [G.inv(g) for g in gens]
-    current = subgroup_closure(G, seed)
-    while True:
-        extra = {
-            G.conjugate(g, x) for g in conj_gens for x in current
-        }
-        if extra <= current:
-            return current
-        current = subgroup_closure(G, set(current) | extra)
 
 
 def bch_nilpotency_class(G: BCHGroup, cap: int = 10) -> int:

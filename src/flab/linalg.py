@@ -265,7 +265,7 @@ def howell(rows: Sequence[Sequence[int]], m: int) -> list[list[int]]:
             break
         cur = nxt
     else:
-        raise AssertionError("Howell iteration failed to stabilize")
+        raise RuntimeError("Howell iteration failed to stabilize")
     # normalize pivots to divisors of m, reduce entries above each pivot
     out = []
     for row in cur:

@@ -30,11 +30,6 @@ def poly_trim(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(p)
 
 
-def poly_degree(p: Sequence[int]) -> int:
-    """Degree of p, with the zero polynomial at -1."""
-    return len(poly_trim(p)) - 1
-
-
 def poly_add(p, q):
     n = max(len(p), len(q))
     return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])

@@ -254,6 +254,38 @@ def test_exponent_count_far_past_the_order_is_fast():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("n, q, r", [(4_000_037, 4_000_036, 2), (10**9 + 7, 10**9, 5)])
+def test_exponent_tables_past_the_cap_are_refused_while_built(n, q, r):
+    # r has more than POWERS_CAP distinct powers mod n; building them all
+    # would take hundreds of MB (tens of GB at n = 10**9 + 7)
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match=rf"\({n}, {q}, {r}\).*POWERS_CAP = 1048576"):
+        is_r_dependent((1,), params(n, q, r))
+    assert time.perf_counter() - t0 < 5
+
+
+@pytest.mark.parametrize("call", [
+    # 9**8 odometer tuples past BITSET_MAX_N
+    pytest.param(lambda: is_r_dependent((1,) * 8, params(10**9 + 7, 9, 2)), id="odometer"),
+    # 2 * 40,000 rotations of million-bit reach sets
+    pytest.param(lambda: is_r_dependent((1, 2), params(1_000_003, 40_000, 2)), id="reach-sets"),
+    # 5,000 sums times 4,999 inverses
+    pytest.param(lambda: d_set((1,), params(10**9 + 7, 5_000, 2)), id="d-set-formula"),
+    # a billion length-2 searches
+    pytest.param(lambda: d_set((1,), params(10**9 + 7, 2, 10**9 + 6), method="brute"),
+                 id="d-set-brute"),
+])
+def test_searches_past_the_step_cap_are_refused(call):
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="SEARCH_STEP_CAP = 16777216"):
+        call()
+    assert time.perf_counter() - t0 < 1
+
+
+def test_a_length_1_search_walks_a_whole_table_under_the_step_cap():
+    assert comb.SEARCH_STEP_CAP >= comb.POWERS_CAP
+
+
 @pytest.mark.parametrize("n", [1_000_003, 1_000_000_007])
 def test_dependence_memory_does_not_grow_with_n(n):
     # 2**3 exponent tuples: a million-bit reach set would dwarf the search

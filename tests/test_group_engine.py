@@ -2,6 +2,9 @@
 actions, filtrations, and the Hausdorff-product groups."""
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,10 +264,81 @@ def test_field_action_rejects_bad_input():
 
 def test_frobenius_condition():
     out = ge.build_field_action(2, 3)
-    n = out.group.order - 1
-    assert ge.frobenius_condition_holds(out.action.f, out.action.h, n, 3)
-    ident = ge.perm_identity(out.group.order)
-    assert not ge.frobenius_condition_holds(out.action.f, ident, n, 3)
+    G, f, h = out.group, out.action.f, out.action.h
+    params = FrobeniusParams(7, 3, 2)
+    assert ge.action_issues(G, f, h, params) == []
+    ident = ge.perm_identity(G.order)
+    # refused on its order and twist; the Frobenius condition is read off
+    # (n, q, r) only for an action that passes both
+    assert ge.action_issues(G, f, ident, params) == [
+        "h has order 1, params expect 3", "h f h^-1 differs from f^r"]
+
+
+def frobenius_by_permutations(f, h, n: int, q: int) -> bool:
+    """Oracle: no nontrivial power of h centralizes a nontrivial power of
+    f, by composing the conjugates h^i f h^-i and comparing their powers
+    with those of f."""
+    ident = ge.perm_identity(len(f))
+    f_pows = [ident]
+    for _ in range(n - 1):
+        f_pows.append(ge.perm_compose(f, f_pows[-1]))
+    hi = ident
+    for _ in range(1, q):
+        hi = ge.perm_compose(h, hi)
+        conj = ge.perm_compose(hi, ge.perm_compose(f, ge.perm_inverse(hi)))
+        acc = ident
+        for j in range(1, n):
+            acc = ge.perm_compose(conj, acc)
+            if acc == f_pows[j]:
+                return False
+    return True
+
+
+def field_sub_actions(p: int, k: int):
+    """(group, f^d, h^j, params) for every divisor d of p^k - 1 below it
+    and every 0 <= j < k: h^j f^d h^-j = (f^d)^(p^j), and f^d has order
+    (p^k - 1) / d, so each is an action that passes the order and twist
+    checks."""
+    out = ge.build_field_action(p, k)
+    f, h = out.action.f, out.action.h
+    n = p**k - 1
+    for d in range(1, n // 2 + 1):
+        if n % d:
+            continue
+        fd = ge.perm_power(f, d)
+        for j in range(k):
+            params = FrobeniusParams(n // d, k if j else 1, pow(p, j, n // d))
+            yield out.group, fd, ge.perm_power(h, j), params
+
+
+def test_frobenius_condition_matches_the_permutation_definition():
+    verdicts = []
+    for p, k in ((2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (5, 2), (5, 3),
+                 (7, 2), (11, 2), (13, 2)):
+        for G, f, h, params in field_sub_actions(p, k):
+            holds = frobenius_by_permutations(f, h, params.n, params.q)
+            want = [] if holds else [
+                "a nontrivial power of h centralizes a nontrivial power of f"]
+            assert ge.action_issues(G, f, h, params) == want, (p, k, params)
+            verdicts.append(holds)
+    assert len(verdicts) == 139 and 0 < sum(verdicts) < 139
+
+
+def test_a_declared_order_far_past_the_group_is_refused_in_bounded_memory():
+    C2 = ge.cyclic_group(2)
+    ident = ge.perm_identity(2)
+    params = FrobeniusParams(10**9, 2, 1)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="f has order 1, params expect 1000000000"):
+            ge.make_frobenius_action(C2, ident, ident, params)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1
+    assert peak < 10 << 20
 
 
 def test_make_frobenius_action_rejects_gf9():

@@ -1,5 +1,6 @@
 """The group kernels against independent oracles: subgroup closure against
-breadth-first search, the subgroup lattice against closed-form counts,
+breadth-first search, the subgroup and normality tests against their
+all-element definitions, the subgroup lattice against closed-form counts,
 Light's associativity test against a brute-force triple check, and the
 batched Hausdorff-product group against per-id evaluation and on the
 inputs it must refuse."""
@@ -72,6 +73,34 @@ def test_subgroup_closure_edge_cases(name):
     assert ge.subgroup_closure(G, everything) == frozenset(everything)
     # a generator iterator is consumed once
     assert ge.subgroup_closure(G, iter([G.order - 1])) == bfs_closure(G, [G.order - 1])
+
+
+def subgroup_by_all_pairs(G, S) -> bool:
+    """Oracle: the identity is in S and so is every product of two members."""
+    return G.identity in S and all(G.mul(a, b) in S for a in S for b in S)
+
+
+def normal_by_all_elements(G, S) -> bool:
+    """Oracle: conjugation by every element of G maps S into itself."""
+    return all(G.conjugate(g, x) in S for x in S for g in range(G.order))
+
+
+def normal_closure_by_all_conjugates(G, gens) -> frozenset:
+    """Oracle: the subgroup generated by every conjugate of every generator."""
+    return ge.subgroup_closure(G, {G.conjugate(g, x) for x in gens for g in range(G.order)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subgroup_and_normality_tests_match_the_all_element_definitions(data):
+    G = closure_group(data.draw(st.sampled_from(CLOSURE_GROUPS)))
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    extra = data.draw(st.frozensets(st.integers(0, G.order - 1), max_size=3))
+    closed = ge.subgroup_closure(G, gens)
+    for S in (closed, closed | extra, closed - extra, extra):
+        assert ge.is_subgroup(G, S) == subgroup_by_all_pairs(G, S)
+        assert ge.is_normal(G, S) == normal_by_all_elements(G, S)
+    assert ge.normal_closure(G, gens) == normal_closure_by_all_conjugates(G, gens)
 
 
 # --- the lattice against closed-form counts ---
