@@ -149,8 +149,9 @@ def additive_order(b: int, n: int) -> int:
 
 TABLE_CACHE_MAX_Q = 256  # exponent tables for larger q are rebuilt per call
 # CPython 3.11, 2-core host: 2**20 powers take 0.5 s and 80 MB to tabulate;
-# a step costs 0.28 us on the odometer and 0.2 us on reach sets, so 2**24
-# steps take at most 5 s.  A length-1 search walks its whole table, so the
+# a step costs at most 0.28 us on the odometer (about 0.02 us once q is in
+# the hundreds, as the last exponent is a list scan) and 0.2 us on reach
+# sets, so 2**24 steps take at most 5 s.  A length-1 search walks its whole table, so the
 # step cap must stay above the table cap.
 POWERS_CAP = 1 << 20
 SEARCH_STEP_CAP = 1 << 24
@@ -218,7 +219,8 @@ CACHED_SET_MAX_N = 1024  # only sets this small are cached
 # n = 10**6, 0.28 us per step), so a sequence costs about
 # k*q*(n // ROTATION_BITS_PER_STEP) steps on reach sets and q**k on the
 # odometer.  Below that many bits a rotation costs about as much as a step,
-# and the suffix LRU tips the balance to reach sets.
+# and the suffix LRU tips the balance to reach sets.  The odometer's steps
+# are cheaper at large q, so the estimate favours reach sets there.
 ROTATION_BITS_PER_STEP = 4096
 _REACH_CACHE: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
 
@@ -277,18 +279,24 @@ def _descend(node: tuple, entries: tuple[int, ...], n: int, powers, target: int)
 
 def _odometer(entries: tuple[int, ...], n: int, powers, target: int):
     """Lexicographically first nonzero exponent tuple whose twisted sum is
-    target, by walking all len(powers)**k tuples; None when there is none."""
+    target, by walking all len(powers)**k tuples; None when there is none.
+    The last exponent is not stepped through: for each prefix it is the
+    first position of the residue still needed in the last table."""
     k = len(entries)
     q = len(powers)
     tables = [[p * a % n for p in powers] for a in entries]
-    exps = [0] * k
-    sums = [0] * (k + 1)
-    # odometer over exponent tuples with incremental prefix sums
+    last = tables[-1]
+    exps = [0] * (k - 1)
+    sums = [0] * k
+    # odometer over the first k - 1 exponents with incremental prefix sums
     i = 0
     while True:
-        if i == k:
-            if any(exps) and sums[k] == target:
-                return tuple(exps)
+        if i == k - 1:
+            try:
+                e = last.index((target - sums[i]) % n, 0 if any(exps) else 1)
+                return tuple(exps) + (e,)
+            except ValueError:
+                pass
             i -= 1
             while i >= 0 and exps[i] == q - 1:
                 exps[i] = 0
@@ -375,7 +383,8 @@ def d_set(
     sums s are the set bits of the sequence's reach set, or on the odometer
     route (see is_r_dependent) the q**k tuples themselves.  "auto" picks
     formula when the inverses exist, brute otherwise.  Sums times inverses,
-    or n - 1 searches on brute, are capped at SEARCH_STEP_CAP.
+    or n - 1 searches on brute, are capped at SEARCH_STEP_CAP; the formula
+    cap is checked while the sums are gathered, before the inverses exist.
 
     >>> sorted(d_set((1,), FrobeniusParams(7, 3, 2)))
     [2, 4, 6]
@@ -390,30 +399,38 @@ def d_set(
     exps, node = _first_dependence(entries, n, q, r, powers)
     if exps is not None:
         raise InputError("d_set requires an r-independent sequence")
-    inverses = _inverses(n, q, r)
-    if method == "auto":
-        method = "brute" if inverses is None else "formula"
-    if method == "brute":
-        # each search costs at most its odometer tuples, on either route
-        steps = (n - 1) * len(powers) ** (len(entries) + 1)
-        if steps > SEARCH_STEP_CAP:
-            raise _over_step_cap(steps, n, q, r)
-        return {j for j in range(1, n)
-                if _first_dependence((j,) + entries, n, q, r, powers)[0] is not None}
-    if method != "formula":
+    if method not in ("auto", "brute", "formula"):
         raise InputError(f"unknown d_set method {method!r}")
-    if inverses is None:
-        raise InputError("formula route needs 1 - r**i invertible")
-    plain = sum(entries) % n
-    if node is None:
-        tables = [[p * a % n for p in powers] for a in entries]
-        sums = {sum(tup) % n for tup in itertools.product(*tables)}
-        count = len(sums)
-    else:
-        sums, count = _residues(node[0]), node[0].bit_count()
-    if count * len(inverses) > SEARCH_STEP_CAP:
-        raise _over_step_cap(count * len(inverses), n, q, r)
-    return {(s - plain) * inv % n for s in sums if s != plain for inv in inverses}
+    if method != "brute":
+        # formula costs one step per sum and inverse; brute costs at least
+        # as much, so an over-cap formula refuses for both routes, and it is
+        # checked before the inverses or the whole sums set are built
+        size = len(powers) - 1  # the inverses' count when they exist
+        limit = SEARCH_STEP_CAP // size if size else math.inf
+        if node is None:
+            tables = [[p * a % n for p in powers] for a in entries]
+            sums = set()
+            for tup in itertools.product(*tables):
+                sums.add(sum(tup) % n)
+                if len(sums) > limit:
+                    raise _over_step_cap(len(sums) * size, n, q, r)
+        else:
+            count = node[0].bit_count()
+            if count > limit:
+                raise _over_step_cap(count * size, n, q, r)
+            sums = _residues(node[0])
+        inverses = _inverses(n, q, r)
+        if inverses is not None:
+            plain = sum(entries) % n
+            return {(s - plain) * inv % n for s in sums if s != plain for inv in inverses}
+        if method == "formula":
+            raise InputError("formula route needs 1 - r**i invertible")
+    # each search costs at most its odometer tuples, on either route
+    steps = (n - 1) * len(powers) ** (len(entries) + 1)
+    if steps > SEARCH_STEP_CAP:
+        raise _over_step_cap(steps, n, q, r)
+    return {j for j in range(1, n)
+            if _first_dependence((j,) + entries, n, q, r, powers)[0] is not None}
 
 
 def _residues(bits: int):

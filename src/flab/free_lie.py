@@ -180,6 +180,8 @@ class FreeLieElement:
 
 # --- Hall rewriting ---
 
+# results of [u, v] that needed the Hall rewrite; a bracket already in Hall
+# form is its interned node, so it is never stored here
 _BRACKET_MEMO: dict[tuple[HallWord, HallWord], tuple[tuple[HallWord, int], ...]] = {}
 
 
@@ -188,20 +190,23 @@ def _hall_bracket(u: HallWord, v: HallWord) -> tuple[tuple[HallWord, int], ...]:
     (word, coefficient) pairs."""
     if u is v:
         return ()
-    if u < v:
+    if u.key < v.key:
         return tuple((w, -c) for w, c in _hall_bracket(v, u))
+    if u.gen is not None or u.right.key <= v.key:
+        return ((HallWord.node(u, v), 1),)
     got = _BRACKET_MEMO.get((u, v))
     if got is not None:
         return got
-    if u.is_leaf or u.right <= v:
-        out = ((HallWord.node(u, v), 1),)
-    else:
-        # u = [u1, u2] with u2 > v: [[u1,u2],v] = [[u1,v],u2] + [u1,[u2,v]]
-        acc = _dict_bracket(_hall_bracket(u.left, v), ((u.right, 1),))
-        for w, c in _dict_bracket(((u.left, 1),), _hall_bracket(u.right, v)).items():
-            acc[w] = acc.get(w, 0) + c
-        out = tuple((w, c) for w, c in acc.items() if c)
-    _BRACKET_MEMO[(u, v)] = out
+    # u = [u1, u2] with u2 > v: [[u1,u2],v] = [[u1,v],u2] + [u1,[u2,v]]
+    u1, u2 = u.left, u.right
+    acc: dict[HallWord, int] = {}
+    for w, c in _hall_bracket(u1, v):
+        for x, d in _hall_bracket(w, u2):
+            acc[x] = acc.get(x, 0) + c * d
+    for w, c in _hall_bracket(u2, v):
+        for x, d in _hall_bracket(u1, w):
+            acc[x] = acc.get(x, 0) + c * d
+    out = _BRACKET_MEMO[(u, v)] = tuple((w, c) for w, c in acc.items() if c)
     return out
 
 
@@ -211,8 +216,9 @@ def _dict_bracket(a: Collection[tuple[HallWord, int]],
     out: dict[HallWord, int] = {}
     for u, cu in a:
         for v, cv in b:
+            cuv = cu * cv
             for w, c in _hall_bracket(u, v):
-                out[w] = out.get(w, 0) + cu * cv * c
+                out[w] = out.get(w, 0) + cuv * c
     return {w: c for w, c in out.items() if c}
 
 
@@ -228,14 +234,27 @@ def normalize(expr) -> FreeLieElement:
     """
     if isinstance(expr, FreeLieElement):
         return expr
+    return FreeLieElement(dict(_normal_pairs(expr)))
+
+
+def _normal_pairs(expr) -> Collection[tuple[HallWord, int]]:
+    """normalize() as (word, coefficient) pairs with distinct words."""
+    if isinstance(expr, FreeLieElement):
+        return expr.terms.items()
     if isinstance(expr, HallWord):
-        return FreeLieElement({expr: 1})
+        return ((expr, 1),)
     if isinstance(expr, IndexedGenerator):
-        return FreeLieElement({HallWord.leaf(expr): 1})
+        return ((HallWord.leaf(expr), 1),)
     if isinstance(expr, (tuple, list)):
         if len(expr) != 2:
             raise InputError("bracket trees are binary; use nested pairs")
-        return bracket(normalize(expr[0]), normalize(expr[1]))
+        a, b = _normal_pairs(expr[0]), _normal_pairs(expr[1])
+        if len(a) != 1 or len(b) != 1:
+            return _dict_bracket(a, b).items()
+        ((u, cu),), ((v, cv),) = a, b
+        got = _hall_bracket(u, v)
+        c = cu * cv
+        return got if c == 1 else tuple((w, c * k) for w, k in got)
     raise InputError(f"not a bracket expression: {expr!r}")
 
 

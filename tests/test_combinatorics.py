@@ -10,7 +10,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flab import combinatorics as comb
@@ -172,6 +172,7 @@ def _dependence_cases(draw):
 
 @settings(max_examples=250, deadline=None)
 @given(_dependence_cases())
+@example((4096, 2, 3, (2048, 1)))  # odometer route, witness (1, 0) ends in exponent 0
 def test_dependence_and_d_set_match_the_odometer_oracle(case):
     n, q, r, seq = case
     p = params(n, q, r)
@@ -280,6 +281,19 @@ def test_searches_past_the_step_cap_are_refused(call):
     with pytest.raises(CapacityError, match="SEARCH_STEP_CAP = 16777216"):
         call()
     assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("n, q, r", [
+    (4_099, 4_098, 2),  # 4,098 powers: the odometer route, 4,098 * 4,097 steps
+    (10**9 + 7, 5_000, 2),  # past BITSET_MAX_N
+])
+def test_d_set_refuses_before_building_the_inverses(monkeypatch, n, q, r):
+    def inverses(*args):
+        pytest.fail("the inverses were built before the step cap was checked")
+
+    monkeypatch.setattr(comb, "_inverses", inverses)
+    with pytest.raises(CapacityError, match="SEARCH_STEP_CAP = 16777216"):
+        d_set((1,), params(n, q, r))
 
 
 def test_a_length_1_search_walks_a_whole_table_under_the_step_cap():

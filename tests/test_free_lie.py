@@ -117,6 +117,149 @@ def test_normalize_rejects_non_binary():
         fl.normalize("x")
 
 
+def test_normalize_takes_words_elements_and_lists_inside_trees():
+    rng = random.Random(17)
+    for _ in range(40):
+        left, right = (gen_tree(rng, [X, Y, Z], rng.randrange(1, 5)) for _ in range(2))
+        want = fl.normalize((left, right))
+        assert fl.normalize([left, right]) == want
+        assert fl.normalize((fl.normalize(left), right)) == want
+        assert fl.normalize((left, fl.normalize(right))) == want
+        words = fl.normalize(left).terms
+        if len(words) == 1 and next(iter(words.values())) == 1:
+            assert fl.normalize((next(iter(words)), right)) == want
+    elem = fl.normalize(((X, Y), Z))
+    assert fl.normalize(elem) is elem
+    with pytest.raises(InputError, match="bracket trees are binary; use nested pairs"):
+        fl.normalize(((X, Y), (X, Y, Z)))
+    with pytest.raises(InputError, match="not a bracket expression: 'x'"):
+        fl.normalize((X, "x"))
+
+
+# --- normalization oracles ---
+
+MERSENNE_61 = (1 << 61) - 1
+FOUR_GENERATORS = [fl.IndexedGenerator("x", 1), fl.IndexedGenerator("x", 2),
+                   fl.IndexedGenerator("y", 1), fl.IndexedGenerator("z", 3)]
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % MERSENNE_61 for col in zip(*b))
+                 for row in a)
+
+
+def commutator(a, b):
+    ab, ba = _mat_mul(a, b), _mat_mul(b, a)
+    return tuple(tuple((x - y) % MERSENNE_61 for x, y in zip(r, s)) for r, s in zip(ab, ba))
+
+
+class MatrixEvaluation:
+    """Bracket trees as commutators of seeded random 4x4 matrices over
+    Z/(2**61 - 1).  The Lie ring gl_4 is a homomorphic image of the free Lie
+    ring, so a tree and its Hall normal form evaluate to the same matrix."""
+
+    def __init__(self, generators, seed):
+        rng = random.Random(seed)
+        self.mats = {g: tuple(tuple(rng.randrange(MERSENNE_61) for _ in range(4))
+                              for _ in range(4)) for g in generators}
+        self.words = {}  # Hall word -> matrix
+
+    def tree(self, tree):
+        if isinstance(tree, fl.IndexedGenerator):
+            return self.mats[tree]
+        return commutator(self.tree(tree[0]), self.tree(tree[1]))
+
+    def word(self, word):
+        got = self.words.get(word)
+        if got is None:
+            got = self.words[word] = (self.mats[word.gen] if word.is_leaf else
+                                      commutator(self.word(word.left), self.word(word.right)))
+        return got
+
+    def element(self, elem):
+        total = [[0] * 4 for _ in range(4)]
+        for word, c in elem.terms.items():
+            for row, mrow in zip(total, self.word(word)):
+                for j, x in enumerate(mrow):
+                    row[j] = (row[j] + c * x) % MERSENNE_61
+        return tuple(map(tuple, total))
+
+
+def reference_normalize(tree, memo):
+    """The earlier kernel's normalization, kept as an oracle: one dict per
+    subtree, and every bracket of Hall words memoized, trivial ones too."""
+    if isinstance(tree, fl.IndexedGenerator):
+        return {fl.HallWord.leaf(tree): 1}
+    return reference_bracket(reference_normalize(tree[0], memo),
+                              reference_normalize(tree[1], memo), memo)
+
+
+def reference_bracket(a, b, memo):
+    out = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            for w, c in reference_hall_bracket(u, v, memo).items():
+                out[w] = out.get(w, 0) + cu * cv * c
+    return {w: c for w, c in out.items() if c}
+
+
+def reference_hall_bracket(u, v, memo):
+    if u is v:
+        return {}
+    if u < v:
+        return {w: -c for w, c in reference_hall_bracket(v, u, memo).items()}
+    if (u, v) not in memo:
+        if u.is_leaf or u.right <= v:
+            memo[(u, v)] = {fl.HallWord.node(u, v): 1}
+        else:
+            # [[u1,u2],v] = [[u1,v],u2] + [u1,[u2,v]]
+            acc = reference_bracket(reference_hall_bracket(u.left, v, memo),
+                                     {u.right: 1}, memo)
+            for w, c in reference_bracket({u.left: 1}, reference_hall_bracket(
+                    u.right, v, memo), memo).items():
+                acc[w] = acc.get(w, 0) + c
+            memo[(u, v)] = {w: c for w, c in acc.items() if c}
+    return memo[(u, v)]
+
+
+def _has_square(tree):
+    return isinstance(tree, tuple) and (tree[0] == tree[1] or _has_square(tree[0])
+                                        or _has_square(tree[1]))
+
+
+def oracle_trees(seed, count):
+    """count trees on FOUR_GENERATORS, weights 2-8 in turn, redrawn while
+    they hold a bracket [t, t], which would make them 0 at once."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        tree = gen_tree(rng, FOUR_GENERATORS, 2 + i % 7)
+        while _has_square(tree):
+            tree = gen_tree(rng, FOUR_GENERATORS, 2 + i % 7)
+        out.append(tree)
+    return out
+
+
+def test_normalize_agrees_with_matrix_commutators():
+    evaluate = MatrixEvaluation(FOUR_GENERATORS, "gl4")
+    for tree in oracle_trees("matrix-oracle", 350):
+        assert evaluate.element(fl.normalize(tree)) == evaluate.tree(tree), tree
+
+
+def test_normalize_agrees_with_the_reference_kernel():
+    memo = {}
+    for tree in oracle_trees("reference-oracle", 350):
+        assert fl.normalize(tree).terms == reference_normalize(tree, memo), tree
+
+
+def test_bracket_memo_holds_only_hall_rewrites():
+    for tree in oracle_trees("memo-contents", 200):
+        fl.normalize(tree)
+    assert fl._BRACKET_MEMO
+    for u, v in fl._BRACKET_MEMO:
+        assert u > v and not u.is_leaf and u.right > v, (u, v)
+
+
 # --- interned Hall words ---
 
 
