@@ -4,9 +4,10 @@ invariant_normal_subgroups against the full subgroup lattice, filtered.
 Every field action GF(p^k) of order at most 128 is checked under {f, h},
 {h} and each power f^d with d a proper divisor of p^k - 1.  Every builder
 group of order at most 128 (cyclic, dihedral, elementary abelian,
-Heisenberg, Q8 and the direct products of two named groups) is checked
-under all of its inner automorphisms together and, when it is not
-abelian, under each inner automorphism alone.  For each automorphism set
+Heisenberg, Q8, the direct products of two named groups, and S4: the list
+builder_groups of tests/test_group_engine.py) is checked under all of its
+inner automorphisms together and, when it is not abelian, under each inner
+automorphism alone.  For each automorphism set
 the script compares invariant_subgroups with the subgroups of
 all_subgroups that every automorphism maps onto themselves, and
 invariant_normal_subgroups with those of them that are normal.  It exits
@@ -22,35 +23,16 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
-from flab import group_engine as ge
-from flab.rings import factorize, is_prime
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from test_group_engine import builder_groups  # noqa: E402
+
+from flab import group_engine as ge  # noqa: E402
+from flab.rings import factorize, is_prime  # noqa: E402
 
 LIMIT = 128
-
-
-def builder_groups():
-    out = {}
-    for n in range(1, LIMIT + 1):
-        out[f"C{n}"] = lambda n=n: ge.cyclic_group(n)
-    for n in range(1, LIMIT // 2 + 1):
-        out[f"D{2 * n}"] = lambda n=n: ge.dihedral_group(n)
-    for p in range(2, LIMIT + 1):
-        if is_prime(p):
-            k = 2
-            while p**k <= LIMIT:
-                out[f"E{p}^{k}"] = lambda p=p, k=k: ge.elementary_abelian_group(p, k)
-                k += 1
-            if p**3 <= LIMIT:
-                out[f"Heis{p}"] = lambda p=p: ge.heisenberg_group(p)
-    out["Q8"] = ge.quaternion_group
-    names = sorted(ge.NAMED_GROUPS)
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            if ge.named_group(a).order * ge.named_group(b).order <= LIMIT:
-                out[f"{a}x{b}"] = lambda a=a, b=b: ge.direct_product(
-                    ge.named_group(a), ge.named_group(b))
-    return out
 
 
 def field_cases():
@@ -76,7 +58,7 @@ def _divisors(n: int) -> list[int]:
 
 
 def builder_cases():
-    for name, build in builder_groups().items():
+    for name, build in builder_groups(LIMIT).items():
         G = build()
         inner = {}  # one conjugating element per distinct inner automorphism
         for g in range(G.order):

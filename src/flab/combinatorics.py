@@ -176,20 +176,33 @@ def _powers(n: int, q: int, r: int) -> tuple[int, ...]:
     Past that e the powers only repeat, and an exponent there can be
     replaced by the smaller j with the same power and the same zero or
     nonzero status: no first witness, reach set or D-set needs it.  The
-    table raises CapacityError as soon as it passes POWERS_CAP.
+    table raises CapacityError when it would pass POWERS_CAP.
+
+    For a unit r the powers r, r**2, ... are distinct up to r**ord(r) = 1,
+    and the next one is r again, so the table ends at that 1 and needs no
+    record of the powers seen.
     """
     out = [1]
-    seen = set()
     p = 1
-    for _ in range(q - 1):
-        p = p * r % n
-        if p in seen:
-            break
-        if len(out) == POWERS_CAP:
-            raise CapacityError(
-                f"(n, q, r) = ({n}, {q}, {r}): r has over POWERS_CAP = {POWERS_CAP} powers mod n")
-        seen.add(p)
-        out.append(p)
+    steps = min(q - 1, POWERS_CAP)  # one more power than the cap admits
+    if math.gcd(r, n) == 1:
+        one = 1 % n
+        for _ in range(steps):
+            p = p * r % n
+            out.append(p)
+            if p == one:
+                break
+    else:
+        seen = set()
+        for _ in range(steps):
+            p = p * r % n
+            if p in seen:
+                break
+            seen.add(p)
+            out.append(p)
+    if len(out) > POWERS_CAP:
+        raise CapacityError(
+            f"(n, q, r) = ({n}, {q}, {r}): r has over POWERS_CAP = {POWERS_CAP} powers mod n")
     return tuple(out)
 
 

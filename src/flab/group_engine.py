@@ -52,7 +52,6 @@ EXHAUSTIVE_CAP = 512
 # 5*m^2) both stay below 2^37, far inside int64.
 BCH_CAP = 1 << 17
 _BCH_BLOCK = 1 << 12  # products per batch, so numpy temporaries stay small
-WELLDEF_CAP = 64  # coset-representative sweeps stay exhaustive up to here
 _ASSOC_BLOCK = 1 << 18  # table entries compared per row block in Light's test
 
 
@@ -528,7 +527,23 @@ def is_normal(G, S) -> bool:
 
 
 def commutator_subgroup(G, A, B) -> frozenset:
-    return subgroup_closure(G, {G.commutator(a, b) for a in A for b in B})
+    """[A, B], the subgroup generated by every [a, b] = a^-1 b^-1 a b, built
+    from greedy generating sets X of A and Y of B as the least subgroup N
+    holding every [x, y] and mapped into itself by conjugation with X and Y.
+
+    N lies in [A, B]: [A, B] holds every [x, y] and is normal in <A, B>,
+    since [a, b]^c = [ac, b] [c, b]^-1 for c in A, and likewise for c in B.
+    [A, B] lies in N: N is normal in <X, Y> = <A, B>, and the identities
+    [x x', y] = [x, y]^x' [x', y] and [a, y y'] = [a, y'] [a, y]^y' put
+    every [a, y] in N by induction on the length of a as a word in X, then
+    every [a, b] by induction on the length of b as a word in Y (in a finite
+    group the inverses are positive powers).  Refuses an A or B that is not
+    a subgroup, which the walk for X or Y sees.
+    """
+    X = _generating_set(G, A, "A")
+    Y = _generating_set(G, B, "B")
+    seed = {G.commutator(x, y) for x in X for y in Y}
+    return _normal_closure_by_generators(G, seed, X + Y)
 
 
 def power_subgroup(G, S, k: int) -> frozenset:
@@ -600,9 +615,20 @@ def sylow_subgroup(G, p: int) -> frozenset:
 
 
 def all_sylow_subgroups(G, p: int) -> list[frozenset]:
-    """Every Sylow p-subgroup, as the conjugates of one of them."""
+    """Every Sylow p-subgroup: the orbit of one of them under conjugation
+    by a generating set of G, which is all of them because G acts
+    transitively on its Sylow p-subgroups (Sylow's theorem)."""
+    gens = _generating_set(G)
     P = sylow_subgroup(G, p)
-    out = {frozenset(G.conjugate(g, x) for x in P) for g in range(G.order)}
+    out = {P}
+    stack = [P]
+    while stack:
+        Q = stack.pop()
+        for g in gens:
+            R = frozenset(G.conjugate(g, x) for x in Q)
+            if R not in out:
+                out.add(R)
+                stack.append(R)
     return sorted(out, key=sorted)
 
 
@@ -662,15 +688,20 @@ def _orbits(n: int, perms) -> list[tuple[int, ...]]:
     return orbit_of
 
 
-def _generating_set(G) -> list[int]:
-    """Greedy generators of G: each id outside the closure so far joins
-    and at least doubles it, so there are at most log2|G| of them."""
+def _generating_set(G, S=None, name="S") -> list[int]:
+    """Greedy generators of the subgroup S, all of G by default, walking
+    sorted(S): each id outside the closure so far joins and at least
+    doubles it, so there are at most log2|S| of them.  The closure ends as
+    <S>, so an S that is not a subgroup is refused by name."""
+    ids = range(G.order) if S is None else sorted(set(S))
     gens: list[int] = []
     span = frozenset({G.identity})
-    for x in range(G.order):
+    for x in ids:
         if x not in span:
             gens.append(x)
             span = subgroup_closure(G, gens)
+    if len(span) != len(ids):  # ids lie in span, so only a larger span differs
+        raise InputError(f"{name} is not a subgroup: its {len(ids)} ids generate {len(span)}")
     return gens
 
 
@@ -1412,32 +1443,18 @@ def _generated_subalgebra(L: GradedLieRing, seeds) -> Subspace:
         S = nxt
 
 
-def _check_bracket_welldefined(G, filt, components, block_start, info, lie) -> None:
-    terms = filt.terms
-    top = len(terms) - 1
-    rank = lie.rank
-    for a in range(rank):
-        da, ea = info[a]
-        members_a = [G.mul(ea, t) for t in terms[da]]
-        for b in range(a + 1, rank):
-            db, eb = info[b]
-            expected = lie.structure_constant(a, b)
-            target = da + db
-            for x in members_a:
-                for y in (G.mul(eb, t) for t in terms[db]):
-                    c = G.commutator(x, y)
-                    vec = [0] * rank
-                    if target <= top:
-                        start = block_start[target]
-                        for t, cf in enumerate(components[target].coords_of[c]):
-                            vec[start + t] = cf
-                    if tuple(vec) != tuple(expected):
-                        raise RuntimeError("bracket is not well defined on cosets")
-
-
 def lazard_algebra(G, p: int) -> DLAlgebra:
-    """Graded algebra on the filtration quotients; bracket well-definedness
-    is recomputed across all coset representatives for small groups."""
+    """Graded algebra on the filtration quotients, with the bracket of two
+    basis cosets read off the commutator of their representatives.
+
+    The bracket is well defined on cosets at every order, because
+    jz_filtration checks [D_i, D_j] <= D_(i+j) exactly (_check_filtration_laws).
+    For x in D_i, y in D_j and u in D_(i+1), [xu, y] = [x, y][x, y, u][u, y]
+    with [x, y, u] in D_(2i+j+1) and [u, y] in D_(i+j+1), so [xu, y] and
+    [x, y] agree modulo D_(i+j+1); likewise in y.  The same expansion with u
+    in D_i makes the bracket additive in each argument, so the brackets of
+    basis cosets determine it.
+    """
     filt = jz_filtration(G, p)
     if not filt.terms:
         raise InputError("the trivial group has no graded pieces")
@@ -1475,8 +1492,6 @@ def lazard_algebra(G, p: int) -> DLAlgebra:
     report = validate(lie)
     if not report.valid:
         raise RuntimeError("commutator brackets must satisfy the Lie laws")
-    if G.order <= WELLDEF_CAP:
-        _check_bracket_welldefined(G, filt, components, block_start, info, lie)
     first_block = [
         lie.basis_vector(i) for i in range(rank) if degrees[i] == 1
     ]

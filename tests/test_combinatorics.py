@@ -221,6 +221,31 @@ def _distinct_powers(n, r):
     return len(seen)
 
 
+def powers_by_seen_set(n, q, r):
+    """Oracle: r**e mod n for 0 <= e < q up to the first power of e >= 1
+    that was already seen at some 1 <= j < e."""
+    out, seen, p = [1], set(), 1
+    for _ in range(q - 1):
+        p = p * r % n
+        if p in seen:
+            break
+        seen.add(p)
+        out.append(p)
+    return tuple(out)
+
+
+def test_powers_tables_match_the_seen_set_definition():
+    # a table never exceeds n + 1 entries, so q = n + 2 reaches every length
+    for n in range(1, 101):
+        for r in range(n):
+            full = powers_by_seen_set(n, n + 2, r)
+            for q in range(1, n + 3):
+                assert comb._powers(n, q, r) == full[:q], (n, q, r)
+    # a unit stops at r**ord(r) = 1: 4 has order 500,001 mod 1,000,003
+    table = comb._powers(1_000_003, 1_000_002, 4)
+    assert len(table) == 500_002 and table[-1] == 1
+
+
 def test_exponents_past_the_first_repeated_power_change_nothing():
     # q from one past the powers' cycle to three times it, units and non-units
     for n in (6, 7, 8, 9, 10, 12):

@@ -202,6 +202,77 @@ def test_sylow_structure():
     assert ge.all_sylow_subgroups(G, 2) == [S2]
 
 
+def commutator_subgroup_by_pairs(G, A, B) -> frozenset:
+    """Oracle: the subgroup generated by every commutator [a, b] with a in
+    A and b in B."""
+    return ge.subgroup_closure(G, {G.commutator(a, b) for a in A for b in B})
+
+
+def sylow_class_by_conjugates(G, p: int) -> list[frozenset]:
+    """Oracle: the conjugates of one Sylow p-subgroup by every element."""
+    P = ge.sylow_subgroup(G, p)
+    return sorted({frozenset(G.conjugate(g, x) for x in P) for g in range(G.order)},
+                  key=sorted)
+
+
+def builder_groups(limit: int) -> dict:
+    """name -> builder for every builder group of order at most limit:
+    cyclic, dihedral, elementary abelian, Heisenberg, Q8, the direct
+    products of two named groups, and S4 from permutations."""
+    out = {}
+    for n in range(1, limit + 1):
+        out[f"C{n}"] = lambda n=n: ge.cyclic_group(n)
+    for n in range(1, limit // 2 + 1):
+        out[f"D{2 * n}"] = lambda n=n: ge.dihedral_group(n)
+    for p in range(2, limit + 1):
+        if ge.is_prime(p):
+            k = 2
+            while p**k <= limit:
+                out[f"E{p}^{k}"] = lambda p=p, k=k: ge.elementary_abelian_group(p, k)
+                k += 1
+            if p**3 <= limit:
+                out[f"Heis{p}"] = lambda p=p: ge.heisenberg_group(p)
+    out["Q8"] = ge.quaternion_group
+    names = sorted(ge.NAMED_GROUPS)
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            if ge.named_group(a).order * ge.named_group(b).order <= limit:
+                out[f"{a}x{b}"] = lambda a=a, b=b: ge.direct_product(
+                    ge.named_group(a), ge.named_group(b))
+    if limit >= 24:
+        out["S4"] = lambda: ge.group_from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
+    return out
+
+
+def test_commutator_subgroups_and_sylow_classes_match_the_all_element_definitions():
+    pairs = classes = 0
+    for name, build in builder_groups(24).items():
+        G = build()
+        subgroups = ge.all_subgroups(G)
+        for A in subgroups:
+            for B in subgroups:
+                assert ge.commutator_subgroup(G, A, B) == commutator_subgroup_by_pairs(
+                    G, A, B), (name, sorted(A), sorted(B))
+                pairs += 1
+        for p in ge.factorize(G.order):
+            assert ge.all_sylow_subgroups(G, p) == sylow_class_by_conjugates(G, p), (name, p)
+            classes += 1
+    assert (pairs, classes) == (17_535, 83)  # 59 groups
+
+
+def test_commutator_subgroup_refuses_sets_that_are_not_subgroups():
+    D8 = ge.named_group("D8")
+    rot = ge.subgroup_closure(D8, [1])
+    with pytest.raises(InputError, match="A is not a subgroup: its 2 ids generate 4"):
+        ge.commutator_subgroup(D8, {0, 1}, rot)
+    with pytest.raises(InputError, match="B is not a subgroup: its 0 ids generate 1"):
+        ge.commutator_subgroup(D8, rot, set())
+    with pytest.raises(InputError, match="A is not a subgroup"):
+        ge.commutator_subgroup(D8, {1, 2, 3}, range(8))  # no identity
+    assert ge.commutator_subgroup(D8, range(8), [0, 0, 1, 2, 3]) == commutator_subgroup_by_pairs(
+        D8, range(8), rot)
+
+
 def test_is_automorphism():
     C4 = ge.cyclic_group(4)
     assert ge.is_automorphism(C4, (0, 3, 2, 1))  # inversion
@@ -434,6 +505,45 @@ def test_lazard_algebra_abelian():
     E = ge.lazard_algebra(ge.elementary_abelian_group(5, 2), 5)
     assert E.degrees == (1, 1)
     assert E.lp == E.lie.full_space()
+
+
+def coset_bracket_mismatches(A) -> int:
+    """Oracle sweep: for every pair of basis elements e_a of degree i and
+    e_b of degree j, every x in e_a D_(i+1) and y in e_b D_(j+1), count
+    the commutators [x, y] whose image differs from the bracket of the two
+    basis vectors; an image of depth past i + j is zero there."""
+    terms = A.filtration.terms
+    basis = [(d, e) for d in sorted(A._components) for e in A._components[d].basis]
+    zero = A.lie.zero_vector()
+    bad = 0
+    for a, (da, ea) in enumerate(basis):
+        for b, (db, eb) in enumerate(basis):
+            expected = list(A.lie.structure_constant(a, b))
+            for x in terms[da]:
+                for y in terms[db]:
+                    c = A.group.commutator(A.group.mul(ea, x), A.group.mul(eb, y))
+                    depth, vec = A.image(c)
+                    if depth is None or depth > da + db:
+                        vec = zero
+                    elif depth < da + db:
+                        vec = None
+                    bad += vec != expected
+    return bad
+
+
+def test_lazard_brackets_are_well_defined_on_every_coset_pair():
+    # the filtration laws imply well-definedness (see lazard_algebra); on the
+    # corpus every commutator is central, so only the larger builder p-groups
+    # send coset pairs to several members of one coset of D_(i+j+1)
+    groups = [(name, ge.named_group(name), p) for name, p in ge.P_GROUP_CORPUS]
+    for name, build in builder_groups(64).items():
+        G = build()
+        primes = list(ge.factorize(G.order))
+        if len(primes) == 1:
+            groups.append((name, G, primes[0]))
+    for name, G, p in groups:
+        assert coset_bracket_mismatches(ge.lazard_algebra(G, p)) == 0, name
+    assert len(groups) == 72
 
 
 def test_lazard_lemma_corpus():

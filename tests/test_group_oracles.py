@@ -1,6 +1,7 @@
 """sympy's permutation groups as an independent oracle for the table-group
-toolkit: centers, lower central series, nilpotency classes and Sylow
-counts of small permutation groups built with group_from_permutations."""
+toolkit: centers, lower central and derived series, nilpotency classes and
+Sylow classes of small permutation groups built with
+group_from_permutations."""
 from __future__ import annotations
 
 import json
@@ -38,14 +39,27 @@ def test_center_and_lower_central_series_match_sympy(case):
     assert series == oracle
     nilpotent = S.is_nilpotent
     assert ge.nilpotency_class(G) == (len(oracle) - 1 if nilpotent else None)
+    derived = [{perms[x] for x in term} for term in ge.derived_series_sets(G)]
+    assert derived == [{tuple(p.array_form) for p in H.elements}
+                       for H in S.derived_series()]
 
 
 @settings(max_examples=40, deadline=None)
 @given(permutation_groups())
 def test_sylow_counts_match_sympy(case):
-    G, _, S = both_sides(*case)
+    # the Sylow classes themselves, as sets of permutations
+    G, perms, S = both_sides(*case)
+    elements = [p.array_form for p in S.elements]
     for p in ge.factorize(G.order):
-        P = S.sylow_subgroup(p)
-        normalizer = sum(
-            all(P.contains(g**-1 * x * g) for x in P.generators) for g in S.elements)
-        assert len(ge.all_sylow_subgroups(G, p)) == S.order() // normalizer
+        P = [x.array_form for x in S.sylow_subgroup(p).elements]
+        oracle = {frozenset(conjugate(g, x) for x in P) for g in elements}
+        got = [frozenset(perms[x] for x in Q) for Q in ge.all_sylow_subgroups(G, p)]
+        assert len(got) == len(oracle) and set(got) == oracle
+
+
+def conjugate(g, x) -> tuple[int, ...]:
+    """The permutation g(j) -> g(x(j)), that is g x g^-1, as an array."""
+    out = [0] * len(g)
+    for j, gj in enumerate(g):
+        out[gj] = g[x[j]]
+    return tuple(out)
