@@ -44,10 +44,6 @@ def _int_pair(text: str) -> tuple[int, int]:
     return vals[0], vals[1]
 
 
-def _params(n: int, q: int, r: int) -> comb.FrobeniusParams:
-    return comb.FrobeniusParams(n, q, r)
-
-
 def _parse_generators(text: str) -> list[fl.IndexedGenerator]:
     """name or name@index entries, comma separated."""
     gens = []
@@ -157,7 +153,7 @@ def report_prim(name: str, n: int, q: int, r: int) -> VerificationReport:
 
 def report_dset(name, seq, n, q, r, expected) -> VerificationReport:
     def body():
-        found = sorted(comb.d_set(seq, _params(n, q, r)))
+        found = sorted(comb.d_set(seq, comb.FrobeniusParams(n, q, r)))
         if found == sorted(expected):
             return PASS, {"d_set": found}, None
         return VIOLATION, {"d_set": found, "expected": sorted(expected)}, \
@@ -185,7 +181,7 @@ def report_charp(name: str, g1, g2, limit: int) -> VerificationReport:
 
 def _rewrite_report(name, kind, u_indices, tail_indices, c, n, q, r, w=None):
     def body():
-        params = _params(n, q, r)
+        params = comb.FrobeniusParams(n, q, r)
         head = fl.UAtom(tuple(u_indices))
         tail = tuple(
             fl.IndexedGenerator(f"x{t}", idx) for t, idx in enumerate(tail_indices)
@@ -225,14 +221,18 @@ def report_dva(name, u_indices, tail_indices, c, n, q, r, w):
     return _rewrite_report(name, "dva", u_indices, tail_indices, c, n, q, r, w)
 
 
+def _razresh_data(rez: fl.RazreshReport) -> dict:
+    return {
+        "member": rez.member,
+        "qualifying_count": rez.qualifying_count,
+        "certificate_size": len(rez.certificate) if rez.certificate else 0,
+    }
+
+
 def report_razresh(name, c, q, n, r, indices, expect_member) -> VerificationReport:
     def body():
-        rez = fl.razresh_membership(c, q, _params(n, q, r), indices)
-        witness = {
-            "member": rez.member,
-            "qualifying_count": rez.qualifying_count,
-            "certificate_size": len(rez.certificate) if rez.certificate else 0,
-        }
+        rez = fl.razresh_membership(c, q, comb.FrobeniusParams(n, q, r), indices)
+        witness = _razresh_data(rez)
         if rez.member == expect_member:
             return PASS, witness, None
         return VIOLATION, witness, "membership answer differs from the expected one"
@@ -255,7 +255,7 @@ def report_lie_validate(name: str, data) -> VerificationReport:
 def report_selective(name, data, c, n, q, r) -> VerificationReport:
     def body():
         L = gl.GradedLieRing.from_json(data)
-        holds, witness = gl.check_selective_nilpotency(L, c, _params(n, q, r))
+        holds, witness = gl.check_selective_nilpotency(L, c, comb.FrobeniusParams(n, q, r))
         if holds:
             return PASS, {"c": c}, None
         return VIOLATION, {
@@ -369,17 +369,22 @@ def report_powerful(name: str, group_name: str, p: int, expected: bool) -> Verif
     return report_check(name, body)
 
 
-def _bch_data(p: int, m: int, sweep: bool) -> dict:
-    ex = gl.example_pm(p, m)
-    lz = ge.lazard_group_from_lie(ex.lie, automorphisms=ex.f + (ex.h,))
+def _lazard_data(lz: ge.LazardGroup) -> dict:
     P = lz.group
-    out = {
+    return {
         "order": P.order,
         "modulus": P.modulus,
         "rank": P.rank,
         "lie_class": lz.lie_class,
         "group_class": ge.bch_nilpotency_class(P),
     }
+
+
+def _bch_data(p: int, m: int, sweep: bool) -> dict:
+    ex = gl.example_pm(p, m)
+    lz = ge.lazard_group_from_lie(ex.lie, automorphisms=ex.f + (ex.h,))
+    P = lz.group
+    out = _lazard_data(lz)
     if sweep:
         fixed_f = ge.fixed_points(P, lz.transported[:3])
         fixed_h = ge.fixed_points(P, (lz.transported[3],))
@@ -408,7 +413,7 @@ def report_bch_pm(name: str, p: int, m: int, sweep: bool = True) -> Verification
 
 
 def cmd_rdep(args):
-    params = _params(args.n, args.q, args.r)
+    params = comb.FrobeniusParams(args.n, args.q, args.r)
     dependent, witness = comb.is_r_dependent(_int_list(args.seq), params)
     return "data", {
         "dependent": dependent,
@@ -417,7 +422,7 @@ def cmd_rdep(args):
 
 
 def cmd_dset(args):
-    params = _params(args.n, args.q, args.r)
+    params = comb.FrobeniusParams(args.n, args.q, args.r)
     found = comb.d_set(_int_list(args.seq), params, method=args.method)
     return "data", {"d_set": sorted(found)}
 
@@ -479,15 +484,11 @@ def cmd_free_delta(args):
 
 
 def cmd_free_razresh(args):
-    params = _params(args.n, args.q, args.r)
+    params = comb.FrobeniusParams(args.n, args.q, args.r)
     rez = fl.razresh_membership(
         args.c, args.q, params, _int_list(args.indices), args.weight_cap
     )
-    return "data", {
-        "member": rez.member,
-        "qualifying_count": rez.qualifying_count,
-        "certificate_size": len(rez.certificate) if rez.certificate else 0,
-    }
+    return "data", _razresh_data(rez)
 
 
 def cmd_group_build(args):
@@ -526,15 +527,7 @@ def cmd_group_bch(args):
     if not args.file:
         raise InputError("provide --pm or --file")
     L = gl.GradedLieRing.from_json(_load_json(args.file))
-    lz = ge.lazard_group_from_lie(L)
-    P = lz.group
-    return "data", {
-        "order": P.order,
-        "modulus": P.modulus,
-        "rank": P.rank,
-        "lie_class": lz.lie_class,
-        "group_class": ge.bch_nilpotency_class(P),
-    }
+    return "data", _lazard_data(ge.lazard_group_from_lie(L))
 
 
 # --- check command handlers: return ("reports", [VerificationReport]) ---

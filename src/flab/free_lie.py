@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,17 +29,11 @@ REASON_INDEPENDENT = "r-independent (c+1)-bracket"
 REASON_ENGEL = "w equal high-order indices"
 
 
-def _configured_weight_cap() -> int:
-    raw = os.environ.get("FLAB_WEIGHT_CAP")
-    if raw is None:
-        return 8
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"FLAB_WEIGHT_CAP={raw!r} is not an integer") from None
-    if cap < 1:
-        raise InputError("FLAB_WEIGHT_CAP must be at least 1")
-    return cap
+# the default cap on word weights in hall_basis and razresh_membership
+WEIGHT_CAP = 8
+# razresh_membership enumerates (2m - 3)!! trees of weight m: 15 at weight 4,
+# 135,135 at weight 8, whose normalization alone takes about 20 s
+RAZRESH_TREE_CAP = 10_000
 
 
 @dataclass(frozen=True, order=True)
@@ -295,7 +288,7 @@ def hall_basis(
     >>> [w.weight for w in hall_basis([a, b], 2)]
     [1, 1, 2]
     """
-    cap = _configured_weight_cap() if cap is None else cap
+    cap = WEIGHT_CAP if cap is None else cap
     if max_weight < 1:
         raise InputError("max_weight must be at least 1")
     if max_weight > cap:
@@ -714,22 +707,27 @@ def razresh_membership(
 
     f is read off len(indices) = 2**f; the span check is exact over the
     rationals, and a found certificate is re-verified by normalization.
+    A weight with more than RAZRESH_TREE_CAP trees is refused before any
+    tree is built.
     """
     if q != params.q:
         raise InputError("q must match params.q")
     if c < 0:
         raise InputError("c must be nonnegative")
-    configured = _configured_weight_cap()
     if weight_cap is None:
-        weight_cap = configured
-    if weight_cap > configured:
-        raise CapacityError(f"weight_cap {weight_cap} exceeds cap {configured}")
+        weight_cap = WEIGHT_CAP
+    if weight_cap > WEIGHT_CAP:
+        raise CapacityError(f"weight_cap {weight_cap} exceeds cap {WEIGHT_CAP}")
     m = len(indices)
     f = m.bit_length() - 1
     if m < 2 or m != 2**f:
         raise InputError("need 2**f indices with f >= 1")
     if m > weight_cap:
         raise CapacityError(f"weight {m} exceeds weight_cap {weight_cap}")
+    trees = math.prod(range(1, 2 * m - 2, 2))  # (2m - 3)!!
+    if trees > RAZRESH_TREE_CAP:
+        raise CapacityError(
+            f"weight {m} has {trees} trees, above RAZRESH_TREE_CAP {RAZRESH_TREE_CAP}")
     n = params.n
     if any(i % n == 0 for i in indices):
         raise InputError("indices must be nonzero")

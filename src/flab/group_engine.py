@@ -692,8 +692,12 @@ def _generating_set(G, S=None, name="S") -> list[int]:
     """Greedy generators of the subgroup S, all of G by default, walking
     sorted(S): each id outside the closure so far joins and at least
     doubles it, so there are at most log2|S| of them.  The closure ends as
-    <S>, so an S that is not a subgroup is refused by name."""
+    <S>, so an S that is not a subgroup is refused by name.  The walk is
+    deterministic and G immutable, so G's own set is kept on G."""
     ids = range(G.order) if S is None else sorted(set(S))
+    whole = S is None or ids == list(range(G.order))
+    if whole and "_own_generators" in vars(G):
+        return list(G._own_generators)
     gens: list[int] = []
     span = frozenset({G.identity})
     for x in ids:
@@ -702,6 +706,8 @@ def _generating_set(G, S=None, name="S") -> list[int]:
             span = subgroup_closure(G, gens)
     if len(span) != len(ids):  # ids lie in span, so only a larger span differs
         raise InputError(f"{name} is not a subgroup: its {len(ids)} ids generate {len(span)}")
+    if whole:
+        G._own_generators = tuple(gens)
     return gens
 
 

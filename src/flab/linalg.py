@@ -1,21 +1,21 @@
 """Exact linear algebra over the supported coefficient rings.
 
 Fields use Gaussian elimination to reduced row echelon form.  Z uses the
-Hermite normal form, Z/m the Howell normal form, and the cyclotomic ring is
-handled by restriction of scalars to Z (one lattice coordinate per power of
-the root of unity).  All forms are canonical, so subspaces compare by their
-stored rows.  Determinants and adjugates come from the characteristic
-polynomial by Berkowitz's algorithm, which never divides and so works over
-every ring here, fields or not.
+Hermite normal form, and Z/m the Howell normal form, which is read off the
+Hermite form of the rows together with m times the unit vectors.  The
+cyclotomic ring is handled by restriction of scalars to Z (one lattice
+coordinate per power of the root of unity).  All forms are canonical, so
+subspaces compare by their stored rows.  Determinants and adjugates come
+from the characteristic polynomial by Berkowitz's algorithm, which never
+divides and so works over every ring here, fields or not.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .rings import CyclotomicRing, Ring, xgcd
+from .rings import CyclotomicRing, RationalsRing, Ring, xgcd
 
 # ---------------------------------------------------------------------------
 # field elimination
@@ -110,13 +110,19 @@ def field_kernel(ring: Ring, mat: Sequence[Sequence], width: int) -> list[list]:
 # integer lattices (Hermite normal form)
 
 
-def _hermite(mat: list[list[int]], width: int) -> tuple[list[list[int]], list[list[int]]]:
+def _hermite(mat: list[list[int]], width: int, modulus: int = 0) -> tuple[list[list[int]], list[list[int]]]:
     """Hermite elimination of integer rows on the first `width` columns.
 
     Returns (pivot rows, leftover rows): the pivot rows have positive
     pivots and reduced entries above them; the leftover rows vanish on the
-    first `width` columns.  Zero rows are dropped.
+    first `width` columns.  Zero rows are dropped.  A modulus D > 0 adds
+    the rows D*e_j and reduces rows mod D past the column being eliminated,
+    which bounds the entries and not the lattice: a row D*e_j is zero before
+    column j, so it is untouched until then and its multiples may be subtracted.
     """
+    if modulus:
+        mat = [[x % modulus for x in r] for r in mat]
+        mat += [[modulus if j == i else 0 for j in range(width)] for i in range(width)]
     mat = [r for r in mat if any(r)]
     out: list[list[int]] = []
     for col in range(width):
@@ -133,6 +139,9 @@ def _hermite(mat: list[list[int]], width: int) -> tuple[list[list[int]], list[li
                 [s * x + t * y for x, y in zip(piv, r)],
                 [(a // g) * y - (b // g) * x for x, y in zip(piv, r)],
             )
+            if modulus:
+                piv = piv[:col + 1] + [x % modulus for x in piv[col + 1:]]
+                r = [x % modulus for x in r]
             if any(r):
                 mat.append(r)
         if piv[col] < 0:
@@ -145,9 +154,11 @@ def _hermite(mat: list[list[int]], width: int) -> tuple[list[list[int]], list[li
     return out, mat
 
 
-def hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Canonical row Hermite normal form; zero rows dropped."""
-    return _hermite([list(map(int, r)) for r in rows], len(rows[0]) if rows else 0)[0]
+def hnf(rows: Sequence[Sequence[int]], modulus: int = 0) -> list[list[int]]:
+    """Canonical row Hermite normal form of the rows, and of modulus*Z^w
+    too when a modulus is given; zero rows dropped."""
+    width = len(rows[0]) if rows else 0
+    return _hermite([list(map(int, r)) for r in rows], width, modulus)[0]
 
 
 def hnf_with_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -163,8 +174,6 @@ def hnf_with_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
 
 def int_right_kernel(mat: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     """Basis of {x in Z^width : mat @ x == 0}."""
-    if not mat:
-        return [[1 if j == i else 0 for j in range(width)] for i in range(width)]
     transpose = [[mat[r][c] for r in range(len(mat))] for c in range(width)]
     h, u = hnf_with_transform(transpose)
     return [urow for hrow, urow in zip(h, u) if not any(hrow)]
@@ -210,75 +219,22 @@ def int_solve(mat: Sequence[Sequence[int]], target: Sequence[int]):
 # Z/m modules (Howell normal form)
 
 
-def _unit_scaling(a: int, m: int) -> tuple[int, int]:
-    """(g, u) with g = gcd(a, m) and u a unit mod m such that u*a = g mod m."""
-    g = math.gcd(a % m, m)
-    if g == 0:
-        return m, 1
-    ap, mp = (a % m) // g, m // g
-    v = pow(ap, -1, mp) if mp > 1 else 1
-    u = v
-    while math.gcd(u, m) != 1:
-        u += mp
-    return g, u % m
-
-
-def _mod_echelon(rows: list[list[int]], m: int) -> list[list[int]]:
-    mat = [r for r in rows if any(r)]
-    width = len(rows[0]) if rows else 0
-    out: list[list[int]] = []
-    for col in range(width):
-        live = [r for r in mat if r[col] != 0]
-        if not live:
-            continue
-        piv = live[0]
-        mat.remove(piv)
-        for r in live[1:]:
-            mat.remove(r)
-            a, b = piv[col], r[col]
-            g, s, t = xgcd(a, b)
-            # the 2x2 transform [[s, t], [-b//g, a//g]] has determinant 1
-            piv, r = (
-                [(s * x + t * y) % m for x, y in zip(piv, r)],
-                [((a // g) * y - (b // g) * x) % m for x, y in zip(piv, r)],
-            )
-            if any(r):
-                mat.append(r)
-        out.append(piv)
-    return out
-
-
 def howell(rows: Sequence[Sequence[int]], m: int) -> list[list[int]]:
-    """Canonical Howell normal form of the row module over Z/m."""
-    cur = _mod_echelon([[int(x) % m for x in r] for r in rows], m)
-    width = len(rows[0]) if rows else 0
-    for _ in range(width + 2):
-        extras = []
-        for row in cur:
-            col = next(j for j, x in enumerate(row) if x)
-            z = m // math.gcd(row[col], m)
-            extra = [(z * x) % m for x in row]
-            if any(extra):
-                extras.append(extra)
-        nxt = _mod_echelon(cur + extras, m)
-        if nxt == cur:
-            break
-        cur = nxt
-    else:
-        raise RuntimeError("Howell iteration failed to stabilize")
-    # normalize pivots to divisors of m, reduce entries above each pivot
-    out = []
-    for row in cur:
-        col = next(j for j, x in enumerate(row) if x)
-        g, u = _unit_scaling(row[col], m)
-        out.append([(u * x) % m for x in row])
-    for i in range(len(out)):
-        for k in range(i + 1, len(out)):
-            col = next(j for j, x in enumerate(out[k]) if x)
-            q = out[i][col] // out[k][col]
-            if q:
-                out[i] = [(x - q * y) % m for x, y in zip(out[i], out[k])]
-    return out
+    """Canonical Howell normal form of the row module over Z/m: the Hermite
+    form H of the lattice L spanned by the rows and m*Z^w, less its rows
+    m*e_j (Howell 1986; Storjohann 2000, ch. 4).
+
+    L has full rank, so row j of H has its pivot d_j in column j; d_j
+    divides m, as m*e_j lies in L, and every entry lies in [0, m), being
+    reduced below the pivot of its column.  A row with d_j = m is m*e_j,
+    since their difference is a combination of the rows below that its
+    reduced entries force to be 0; it is 0 mod m.  The kept rows have the
+    Howell property: a module element whose first k coordinates are 0 lifts
+    to a vector of L, and subtracting multiples of m*e_1, ..., m*e_k makes
+    those coordinates exactly 0; as H is echelon, that vector combines the
+    rows of H with pivot past column k.
+    """
+    return [r for j, r in enumerate(hnf(rows, m)) if r[j] != m]
 
 
 def howell_contains(h: Sequence[Sequence[int]], vec: Sequence[int], m: int) -> bool:
@@ -401,8 +357,7 @@ class Subspace:
             m = self.ring.modulus
             total = 1
             for row in self.rows:
-                col = next(j for j, x in enumerate(row) if x)
-                total *= m // math.gcd(row[col], m)
+                total *= m // next(x for x in row if x)
             return total
         return None
 
@@ -447,14 +402,13 @@ def kernel(ring: Ring, mat_rows: Sequence[Sequence], width: int) -> Subspace:
         basis = int_right_kernel(rows, width)
         return Subspace.span(ring, width, basis)
     if ring.kind == "IntegersMod":
-        m = ring.modulus
+        # the rows (M e_i, e_i) span the pairs (M x, x); by the Howell property
+        # the Howell rows vanishing on the first len(rows) coordinates span M x = 0
         nrows = len(rows)
-        if nrows == 0:
-            return Subspace.full(ring, width)
-        big = [list(r) + [m if j == i else 0 for j in range(nrows)] for i, r in enumerate(rows)]
-        ker = int_right_kernel(big, width + nrows)
-        gens = [row[:width] for row in ker]
-        return Subspace.span(ring, width, gens)
+        pairs = [[row[i] for row in rows] + [int(j == i) for j in range(width)]
+                 for i in range(width)]
+        ker = [r[nrows:] for r in howell(pairs, ring.modulus) if not any(r[:nrows])]
+        return Subspace.span(ring, width, ker)
     if ring.kind == "Cyclotomic":
         big = _cyc_block_matrix(ring, rows, width)
         ker = int_right_kernel(big, width * ring.degree)
@@ -579,10 +533,6 @@ def mat_sub(ring: Ring, a, b) -> list[list]:
 
 def frac_rational_solve(mat: Sequence[Sequence[int]], target: Sequence[int]):
     """Rational solution of mat @ x == target, or None (mat integer rows)."""
-    from .rings import RationalsRing
-
-    q = RationalsRing()
     width = len(mat[0]) if mat else 0
     cols = [[Fraction(mat[r][c]) for r in range(len(mat))] for c in range(width)]
-    coeff = field_solve(q, cols, [Fraction(t) for t in target])
-    return coeff
+    return field_solve(RationalsRing(), cols, [Fraction(t) for t in target])

@@ -182,6 +182,15 @@ def test_free_razresh(capsys):
     assert recs[0]["qualifying_count"] == 13
 
 
+def test_free_razresh_refuses_weight_8(capsys):
+    code, recs = run_json(capsys, "free", "razresh", "--c", "1",
+                          "--indices", "1,2,3,5,6,4,2,1", "--n", "7", "--q", "3",
+                          "--r", "2", "--format", "json")
+    assert code == 2
+    assert recs[0]["status"] == "capacity-error"
+    assert "RAZRESH_TREE_CAP" in recs[0]["reason"]
+
+
 def test_free_odin_bad_head(capsys):
     code, recs = run_json(capsys, "free", "odin", "--u", "7", "--tail", "2",
                           "--c", "1", "--n", "7", "--q", "3", "--r", "2",

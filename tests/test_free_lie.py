@@ -511,18 +511,38 @@ def test_razresh_input_checks():
         fl.razresh_membership(-1, 3, P732, (1, 2))
 
 
-def test_weight_cap_env(monkeypatch):
-    monkeypatch.setenv("FLAB_WEIGHT_CAP", "2")
+def test_weight_cap_parameters():
+    assert fl.WEIGHT_CAP == 8
     with pytest.raises(CapacityError):
-        fl.razresh_membership(1, 3, P732, (1, 2, 4, 1))
+        fl.razresh_membership(1, 3, P732, (1, 2, 4, 1), weight_cap=2)
+    with pytest.raises(CapacityError, match="exceeds cap 8"):
+        fl.razresh_membership(1, 3, P732, (1, 2), weight_cap=9)
     a = fl.IndexedGenerator("a")
     with pytest.raises(CapacityError):
-        fl.hall_basis([a], 3)
-    monkeypatch.setenv("FLAB_WEIGHT_CAP", "nope")
-    with pytest.raises(InputError):
-        fl.hall_basis([a], 3)
-    monkeypatch.delenv("FLAB_WEIGHT_CAP")
+        fl.hall_basis([a], 3, cap=2)
     assert len(fl.hall_basis([a], 3)) == 1
+    assert len(fl.hall_basis([a], 9, cap=9)) == 1
+
+
+def test_razresh_refuses_weight_8_before_building_trees(monkeypatch):
+    def no_trees(leaves):
+        raise AssertionError("_all_trees ran")
+
+    monkeypatch.setattr(fl, "_all_trees", no_trees)
+    with pytest.raises(CapacityError) as info:
+        fl.razresh_membership(1, 3, P732, (1, 2, 4, 1, 2, 4, 1, 3))
+    message = str(info.value)
+    assert "RAZRESH_TREE_CAP" in message and "weight 8" in message and "135135" in message
+    # weight 4 has 15 trees and is admitted
+    with pytest.raises(AssertionError, match="_all_trees ran"):
+        fl.razresh_membership(1, 3, P732, (1, 2, 4, 1))
+
+
+def test_razresh_tree_counts_are_double_factorials():
+    counts = {m: len(fl._all_trees(tuple(fl.IndexedGenerator(f"y{t}") for t in range(m))))
+              for m in (2, 3, 4, 5)}
+    assert counts == {2: 1, 3: 3, 4: 15, 5: 105}
+    assert 15 <= fl.RAZRESH_TREE_CAP < 135135
 
 
 # --- the benchmark's reads from free_lie and group_engine ---

@@ -260,6 +260,29 @@ def test_commutator_subgroups_and_sylow_classes_match_the_all_element_definition
     assert (pairs, classes) == (17_535, 83)  # 59 groups
 
 
+def test_a_groups_own_generating_set_is_walked_once(monkeypatch):
+    for G in (ge.heisenberg_group(3), ge.BCHGroup(gl.example_pm(5, 1).lie)):
+        fresh = ge._generating_set(G)
+        assert ge._generating_set(G, range(G.order)) == fresh
+        assert ge._generating_set(G, set(range(G.order)), "A") == fresh
+        cyclic = ge.subgroup_closure(G, fresh[:1])
+
+        def no_walk(*args):
+            raise AssertionError("walked G again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ge, "subgroup_closure", no_walk)
+            assert ge._generating_set(G) == fresh
+            assert ge._generating_set(G, frozenset(range(G.order))) == fresh
+            ge._generating_set(G).append(G.identity)  # the caller's copy only
+            assert ge._generating_set(G) == fresh
+            with pytest.raises(AssertionError, match="walked G again"):
+                ge._generating_set(G, cyclic)  # a proper subgroup is walked
+    # a fresh walk of the same group gives the same ids in the same order
+    G = ge.heisenberg_group(3)
+    assert ge._generating_set(G) == ge._generating_set(ge.heisenberg_group(3))
+
+
 def test_commutator_subgroup_refuses_sets_that_are_not_subgroups():
     D8 = ge.named_group("D8")
     rot = ge.subgroup_closure(D8, [1])
