@@ -1,13 +1,16 @@
 """Exact linear algebra over the supported coefficient rings.
 
-Fields use Gaussian elimination to reduced row echelon form.  Z uses the
-Hermite normal form, and Z/m the Howell normal form, which is read off the
-Hermite form of the rows together with m times the unit vectors.  The
-cyclotomic ring is handled by restriction of scalars to Z (one lattice
-coordinate per power of the root of unity).  All forms are canonical, so
-subspaces compare by their stored rows.  Determinants and adjugates come
-from the characteristic polynomial by Berkowitz's algorithm, which never
-divides and so works over every ring here, fields or not.
+Fields use Gaussian elimination to reduced row echelon form.  Every other
+ring is flattened to Z, with one coordinate per entry over Z and Z/m and
+one per power 1, w, ..., w^(d-1) over Z[w], and a submodule is one lattice of
+flattened integer rows: its Hermite normal form over Z and Z[w], its Howell
+normal form over Z/m, which is read off the Hermite form of the rows
+together with m times the unit vectors.  Kernels and solutions off a field
+come from Hermite elimination of the pairs (M e_i, e_i).  All forms are
+canonical, so subspaces compare by their stored rows.  Determinants and
+adjugates come from the characteristic polynomial by Berkowitz's
+algorithm, which never divides and so works over every ring here, fields
+or not.
 """
 from __future__ import annotations
 
@@ -107,7 +110,7 @@ def field_kernel(ring: Ring, mat: Sequence[Sequence], width: int) -> list[list]:
 
 
 # ---------------------------------------------------------------------------
-# integer lattices (Hermite normal form)
+# integer lattices: the Hermite form over Z, the Howell form over Z/m
 
 
 def _hermite(mat: list[list[int]], width: int, modulus: int = 0) -> tuple[list[list[int]], list[list[int]]]:
@@ -116,13 +119,15 @@ def _hermite(mat: list[list[int]], width: int, modulus: int = 0) -> tuple[list[l
     Returns (pivot rows, leftover rows): the pivot rows have positive
     pivots and reduced entries above them; the leftover rows vanish on the
     first `width` columns.  Zero rows are dropped.  A modulus D > 0 adds
-    the rows D*e_j and reduces rows mod D past the column being eliminated,
-    which bounds the entries and not the lattice: a row D*e_j is zero before
-    column j, so it is untouched until then and its multiples may be subtracted.
+    the rows D*e_j for every column j of the rows, and reduces rows mod D
+    past the column being eliminated, which bounds the entries and not the
+    lattice: a row D*e_j is zero before column j, so it is untouched until
+    then and its multiples may be subtracted.
     """
     if modulus:
+        n = len(mat[0]) if mat else 0
         mat = [[x % modulus for x in r] for r in mat]
-        mat += [[modulus if j == i else 0 for j in range(width)] for i in range(width)]
+        mat += [[modulus if j == i else 0 for j in range(n)] for i in range(n)]
     mat = [r for r in mat if any(r)]
     out: list[list[int]] = []
     for col in range(width):
@@ -161,64 +166,6 @@ def hnf(rows: Sequence[Sequence[int]], modulus: int = 0) -> list[list[int]]:
     return _hermite([list(map(int, r)) for r in rows], width, modulus)[0]
 
 
-def hnf_with_transform(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """(H, U) with U unimodular, U @ rows == H (zero rows of H kept)."""
-    n = len(rows)
-    width = len(rows[0]) if rows else 0
-    # an augmented row never vanishes, since U stays unimodular
-    aug = [list(map(int, r)) + [1 if j == i else 0 for j in range(n)] for i, r in enumerate(rows)]
-    out, rest = _hermite(aug, width)
-    full = out + rest
-    return [r[:width] for r in full], [r[width:] for r in full]
-
-
-def int_right_kernel(mat: Sequence[Sequence[int]], width: int) -> list[list[int]]:
-    """Basis of {x in Z^width : mat @ x == 0}."""
-    transpose = [[mat[r][c] for r in range(len(mat))] for c in range(width)]
-    h, u = hnf_with_transform(transpose)
-    return [urow for hrow, urow in zip(h, u) if not any(hrow)]
-
-
-def lattice_contains(h: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Membership of vec in the row span of an HNF matrix h."""
-    v = list(map(int, vec))
-    for row in h:
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        if v[col] % row[col] == 0:
-            q = v[col] // row[col]
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
-
-
-def int_solve(mat: Sequence[Sequence[int]], target: Sequence[int]):
-    """An integer solution x of mat @ x == target, or None."""
-    width = len(mat[0]) if mat else 0
-    transpose = [[mat[r][c] for r in range(len(mat))] for c in range(width)]
-    h, u = hnf_with_transform(transpose)
-    v = list(map(int, target))
-    coeff = [0] * width
-    for hrow, urow in zip(h, u):
-        col = next((j for j, x in enumerate(hrow) if x), None)
-        if col is None:
-            continue
-        if v[col] % hrow[col] != 0:
-            return None
-        q = v[col] // hrow[col]
-        if q:
-            v = [x - q * y for x, y in zip(v, hrow)]
-            coeff = [c + q * y for c, y in zip(coeff, urow)]
-    if any(v):
-        return None
-    return coeff
-
-
-# ---------------------------------------------------------------------------
-# Z/m modules (Howell normal form)
-
-
 def howell(rows: Sequence[Sequence[int]], m: int) -> list[list[int]]:
     """Canonical Howell normal form of the row module over Z/m: the Hermite
     form H of the lattice L spanned by the rows and m*Z^w, less its rows
@@ -237,16 +184,47 @@ def howell(rows: Sequence[Sequence[int]], m: int) -> list[list[int]]:
     return [r for j, r in enumerate(hnf(rows, m)) if r[j] != m]
 
 
-def howell_contains(h: Sequence[Sequence[int]], vec: Sequence[int], m: int) -> bool:
-    """Membership of vec in the row module of a Howell form h over Z/m."""
-    v = [int(x) % m for x in vec]
+def lattice_contains(h: Sequence[Sequence[int]], vec: Sequence[int], modulus: int = 0) -> bool:
+    """Membership of vec in the lattice of an HNF h, or with a modulus m in
+    the module over Z/m of a Howell form h."""
+    return not any(_reduce(h, [int(x) % modulus if modulus else int(x) for x in vec], modulus))
+
+
+def _reduce(h: Sequence[Sequence[int]], v: list[int], modulus: int = 0) -> list[int]:
+    """v less, row by row of the echelon form h, the floor multiple of the
+    row at its pivot: v minus a lattice vector, and 0 exactly when v is in
+    the lattice, as each pivot column is settled before the later rows."""
     for row in h:
         col = next(j for j, x in enumerate(row) if x)
-        if v[col] % row[col] == 0:
-            q = v[col] // row[col]
-            if q:
-                v = [(x - q * y) % m for x, y in zip(v, row)]
-    return not any(v)
+        q = v[col] // row[col]
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+            if modulus:
+                v = [x % modulus for x in v]
+    return v
+
+
+def _pairs(mat: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """The rows (M e_i, e_i), i < width, which span the pairs (M x, x).
+
+    A pair (0, x) lies in their lattice exactly when M x == 0, and in their
+    lattice plus m*Z^(k+width) exactly when M x == 0 mod m.
+    """
+    return [[row[i] for row in mat] + [int(j == i) for j in range(width)] for i in range(width)]
+
+
+def int_solve(mat: Sequence[Sequence[int]], target: Sequence[int]):
+    """An integer solution x of mat @ x == target, or None.
+
+    Reducing (-target, 0) by the Hermite form of the pairs leaves
+    (-target - M y, -y) for some y; its first k entries vanish exactly when
+    x = -y solves, and the rows past column k, which are the kernel's HNF
+    rows, reduce x so that its entry at each of their pivots lies in
+    [0, pivot).
+    """
+    k, width = len(mat), (len(mat[0]) if mat else 0)
+    v = _reduce(hnf(_pairs(mat, width)), [-int(t) for t in target] + [0] * width)
+    return None if any(v[:k]) else v[k:]
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +234,9 @@ def howell_contains(h: Sequence[Sequence[int]], vec: Sequence[int], m: int) -> b
 class Subspace:
     """Canonically stored subspace (field) or submodule (Z, Z/m, Z[w]).
 
-    Internal rows are RREF rows for fields, Howell rows for Z/m, and HNF
-    rows in flattened integer coordinates for Z and the cyclotomic ring.
+    Over a field the rows are RREF rows.  Otherwise they are the canonical
+    rows of a lattice of flattened integer coordinates: the HNF over Z and
+    Z[w], the Howell form over Z/m.
     """
 
     def __init__(self, ring: Ring, ambient: int, rows: list[list]):
@@ -275,19 +254,8 @@ class Subspace:
                 raise InputError("vector length does not match ambient rank")
         if ring.is_field:
             return cls(ring, ambient, rref(ring, vecs))
-        if ring.kind == "Integers":
-            return cls(ring, ambient, hnf(vecs))
-        if ring.kind == "IntegersMod":
-            return cls(ring, ambient, howell(vecs, ring.modulus))
-        if ring.kind == "Cyclotomic":
-            flat = []
-            for v in vecs:
-                w = v
-                for _ in range(ring.degree):
-                    flat.append(_cyc_flatten(ring, w))
-                    w = [ring.mul(ring.omega(), x) for x in w]
-            return cls(ring, ambient, hnf(flat))
-        raise InputError(f"unsupported ring kind {ring.kind}")
+        flat = [_flatten(ring, w) for v in vecs for w in _omega_multiples(ring, v)]
+        return cls.from_flat_rows(ring, ambient, flat)
 
     @classmethod
     def zero(cls, ring: Ring, ambient: int) -> "Subspace":
@@ -306,9 +274,8 @@ class Subspace:
     def from_flat_rows(cls, ring: Ring, ambient: int, flat_rows: Sequence[Sequence[int]]) -> "Subspace":
         if ring.is_field:
             raise InputError("flat rows only apply to non-field rings")
-        if ring.kind == "IntegersMod":
-            return cls(ring, ambient, howell(flat_rows, ring.modulus))
-        return cls(ring, ambient, hnf(flat_rows))
+        m = _modulus(ring)
+        return cls(ring, ambient, howell(flat_rows, m) if m else hnf(flat_rows))
 
     # -- queries
 
@@ -322,18 +289,17 @@ class Subspace:
                 if not self.ring.is_zero(f):
                     v = [self.ring.sub(x, self.ring.mul(f, y)) for x, y in zip(v, row)]
             return all(self.ring.is_zero(x) for x in v)
-        if self.ring.kind == "IntegersMod":
-            return howell_contains(self.rows, vec, self.ring.modulus)
-        return lattice_contains(self.rows, _cyc_flatten(self.ring, vec))
+        return lattice_contains(self.rows, _flatten(self.ring, vec), _modulus(self.ring))
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.gens())
 
     def gens(self) -> list[list]:
         """Generators as ring vectors."""
-        if self.ring.is_field or self.ring.kind == "IntegersMod":
+        if self.ring.is_field:
             return [list(r) for r in self.rows]
-        return [_cyc_unflatten(self.ring, r, self.ambient) for r in self.rows]
+        d = self.ring.flat_degree
+        return [[self.ring.unflatten(r[i:i + d]) for i in range(0, len(r), d)] for r in self.rows]
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ring != other.ring or self.ambient != other.ambient:
@@ -376,16 +342,38 @@ class Subspace:
         return f"Subspace({self.ring!r}, ambient={self.ambient}, rank={self.rank()})"
 
 
-def _cyc_flatten(ring: Ring, vec: Sequence) -> list[int]:
-    out: list[int] = []
-    for x in vec:
-        out.extend(ring.flatten(ring.canon(x)))
+# ---------------------------------------------------------------------------
+# flattening a non-field ring to Z (d = flat_degree coordinates per entry)
+
+
+def _modulus(ring: Ring) -> int:
+    """m over Z/m, where lattices are reduced mod m; 0 over Z and Z[w]."""
+    return ring.modulus if ring.kind == "IntegersMod" else 0
+
+
+def _omega_multiples(ring: Ring, vec: list) -> list[list]:
+    """vec, w*vec, ..., w^(d-1)*vec, whose Z-span is the Z[w]-span of vec
+    (vec alone over Z and Z/m, where d = 1)."""
+    out = [vec]
+    for _ in range(ring.flat_degree - 1):
+        out.append([ring.mul(ring.omega(), x) for x in out[-1]])
     return out
 
 
-def _cyc_unflatten(ring: Ring, flat: Sequence[int], ambient: int) -> list:
-    d = ring.flat_degree
-    return [ring.unflatten(flat[i * d:(i + 1) * d]) for i in range(ambient)]
+def _flatten(ring: Ring, vec: Sequence) -> list[int]:
+    """Integer coordinates of a vector of canonical ring elements."""
+    return [c for x in vec for c in ring.flatten(x)]
+
+
+def _flat_matrix(ring: Ring, rows: Sequence[Sequence], width: int) -> list[list[int]]:
+    """The integer matrix of x -> M x on flattened coordinates: the block of
+    entry M[i][j] has column t equal to the coordinates of M[i][j] * w^t."""
+    out = []
+    for row in rows:
+        mults = [[ring.flatten(x) for x in w] for w in _omega_multiples(ring, row)]
+        out.extend([mults[t][j][s] for j in range(width) for t in range(ring.flat_degree)]
+                   for s in range(ring.flat_degree))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -393,60 +381,29 @@ def _cyc_unflatten(ring: Ring, flat: Sequence[int], ambient: int) -> list:
 
 
 def kernel(ring: Ring, mat_rows: Sequence[Sequence], width: int) -> Subspace:
-    """Right kernel {x : M @ x == 0} of a matrix given by its rows."""
+    """Right kernel {x : M @ x == 0} of a matrix given by its rows.
+
+    Off a field the matrix is flattened to k integer rows, and Hermite
+    elimination of the pairs on their first k columns, mod m over Z/m,
+    leaves rows (0, x) that span the kernel lattice.
+    """
     rows = [[ring.canon(x) for x in r] for r in mat_rows]
+    if any(len(r) != width for r in rows):
+        raise InputError(f"every row of the matrix must have length {width}")
     if ring.is_field:
-        basis = field_kernel(ring, rows, width)
-        return Subspace.span(ring, width, basis)
-    if ring.kind == "Integers":
-        basis = int_right_kernel(rows, width)
-        return Subspace.span(ring, width, basis)
-    if ring.kind == "IntegersMod":
-        # the rows (M e_i, e_i) span the pairs (M x, x); by the Howell property
-        # the Howell rows vanishing on the first len(rows) coordinates span M x = 0
-        nrows = len(rows)
-        pairs = [[row[i] for row in rows] + [int(j == i) for j in range(width)]
-                 for i in range(width)]
-        ker = [r[nrows:] for r in howell(pairs, ring.modulus) if not any(r[:nrows])]
-        return Subspace.span(ring, width, ker)
-    if ring.kind == "Cyclotomic":
-        big = _cyc_block_matrix(ring, rows, width)
-        ker = int_right_kernel(big, width * ring.degree)
-        return Subspace.from_flat_rows(ring, width, ker)
-    raise InputError(f"unsupported ring kind {ring.kind}")
-
-
-def _cyc_block_matrix(ring: CyclotomicRing, rows: Sequence[Sequence], width: int) -> list[list[int]]:
-    """Flatten a cyclotomic matrix to an integer block matrix."""
-    d = ring.degree
-    out = []
-    for row in rows:
-        mulmats = []
-        for entry in row:
-            cols = []
-            w = ring.canon(entry)
-            for _ in range(d):
-                cols.append(list(w))
-                w = ring.mul(w, ring.omega())
-            mulmats.append(cols)  # cols[t][s] = coeff s of entry * omega^t
-        for s in range(d):
-            flat_row = []
-            for j in range(width):
-                for t in range(d):
-                    flat_row.append(mulmats[j][t][s])
-            out.append(flat_row)
-    return out
+        return Subspace.span(ring, width, field_kernel(ring, rows, width))
+    flat = _flat_matrix(ring, rows, width)
+    k = len(flat)
+    rest = _hermite(_pairs(flat, width * ring.flat_degree), k, _modulus(ring))[1]
+    return Subspace.from_flat_rows(ring, width, [r[k:] for r in rest])
 
 
 def solve_ring_one(ring: CyclotomicRing, a):
     """Solve a * x == 1 in the cyclotomic ring (a must be a unit)."""
-    d = ring.degree
-    mat = _cyc_block_matrix(ring, [[a]], 1)
-    target = list(ring.one())
-    sol = int_solve(mat, target)
+    sol = int_solve(_flat_matrix(ring, [[a]], 1), ring.flatten(ring.one()))
     if sol is None:
         raise InputError("element is not a unit")
-    return ring.unflatten(sol[:d])
+    return ring.unflatten(sol)
 
 
 def _charpoly(ring: Ring, rows: Sequence[Sequence]) -> list:

@@ -315,8 +315,8 @@ class Ring:
 
     kind: str = ""
     is_field = False
-    # flat_degree is the Z-rank of the ring as an additive group when the
-    # ring is integral over Z (used by the lattice linear algebra); fields
+    # flat_degree is the number of integer coordinates of an element in the
+    # lattice linear algebra: 1 over Z and Z/m, the degree over Z[w]; fields
     # do not flatten.
     flat_degree = 1
 
@@ -358,7 +358,7 @@ class Ring:
         return self.canon(v)
 
     def flatten(self, a) -> tuple[int, ...]:
-        """Coordinates of a over Z (non-field rings only)."""
+        """Coordinates over Z of a canonical element a (non-field rings only)."""
         raise NotImplementedError
 
     def unflatten(self, coords: Sequence[int]):
@@ -500,7 +500,7 @@ class IntegersModRing(Ring):
         return pow(a, -1, self.modulus)
 
     def flatten(self, a):
-        return (self.canon(a),)
+        return (a,)
 
     def unflatten(self, coords):
         return self.canon(coords[0])
