@@ -5,8 +5,9 @@ Criterion 2 takes every (n, q, r) with n < 32 that passes check_prim and q
 the order of r mod n, and every multiset of 1-3 nonzero residues.  For each
 sequence this script compares the verdict and the exact witness with the
 lexicographically first nonzero exponent tuple found by itertools.product,
-and for each independent sequence the D-set with the one solved for from
-all q**k twisted sums.  It exits 1 on the first disagreement.
+and for each independent sequence both D-set routes, the default and
+method="brute", with the one solved for from all q**k twisted sums.  It
+exits 1 on the first disagreement.
 
     PYTHONPATH=src python scripts/crosscheck_criterion2.py
 
@@ -62,9 +63,11 @@ def main() -> int:
                     if dependent:
                         continue
                     independent += 1
-                    if d_set(seq, params) != solved_d_set(seq, n, powers):
-                        print(f"D-set differs at {(n, q, r, seq)}")
-                        return 1
+                    want = solved_d_set(seq, n, powers)
+                    for method in ("auto", "brute"):
+                        if d_set(seq, params, method=method) != want:
+                            print(f"{method} D-set differs at {(n, q, r, seq)}")
+                            return 1
     print(f"{checked} sequences agree ({independent} independent) "
           f"in {time.perf_counter() - t0:.1f} s")
     return 0

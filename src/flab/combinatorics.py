@@ -10,10 +10,10 @@ Dependence and D-sets are read off residue reach sets.  For each suffix of a
 sequence a_1..a_k, an n-bit int holds the twisted sums sum r**e_i * a_i of
 that suffix over all exponent tuples, and a second one the sums over tuples
 with a nonzero exponent.  One level is q rotations of the next shorter
-suffix's sets, so a sequence costs O(k*q) big-int operations, where walking
-the exponent tuples costs O(q**k) steps.  The sets of proper suffixes are
-kept in a bounded LRU, so sequences that share a tail share its work; the
-whole sequence is never cached.  The route is chosen from the input: when
+suffix's sets; the levels are folded over a given suffix's node, so a
+sequence costs O(k*q) big-int operations, where walking the exponent tuples
+costs O(q**k) steps, and a brute D-set adds one level per candidate residue
+on top of the sequence's node.  The route is chosen from the input: when
 walking the q**k tuples is no dearer than k*q rotations of n-bit sets (a
 rotation costs about one odometer step per ROTATION_BITS_PER_STEP bits), or
 a set would be large outright (n > BITSET_MAX_N), the exponent odometer runs
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -225,34 +224,21 @@ def _inverses(n: int, q: int, r: int) -> tuple[int, ...] | None:
 # node of the next shorter suffix; the empty suffix reaches 0 alone.
 _EMPTY_REACH = (1, 0, None)
 BITSET_MAX_N = 1 << 20  # a reach set never exceeds 128 KiB
-REACH_CACHE_SIZE = 1024  # proper-suffix nodes kept
-CACHED_SET_MAX_N = 1024  # only sets this small are cached
 # A rotation of an n-bit reach set costs about one odometer step per
 # ROTATION_BITS_PER_STEP bits (CPython 3.11: 30-70 us per rotation at
 # n = 10**6, 0.28 us per step), so a sequence costs about
 # k*q*(n // ROTATION_BITS_PER_STEP) steps on reach sets and q**k on the
-# odometer.  Below that many bits a rotation costs about as much as a step,
-# and the suffix LRU tips the balance to reach sets.  The odometer's steps
-# are cheaper at large q, so the estimate favours reach sets there.
+# odometer.  Below that many bits a rotation costs about as much as a step.
+# The odometer's steps are cheaper at large q, so the estimate favours reach
+# sets there.
 ROTATION_BITS_PER_STEP = 4096
-_REACH_CACHE: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
 
 
-def _reach(entries: tuple[int, ...], n: int, q: int, r: int, powers) -> tuple:
-    """Reach node of the whole sequence, built on the longest proper suffix
-    found in the LRU; the new proper suffixes are stored there."""
-    k = len(entries)
-    node, start = _EMPTY_REACH, k
-    for i in range(1, k):
-        key = (n, q, r) + entries[i:]
-        hit = _REACH_CACHE.pop(key, None)
-        if hit is not None:
-            _REACH_CACHE[key] = hit  # now the most recent
-            node, start = hit, i
-            break
+def _reach(entries: tuple[int, ...], n: int, powers, node: tuple = _EMPTY_REACH) -> tuple:
+    """Reach node of entries followed by the suffix whose node is given,
+    one level per entry, last entry first."""
     mask = (1 << n) - 1
-    for i in range(start - 1, -1, -1):
-        a = entries[i]
+    for a in reversed(entries):
         reach, nonzero, _ = node
         # rotating x left by v is (x | x << n) >> (n - v), masked
         doubled = reach | reach << n
@@ -262,10 +248,6 @@ def _reach(entries: tuple[int, ...], n: int, q: int, r: int, powers) -> tuple:
         nonzero |= nonzero << n
         node = ((twisted | doubled >> (n - a)) & mask,
                 (twisted | nonzero >> (n - a)) & mask, node)
-        if i and n <= CACHED_SET_MAX_N:
-            _REACH_CACHE[(n, q, r) + entries[i:]] = node
-            if len(_REACH_CACHE) > REACH_CACHE_SIZE:
-                _REACH_CACHE.popitem(last=False)
     return node
 
 
@@ -341,7 +323,7 @@ def _first_dependence(entries: tuple[int, ...], n: int, q: int, r: int, powers):
         return _odometer(entries, n, powers, target), None
     if rotations > SEARCH_STEP_CAP:
         raise _over_step_cap(rotations, n, q, r)
-    node = _reach(entries, n, q, r, powers)
+    node = _reach(entries, n, powers)
     return _descend(node, entries, n, powers, target), node
 
 
@@ -388,11 +370,11 @@ def d_set(
 
     The input must itself be r-independent.  Two routes are implemented and
     cross-checked by the test suite: "brute" tests every j from the
-    definition (j goes in front, so that the sequence is the cached suffix;
-    dependence does not depend on the order), "formula" solves for j: with
-    s a twisted sum of the sequence and plain its plain sum, adjoining j with
-    exponent i is dependent exactly when j = (s - plain) / (1 - r**i), which
-    needs 1 - r**i invertible for 0 < i < q (true under check_prim).  The
+    definition (j goes in front, as one level above the sequence's reach
+    node; dependence does not depend on the order), "formula" solves for j:
+    with s a twisted sum of the sequence and plain its plain sum, adjoining
+    j with exponent i is dependent exactly when j = (s - plain) / (1 - r**i),
+    which needs 1 - r**i invertible for 0 < i < q (true under check_prim).  The
     sums s are the set bits of the sequence's reach set, or on the odometer
     route (see is_r_dependent) the q**k tuples themselves.  "auto" picks
     formula when the inverses exist, brute otherwise.  Sums times inverses,
@@ -414,6 +396,7 @@ def d_set(
         raise InputError("d_set requires an r-independent sequence")
     if method not in ("auto", "brute", "formula"):
         raise InputError(f"unknown d_set method {method!r}")
+    plain = sum(entries) % n
     if method != "brute":
         # formula costs one step per sum and inverse; brute costs at least
         # as much, so an over-cap formula refuses for both routes, and it is
@@ -421,10 +404,9 @@ def d_set(
         size = len(powers) - 1  # the inverses' count when they exist
         limit = SEARCH_STEP_CAP // size if size else math.inf
         if node is None:
-            tables = [[p * a % n for p in powers] for a in entries]
             sums = set()
-            for tup in itertools.product(*tables):
-                sums.add(sum(tup) % n)
+            for ps in itertools.product(powers, repeat=len(entries)):
+                sums.add(sum(p * a for p, a in zip(ps, entries)) % n)
                 if len(sums) > limit:
                     raise _over_step_cap(len(sums) * size, n, q, r)
         else:
@@ -434,7 +416,6 @@ def d_set(
             sums = _residues(node[0])
         inverses = _inverses(n, q, r)
         if inverses is not None:
-            plain = sum(entries) % n
             return {(s - plain) * inv % n for s in sums if s != plain for inv in inverses}
         if method == "formula":
             raise InputError("formula route needs 1 - r**i invertible")
@@ -442,8 +423,13 @@ def d_set(
     steps = (n - 1) * len(powers) ** (len(entries) + 1)
     if steps > SEARCH_STEP_CAP:
         raise _over_step_cap(steps, n, q, r)
+    if node is None:
+        return {j for j in range(1, n)
+                if _first_dependence((j,) + entries, n, q, r, powers)[0] is not None}
+    # (j,) + entries is dependent when its plain sum is in the nonzero set of
+    # one more level on the sequence's node; that sum is plain + j
     return {j for j in range(1, n)
-            if _first_dependence((j,) + entries, n, q, r, powers)[0] is not None}
+            if _reach((j,), n, powers, node)[1] >> (plain + j) % n & 1}
 
 
 def _residues(bits: int):

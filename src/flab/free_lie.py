@@ -528,56 +528,15 @@ def _finish(u_leaf, kept, dropped, start_terms) -> RewriteResult:
                          tuple(kept), tuple(dropped), input_elem)
 
 
-def odin_rewrite(U, tail: Sequence[IndexedGenerator], c: int,
-                 params: FrobeniusParams) -> RewriteResult:
-    """Rewrite [U, tail...] so every kept term has all post-head indices in
-    the D-set of U's index tuple.
-
-    Terms acquiring a zero-index or a fresh independent index at the head are
-    dropped with the clause that justified it; the exact identity
-    input = kept + sum(dropped) always holds (see RewriteResult.verify).
-    """
+def _rewrite(U, tail, c: int, params: FrobeniusParams, w: int | None) -> RewriteResult:
+    """The rewriting loop of odin_rewrite (w None) and dva_rewrite."""
     indices, gens, u_leaf = _prepare_head(U, tail, c, params)
     dset = d_set(indices, params)
     n = params.n
-    start = [(1, tuple(gens))]
-    kept: list[RewriteTerm] = []
-    dropped: list[RewriteTerm] = []
-    work = list(start)
-    while work:
-        coeff, elems = work.pop()
-        k, kind = _scan_bad(elems, dset, n)
-        if k is None:
-            kept.append(RewriteTerm(coeff, elems))
-        elif kind == "zero":
-            dropped.append(RewriteTerm(coeff, elems, REASON_ZERO_SUM))
-        elif k == 0:
-            dropped.append(RewriteTerm(coeff, elems, REASON_INDEPENDENT))
-        else:
-            swapped, merged = _split_at(elems, k)
-            work.append((coeff, swapped))
-            work.append((coeff, merged))
-    return _finish(u_leaf, kept, dropped, start)
-
-
-def dva_rewrite(U, tail: Sequence[IndexedGenerator], c: int,
-                params: FrobeniusParams, w: int) -> RewriteResult:
-    """Like odin_rewrite, but long kept terms are reordered so high-additive-
-    order indices form a short leading segment.
-
-    Indices in the D-set split into A (additive order above capacity_n(c, q))
-    and B (the rest).  Terms no longer than (w-1)*|D| pass through untouched;
-    longer ones get their A-indices bubbled to the front, and any term
-    carrying w adjacent equal A-indices is dropped.
-    """
-    if w < 1:
-        raise InputError("w must be at least 1")
-    indices, gens, u_leaf = _prepare_head(U, tail, c, params)
-    dset = d_set(indices, params)
-    n = params.n
-    cap = capacity_n(c, params.q)
-    a_set = {j for j in dset if additive_order(j, n) > cap}
-    threshold = (w - 1) * len(dset)
+    if w is not None:
+        cap = capacity_n(c, params.q)
+        a_set = {j for j in dset if additive_order(j, n) > cap}
+        threshold = (w - 1) * len(dset)
     start = [(1, tuple(gens))]
     kept: list[RewriteTerm] = []
     dropped: list[RewriteTerm] = []
@@ -596,7 +555,7 @@ def dva_rewrite(U, tail: Sequence[IndexedGenerator], c: int,
                 work.append((coeff, swapped))
                 work.append((coeff, merged))
             continue
-        if len(elems) <= threshold:
+        if w is None or len(elems) <= threshold:
             kept.append(RewriteTerm(coeff, elems))
             continue
         idxs = [tree_index_sum(e) % n for e in elems]
@@ -629,6 +588,33 @@ def dva_rewrite(U, tail: Sequence[IndexedGenerator], c: int,
         work.append((coeff, swapped))
         work.append((coeff, merged))
     return _finish(u_leaf, kept, dropped, start)
+
+
+def odin_rewrite(U, tail: Sequence[IndexedGenerator], c: int,
+                 params: FrobeniusParams) -> RewriteResult:
+    """Rewrite [U, tail...] so every kept term has all post-head indices in
+    the D-set of U's index tuple.
+
+    Terms acquiring a zero-index or a fresh independent index at the head are
+    dropped with the clause that justified it; the exact identity
+    input = kept + sum(dropped) always holds (see RewriteResult.verify).
+    """
+    return _rewrite(U, tail, c, params, None)
+
+
+def dva_rewrite(U, tail: Sequence[IndexedGenerator], c: int,
+                params: FrobeniusParams, w: int) -> RewriteResult:
+    """Like odin_rewrite, but long kept terms are reordered so high-additive-
+    order indices form a short leading segment.
+
+    Indices in the D-set split into A (additive order above capacity_n(c, q))
+    and B (the rest).  Terms no longer than (w-1)*|D| pass through untouched;
+    longer ones get their A-indices bubbled to the front, and any term
+    carrying w adjacent equal A-indices is dropped.
+    """
+    if w < 1:
+        raise InputError("w must be at least 1")
+    return _rewrite(U, tail, c, params, w)
 
 
 # --- span membership for the delta commutators ---

@@ -226,14 +226,22 @@ class SubringChain:
     derived_length = nilpotency_class
 
 
-def _series_cap(L: GradedLieRing) -> int:
+def _series_caps(L: GradedLieRing) -> tuple[int, int | None]:
+    """The terms, and the bit length of a member's lattice entries, that a
+    descending chain may reach; no entry cap over a field or Z/m, where
+    entries are bounded anyway.  CapacityError past either."""
     R = L.ring
     if R.is_field:
-        return L.rank + 2
+        return L.rank + 2, None
     if R.kind == "IntegersMod":
-        return L.rank * (1 + sum(factorize(R.modulus).values())) + 2
-    # no finite additive exponent: generous cap, CapacityError past it
-    return 64 * L.rank + 2
+        return L.rank * (1 + sum(factorize(R.modulus).values())) + 2, None
+    # no finite additive exponent: generous caps.  Bracketing with a basis
+    # vector adds at most the bits of the largest structure constant and of
+    # the rank to a vector's entries; the entry cap allows that at every term
+    terms = 64 * L.rank + 2
+    constant = max((abs(x) for pairs in L.nonzero_constants.values()
+                    for _, c in pairs for x in R.flatten(c)), default=0)
+    return terms, terms * (constant.bit_length() + L.rank.bit_length())
 
 
 def _bracket_span(L: GradedLieRing, A: Subspace, B: Subspace) -> Subspace:
@@ -243,7 +251,7 @@ def _bracket_span(L: GradedLieRing, A: Subspace, B: Subspace) -> Subspace:
 
 def _descending_chain(L: GradedLieRing, step, start: Subspace, kind: str) -> SubringChain:
     members = [start]
-    cap = _series_cap(L)
+    cap, bits_cap = _series_caps(L)
     while True:
         nxt = step(members[-1])
         if nxt == members[-1]:
@@ -253,6 +261,12 @@ def _descending_chain(L: GradedLieRing, step, start: Subspace, kind: str) -> Sub
             break
         if len(members) > cap:
             raise CapacityError(f"{kind} chain exceeded {cap} terms without stabilizing")
+        if bits_cap is not None:
+            bits = max(abs(x).bit_length() for row in nxt.rows for x in row)
+            if bits > bits_cap:
+                raise CapacityError(
+                    f"{kind} chain term {len(members)} has {bits}-bit entries, over the "
+                    f"entry cap of {bits_cap} bits ({cap} terms of {bits_cap // cap} bits)")
     return SubringChain(kind, tuple(members))
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from flab import cli
 from flab import graded_lie as gl
+from flab.rings import IntegersRing
 
 
 def run_lines(capsys, *argv):
@@ -220,6 +221,24 @@ def test_lie_validate_and_series(capsys, tmp_path):
     code, recs = run_json(capsys, "lie", "series", str(path), "--kind",
                           "derived", "--format", "json")
     assert code == 0 and recs[0]["derived_length"] == 2
+
+
+def test_lie_series_refuses_a_derived_chain_whose_entries_explode(capsys, tmp_path):
+    # rationally simple, so neither chain stabilizes; each derived term
+    # doubles the entries' bit length, each lower central term adds a few bits
+    L = gl.GradedLieRing(IntegersRing(), 3,
+                         {(0, 1): {2: 2}, (1, 2): {0: 3}, (2, 0): {1: 6}})
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(L.to_json()))
+    t0 = time.perf_counter()
+    code, recs = run_json(capsys, "lie", "series", str(path), "--kind", "derived",
+                          "--format", "json")
+    assert time.perf_counter() - t0 < 2
+    assert code == 2 and recs[0]["status"] == "capacity-error"
+    assert "over the entry cap of 970 bits" in recs[0]["reason"]
+    code, recs = run_json(capsys, "lie", "series", str(path), "--format", "json")
+    assert code == 2
+    assert recs[0]["reason"] == "lower_central chain exceeded 194 terms without stabilizing"
 
 
 def test_lie_validate_flags_broken_ring(capsys, tmp_path):

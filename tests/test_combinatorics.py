@@ -339,16 +339,18 @@ def test_dependence_memory_does_not_grow_with_n(n):
     assert peak < 1 << 20
 
 
-def test_reach_cache_holds_a_bounded_number_of_proper_suffixes():
-    comb._REACH_CACHE.clear()
+def test_dependence_keeps_no_per_sequence_state():
     p = params(31, 5, 2)
-    for seq in itertools.islice(itertools.combinations_with_replacement(range(1, 31), 4), 2000):
-        is_r_dependent(seq, p)
-    assert len(comb._REACH_CACHE) == comb.REACH_CACHE_SIZE
-    assert all(len(key) - 3 < 4 for key in comb._REACH_CACHE)
-    comb._REACH_CACHE.clear()
-    is_r_dependent((1, 2, 3), p)
-    assert set(comb._REACH_CACHE) == {(31, 5, 2, 2, 3), (31, 5, 2, 3)}
+    seqs = list(itertools.islice(itertools.combinations_with_replacement(range(1, 31), 4), 2000))
+    is_r_dependent(seqs[0], p)  # the powers table is built and kept before tracing
+    tracemalloc.start()
+    try:
+        for seq in seqs:
+            is_r_dependent(seq, p)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 4096
 
 
 def test_dependence_invariant_under_permutation():
@@ -392,7 +394,7 @@ def test_d_set_routes_agree():
 
 def test_d_set_routes_agree_on_reach_sets_too_large_to_cache():
     p = params(2053, 6, 2)
-    assert p.n > comb.CACHED_SET_MAX_N
+    assert p.n < comb.ROTATION_BITS_PER_STEP
     for seq in ((1, 5), (7, 100)):
         assert is_r_dependent(seq, p) == (False, None)
         assert d_set(seq, p) == d_set(seq, p, method="brute")

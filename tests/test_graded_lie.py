@@ -185,6 +185,14 @@ def test_heisenberg_series():
     assert gl.derived_series(L).derived_length() == 2
 
 
+def test_heisenberg_with_a_huge_constant_keeps_class_2():
+    L = gl.GradedLieRing(IntegersRing(), 3, {(0, 1): {2: 2**200}})
+    chain = gl.lower_central_series(L)
+    assert chain.nilpotency_class() == 2
+    assert [list(g) for g in chain.member(2).gens()] == [[0, 0, 2**200]]
+    assert gl.derived_series(L).derived_length() == 2
+
+
 def test_subring_series_of_ideal():
     L = gl.example_pm(5, 2).lie
     K = gl._bracket_span(L, L.full_space(), L.full_space())
