@@ -3,6 +3,15 @@ with fixed-point verification, the dimension-subgroup filtration with its
 graded algebra, and a table-free Hausdorff-product group for nilpotent
 coordinate modules.
 
+FiniteGroup and BCHGroup share conjugate, commutator, power and
+element_order, written once over mul, inv and identity (_GroupLaws), so
+closures, commutator subgroups, both series (the lower central one seeded
+by the group's generating set), Sylow subgroups and the fixed-point checks
+that read no table take either kind.  What reads a table refuses a
+BCHGroup by name: is_automorphism (so action checks, invariant-subgroup
+enumerations and coverage), quotient_group, direct_product, jz_filtration
+(so the Lazard algebra), free_module_check and exponent_relation_report.
+
 Tables cap at TABLE_CAP elements.  A table group stores its table once,
 as one read-only numpy array, and checks every group law on it exactly
 up to that cap, in whole-array passes.  Anything advertised as exhaustive
@@ -55,6 +64,23 @@ _BCH_BLOCK = 1 << 12  # products per batch, so numpy temporaries stay small
 _ASSOC_BLOCK = 1 << 18  # table entries compared per row block in Light's test
 
 
+def _power(mul, one, a, k: int):
+    """a^k for k >= 0 by square-and-multiply over mul, with identity one:
+    the power of permutations, group elements, polynomials and matrices.
+
+    >>> _power(lambda x, y: x * y % 7, 1, 3, 5)
+    5
+    """
+    acc = one
+    while k:
+        if k & 1:
+            acc = mul(acc, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return acc
+
+
 # --- permutations of element ids ---
 
 
@@ -77,13 +103,7 @@ def perm_inverse(a) -> tuple[int, ...]:
 def perm_power(a, k: int) -> tuple[int, ...]:
     if k < 0:
         a, k = perm_inverse(a), -k
-    acc, base = perm_identity(len(a)), tuple(a)
-    while k:
-        if k & 1:
-            acc = perm_compose(base, acc)
-        base = perm_compose(base, base)
-        k >>= 1
-    return acc
+    return _power(perm_compose, perm_identity(len(a)), tuple(a), k)
 
 
 def perm_order(a) -> int:
@@ -168,7 +188,34 @@ def _check_associativity(t: np.ndarray, identity: int) -> None:
 _NOT_PERMUTED_ROWS = "each table row must permute the element ids"
 
 
-class FiniteGroup:
+class _GroupLaws:
+    """The element laws both group kinds share, written once over `mul`,
+    `inv` and `identity`; a negative power inverts first."""
+
+    def conjugate(self, g: int, x: int) -> int:
+        """g x g^-1."""
+        return self.mul(self.mul(g, x), self.inv(g))
+
+    def commutator(self, x: int, y: int) -> int:
+        """x^-1 y^-1 x y, as (y x)^-1 (x y)."""
+        return self.mul(self.inv(self.mul(y, x)), self.mul(x, y))
+
+    def power(self, a: int, k: int) -> int:
+        if k < 0:
+            a, k = self.inv(a), -k
+        return _power(self.mul, self.identity, a, k)
+
+    def element_order(self, a: int) -> int:
+        """The least k >= 1 with a^k the identity."""
+        mul, e = self.mul, self.identity
+        o, x = 1, a
+        while x != e:
+            x = mul(x, a)
+            o += 1
+        return o
+
+
+class FiniteGroup(_GroupLaws):
     """Immutable group on element ids 0..order-1 backed by a full table.
 
     The table is one read-only np.min_scalar_type(order - 1) array, the
@@ -176,7 +223,7 @@ class FiniteGroup:
     same buffer, so they return Python ints.  Identity, inverse,
     Latin-square and associativity laws are checked exactly at every order
     up to TABLE_CAP, in whole-array passes, associativity by Light's test.
-    BCHGroup exposes the same element-id interface without a table.
+    BCHGroup shares the element laws (_GroupLaws) but has no table.
     """
 
     def __init__(self, table, names=None):
@@ -189,8 +236,7 @@ class FiniteGroup:
         if t.ndim != 2:
             raise InputError("a multiplication table is a list of rows")
         n = len(t)
-        if n > TABLE_CAP:
-            raise CapacityError(f"order {n} exceeds the table cap {TABLE_CAP}")
+        _require_table_cap(n)
         if t.shape[1] != n:
             raise InputError(_NOT_PERMUTED_ROWS)
         if t.dtype.kind not in "iu":
@@ -235,36 +281,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self._inv[a]
 
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        t = self._rows
-        return t[t[g, x], self._inv[g]]
-
-    def commutator(self, x: int, y: int) -> int:
-        """x^-1 y^-1 x y."""
-        t = self._rows
-        return t[t[t[self._inv[x], self._inv[y]], x], y]
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self._inv[a], -k
-        t = self._rows
-        acc, base = self.identity, a
-        while k:
-            if k & 1:
-                acc = t[acc, base]
-            base = t[base, base]
-            k >>= 1
-        return acc
-
-    def element_order(self, a: int) -> int:
-        t = self._rows
-        o, x = 1, a
-        while x != self.identity:
-            x = t[x, a]
-            o += 1
-        return o
-
     def exponent(self) -> int:
         """lcm of the element orders, by one power walk over all ids at
         once: step k keeps the ids whose k-th power is not yet the
@@ -288,6 +304,12 @@ class FiniteGroup:
 
     def to_json(self) -> dict:
         return {"table": self._table.tolist()}
+
+
+def _require_table(G) -> None:
+    """Refuse by name a group without a multiplication table."""
+    if not isinstance(G, FiniteGroup):
+        raise InputError(f"a multiplication table is needed; a {type(G).__name__} has none")
 
 
 # --- builders ---
@@ -379,6 +401,8 @@ def heisenberg_group(p: int) -> FiniteGroup:
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Componentwise product; id of (g, h) is g*|H| + h."""
+    _require_table(G)
+    _require_table(H)
     m, n = H.order, G.order * H.order
     _require_table_cap(n)
     # entry (g1, h1, g2, h2) is the id of (g1, h1)(g2, h2); int32 so that
@@ -556,57 +580,69 @@ def center(G) -> frozenset:
     return frozenset(x for x in range(G.order) if all(G.mul(x, g) == G.mul(g, x) for g in gens))
 
 
-def _series_sets(G, step) -> list[frozenset]:
-    """G, step(G), step(step(G)), ... up to the trivial group or a repeat."""
+def _lower_central_terms(G) -> list[frozenset]:
+    """gamma_2(G), gamma_3(G), ... from a generating set Y of G, up to the
+    trivial group or the first repeated order, without building G as a set.
+
+    A closure under conjugation by Y is normal in <Y> = G.  gamma_2 is the
+    normal closure of the [y, y'] with y, y' in Y: G over it is generated
+    by commuting images of Y, so abelian.  gamma_(i+1) = [gamma_i, G] is
+    the normal closure N of the [x, y] with x in gamma_i, y in Y: with
+    a^b = b^-1 a b, [x, y y'] = [x, y'] [x, y]^y' puts every [x, w] in N by
+    induction on w as a word in Y (inverses are positive powers).  gamma_i
+    is normal, so [x, y] = x^-1 x^y lies in it: the terms descend, and a
+    repeated order means a repeated term."""
+    Y = _generating_set(G)
+    terms, size, xs = [], G.order, Y
+    while size > 1:
+        gamma = _normal_closure_by_generators(G, {G.commutator(x, y) for x in xs for y in Y}, Y)
+        if len(gamma) == size:
+            break
+        terms.append(gamma)
+        size, xs = len(gamma), gamma
+    return terms
+
+
+def lower_central_series_sets(G) -> list[frozenset]:
+    return [frozenset(range(G.order))] + _lower_central_terms(G)
+
+
+def nilpotency_class(G) -> int | None:
+    """Steps to the trivial group, None when the series stalls above it."""
+    terms = _lower_central_terms(G)
+    last = len(terms[-1]) if terms else G.order
+    return len(terms) if last == 1 else None
+
+
+def derived_series_sets(G) -> list[frozenset]:
     terms = [frozenset(range(G.order))]
     while len(terms[-1]) > 1:
-        nxt = step(terms[-1])
+        nxt = commutator_subgroup(G, terms[-1], terms[-1])
         if nxt == terms[-1]:
             break
         terms.append(nxt)
     return terms
 
 
-def _series_length(terms) -> int | None:
-    """Steps to the trivial group, None when the series stalls above it."""
+def derived_length(G) -> int | None:
+    terms = derived_series_sets(G)
     return len(terms) - 1 if len(terms[-1]) == 1 else None
 
 
-def lower_central_series_sets(G) -> list[frozenset]:
-    full = frozenset(range(G.order))
-    return _series_sets(G, lambda S: commutator_subgroup(G, S, full))
-
-
-def derived_series_sets(G) -> list[frozenset]:
-    return _series_sets(G, lambda S: commutator_subgroup(G, S, S))
-
-
-def nilpotency_class(G) -> int | None:
-    return _series_length(lower_central_series_sets(G))
-
-
-def derived_length(G) -> int | None:
-    return _series_length(derived_series_sets(G))
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def sylow_subgroup(G, p: int) -> frozenset:
-    """One Sylow p-subgroup, grown by closure extensions."""
+    """One Sylow p-subgroup, grown by closure extensions.  Element and
+    subgroup orders divide |G|, so one is a power of p exactly when it
+    divides the p-part of |G|."""
     if not is_prime(p):
         raise InputError("p must be prime")
     part = p ** factorize(G.order).get(p, 0)
     P = frozenset({G.identity})
     while len(P) < part:
         for x in range(G.order):
-            if x in P or not _is_power_of(G.element_order(x), p):
+            if x in P or part % G.element_order(x):
                 continue
             K = subgroup_closure(G, set(P) | {x})
-            if len(K) > len(P) and _is_power_of(len(K), p):
+            if len(K) > len(P) and not part % len(K):
                 P = K
                 break
         else:
@@ -693,7 +729,8 @@ def _generating_set(G, S=None, name="S") -> list[int]:
     sorted(S): each id outside the closure so far joins and at least
     doubles it, so there are at most log2|S| of them.  The closure ends as
     <S>, so an S that is not a subgroup is refused by name.  The walk is
-    deterministic and G immutable, so G's own set is kept on G."""
+    deterministic and G immutable, so G's own set is kept on G; a BCHGroup
+    records its coordinate basis there when it is built."""
     ids = range(G.order) if S is None else sorted(set(S))
     whole = S is None or ids == list(range(G.order))
     if whole and "_own_generators" in vars(G):
@@ -760,10 +797,7 @@ def group_rank(G) -> int:
 
 
 def exponent_of_subset(G, S) -> int:
-    out = 1
-    for x in S:
-        out = math.lcm(out, G.element_order(x))
-    return out
+    return math.lcm(*(G.element_order(x) for x in S))
 
 
 # --- quotients and restrictions ---
@@ -777,6 +811,7 @@ def quotient_group(G, N) -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]
     ids that opens a coset at each id not yet covered would number them.
     Both the coset ids and the quotient table are read off G.table in
     whole-array passes."""
+    _require_table(G)
     N = frozenset(N)
     if not is_subgroup(G, N):
         raise InputError("N is not a subgroup")
@@ -813,6 +848,7 @@ def subgroup_as_group(G, S) -> tuple[FiniteGroup, tuple[int, ...]]:
 
 
 def is_automorphism(G, perm) -> bool:
+    _require_table(G)
     n = G.order
     if len(perm) != n or set(perm) != set(range(n)):
         return False
@@ -914,14 +950,7 @@ def _fpp_mulmod(a, b, g, p: int):
 
 
 def _fpp_powmod(base, e: int, g, p: int):
-    acc = _fpp((1,), p)
-    base = _fpp_divmod(base, g, p)[1]
-    while e:
-        if e & 1:
-            acc = _fpp_mulmod(acc, base, g, p)
-        base = _fpp_mulmod(base, base, g, p)
-        e >>= 1
-    return acc
+    return _power(lambda a, b: _fpp_mulmod(a, b, g, p), (1,), _fpp_divmod(base, g, p)[1], e)
 
 
 def _fpp_gcd(a, b, p: int):
@@ -1150,6 +1179,7 @@ def exponent_relation_report(G, action) -> VerificationReport:
     t0 = time.perf_counter()
     if (refused := _unless_fixed_free(G, action, "exponent-relation", t0)) is not None:
         return refused
+    _require_table(G)
     ch = fixed_points(G, (action.h,))
     return _report("exponent-relation", t0, PASS,
                    {"fixed_exponent": exponent_of_subset(G, ch),
@@ -1220,6 +1250,7 @@ def free_module_check(group, h, q: int) -> VerificationReport:
     """Invariant-factor test: the module is free for a cyclic order-q
     action iff every nonunit invariant factor of h equals x^q - 1."""
     t0 = time.perf_counter()
+    _require_table(group)
     if q < 1:
         raise InputError("q must be positive")
     if group.order == 1:
@@ -1320,6 +1351,7 @@ def _check_filtration_laws(G, filt: Filtration) -> None:
 
 def jz_filtration(G, p: int) -> Filtration:
     """D_i generated by the gamma_j(G)^(p^k) with j*p^k >= i."""
+    _require_table(G)
     if not is_prime(p):
         raise InputError("p must be prime")
     if G.order > 1 and set(factorize(G.order)) != {p}:
@@ -1506,14 +1538,7 @@ def lazard_algebra(G, p: int) -> DLAlgebra:
 
 
 def _mat_power(ring, mat, k: int):
-    acc = mat_identity(ring, len(mat))
-    base = [list(row) for row in mat]
-    while k:
-        if k & 1:
-            acc = mat_mul(ring, acc, base)
-        base = mat_mul(ring, base, base)
-        k >>= 1
-    return acc
+    return _power(lambda a, b: mat_mul(ring, a, b), mat_identity(ring, len(mat)), mat, k)
 
 
 def lazard_lemma_check(G, p: int) -> VerificationReport:
@@ -1560,7 +1585,7 @@ def is_powerful(G, p: int) -> bool:
 # --- Hausdorff-product groups ---
 
 
-class BCHGroup:
+class BCHGroup(_GroupLaws):
     """Group law x*y = x + y + [x,y]/2 + [x,[x,y]]/12 - [y,[x,y]]/12 on the
     coordinate vectors of a nilpotent Lie ring of class at most 3 over
     Z/p^m with p at least 5; elements are mixed-radix ids, no table.
@@ -1572,6 +1597,10 @@ class BCHGroup:
     orders, and `mul_many` runs it on numpy columns for whole id arrays.
     `transport` is one matmul on `coords` mod p^m.  Orders above BCH_CAP
     are refused.
+
+    The element laws come from _GroupLaws, as on FiniteGroup, and the
+    coordinate basis is the recorded generating set.  What reads a table
+    refuses this kind by name; `to_finite_group` builds one up to TABLE_CAP.
 
     Associativity follows from checks made exactly: the ring must satisfy
     antisymmetry and Jacobi (`validate`), have class at most 3, and have
@@ -1617,6 +1646,9 @@ class BCHGroup:
         self.lie_class = cls
         self._half = pow(2, -1, modulus)
         self._twelfth = pow(12, -1, modulus)
+        # the coordinate basis generates G: its images span L / (pL + [L,L]),
+        # which is G over its Frattini subgroup
+        self._own_generators = tuple(modulus**i for i in range(self.rank))
         self.coords = np.array(self.decode(np.arange(order, dtype=np.int64)))
         self.coords.flags.writeable = False
         if self.order <= EXHAUSTIVE_CAP:
@@ -1656,30 +1688,6 @@ class BCHGroup:
     def inv(self, a: int) -> int:
         return self.encode([-c for c in self.decode(a)])
 
-    def conjugate(self, g: int, x: int) -> int:
-        return self.mul(self.mul(g, x), self.inv(g))
-
-    def commutator(self, x: int, y: int) -> int:
-        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        acc, base = self.identity, a
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
-
-    def element_order(self, a: int) -> int:
-        o, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            o += 1
-        return o
-
     def transport(self, matrix) -> tuple[int, ...]:
         """Pointwise image of a Lie automorphism as a permutation of ids:
         the image columns are matrix @ coords mod p^m, one matmul."""
@@ -1691,8 +1699,7 @@ class BCHGroup:
         return tuple(self.encode(M @ self.coords).tolist())
 
     def to_finite_group(self) -> FiniteGroup:
-        if self.order > TABLE_CAP:
-            raise CapacityError(f"order {self.order} exceeds the table cap")
+        _require_table_cap(self.order)
         ids = np.arange(self.order)
         step = max(1, _BCH_BLOCK // self.order)
         return FiniteGroup(np.concatenate([
@@ -1702,24 +1709,13 @@ class BCHGroup:
 
 
 def bch_generators(G: BCHGroup) -> tuple[int, ...]:
-    """Ids of the coordinate basis vectors.  They generate the group: their
-    images span L / (pL + [L,L]), which is G over its Frattini subgroup."""
-    return tuple(G.modulus**i for i in range(G.rank))
+    """Ids of the coordinate basis vectors, G's recorded generating set."""
+    return G._own_generators
 
 
-def bch_nilpotency_class(G: BCHGroup, cap: int = 10) -> int:
-    """Nilpotency class from the generator-seeded central series."""
-    gens = bch_generators(G)
-    seed = {G.commutator(a, b) for a in gens for b in gens}
-    gamma = _normal_closure_by_generators(G, seed, gens)
-    cls = 1
-    while len(gamma) > 1:
-        cls += 1
-        if cls > cap:
-            raise CapacityError("central series did not terminate within the cap")
-        seed = {G.commutator(x, g) for x in gamma for g in gens}
-        gamma = _normal_closure_by_generators(G, seed, gens)
-    return cls
+def bch_nilpotency_class(G: BCHGroup) -> int:
+    """nilpotency_class, seeded by the coordinate basis G records."""
+    return nilpotency_class(G)
 
 
 @dataclass(frozen=True)

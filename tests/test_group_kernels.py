@@ -3,7 +3,10 @@ breadth-first search, the subgroup and normality tests against their
 all-element definitions, the subgroup lattice against closed-form counts,
 Light's associativity test against a brute-force triple check, and the
 batched Hausdorff-product group against per-id evaluation and on the
-inputs it must refuse."""
+inputs it must refuse; then the element laws both group kinds share
+against their mul/inv definitions, the Lazard group's lower central series
+against its Lie ring's, and the table-only calls that refuse a Lazard
+group by name."""
 from __future__ import annotations
 
 import functools
@@ -23,6 +26,7 @@ import flab
 from flab import cli
 from flab import graded_lie as gl
 from flab import group_engine as ge
+from flab.combinatorics import FrobeniusParams
 from flab.errors import CapacityError, InputError
 from flab.linalg import mat_apply
 from flab.rings import IntegersModRing
@@ -445,3 +449,73 @@ def test_bch_refuses_a_broken_jacobi_constant_above_the_cap():
         ge.BCHGroup(bad)
     with pytest.raises(InputError, match="jacobi"):
         ge.lazard_group_from_lie(bad)
+
+
+# --- the element laws and the series, shared by both group kinds ---
+
+
+def iterated_products(G, a, count: int) -> list[int]:
+    """Oracle: 1, a, a*a, ... up to the count-fold product."""
+    out = [G.identity]
+    for _ in range(count):
+        out.append(G.mul(out[-1], a))
+    return out
+
+
+@pytest.mark.parametrize("name", CLOSURE_GROUPS)
+def test_element_laws_match_their_mul_inv_definitions(name):
+    G = closure_group(name)
+    n, mul, inv = G.order, G.mul, G.inv
+    for g in range(n):
+        for x in range(n):
+            assert G.conjugate(g, x) == mul(mul(g, x), inv(g))
+            assert G.commutator(g, x) == mul(mul(inv(g), inv(x)), mul(g, x))
+    for a in range(n):
+        up = iterated_products(G, a, 2 * n)
+        down = iterated_products(G, inv(a), 2 * n)
+        assert [G.power(a, k) for k in range(2 * n + 1)] == up
+        assert [G.power(a, -k) for k in range(2 * n + 1)] == down
+        assert G.element_order(a) == up.index(G.identity, 1)
+
+
+@pytest.mark.parametrize("key", BCH_KEYS + [(7, 2)])
+def test_group_series_match_the_lie_series(key):
+    # by Lazard, gamma_i(G) is the i-th term of the Lie ring's lower central series
+    G = bch_group(key)
+    lie = gl.lower_central_series(G.lie)
+    assert [len(t) for t in ge.lower_central_series_sets(G)] == [m.size() for m in lie.members]
+    assert ge.nilpotency_class(G) == ge.bch_nilpotency_class(G) == G.lie_class
+
+
+def fixed_point_free_action(G) -> ge.FrobeniusAction:
+    """On the abelian BCH(5,1): f doubles every element, so C_G(f) = 1, and
+    h permutes the coordinates cyclically, commuting with f."""
+    f = G.transport([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    h = G.transport(gl.example_pm(5, 1).h)
+    return ge.FrobeniusAction(f, h, FrobeniusParams(4, 3, 1))
+
+
+TABLE_ONLY = {
+    "is_automorphism": lambda G, a: ge.is_automorphism(G, a.f),
+    "action_issues": lambda G, a: ge.action_issues(G, a.f, a.h, a.params),
+    "make_frobenius_action": lambda G, a: ge.make_frobenius_action(G, a.f, a.h, a.params),
+    "invariant_subgroups": lambda G, a: ge.invariant_subgroups(G, [a.f]),
+    "invariant_normal_subgroups": lambda G, a: ge.invariant_normal_subgroups(G, [a.f]),
+    "quotient_group": lambda G, a: ge.quotient_group(G, {G.identity}),
+    "verify_coverage": ge.verify_coverage,
+    "jz_filtration": lambda G, a: ge.jz_filtration(G, 5),
+    "lazard_algebra": lambda G, a: ge.lazard_algebra(G, 5),
+    "lazard_lemma_check": lambda G, a: ge.lazard_lemma_check(G, 5),
+    "free_module_check": lambda G, a: ge.free_module_check(G, a.h, 3),
+    "exponent_relation_report": ge.exponent_relation_report,
+    "direct_product": lambda G, a: ge.direct_product(G, G),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TABLE_ONLY))
+def test_table_only_calls_refuse_a_lazard_group_by_name(entry):
+    G = bch_group((5, 1))
+    action = fixed_point_free_action(G)
+    assert ge.fixed_points(G, [action.f]) == {G.identity}
+    with pytest.raises(InputError, match="multiplication table is needed; a BCHGroup has none"):
+        TABLE_ONLY[entry](G, action)
