@@ -3,11 +3,12 @@ with fixed-point verification, the dimension-subgroup filtration with its
 graded algebra, and a table-free Hausdorff-product group for nilpotent
 coordinate modules.
 
-FiniteGroup and BCHGroup share conjugate, commutator, power and
-element_order, written once over mul, inv and identity (_GroupLaws), so
-closures, commutator subgroups, both series (the lower central one seeded
-by the group's generating set), Sylow subgroups and the fixed-point checks
-that read no table take either kind.  What reads a table refuses a
+The element laws conjugate, commutator, power and element_order are
+written once over mul, inv and identity (_GroupLaws).  FiniteGroup uses all
+four; BCHGroup uses the first two and reads powers and element orders off
+its coordinates.  Closures, commutator subgroups, both series (the lower
+central one seeded by the group's generating set), Sylow subgroups and the
+fixed-point checks that read no table take either kind.  What reads a table refuses a
 BCHGroup by name: is_automorphism (so action checks, invariant-subgroup
 enumerations and coverage), quotient_group, direct_product, jz_filtration
 (so the Lazard algebra), free_module_check and exponent_relation_report.
@@ -56,9 +57,13 @@ from .rings import (
 TABLE_CAP = 5000
 EXHAUSTIVE_CAP = 512
 # Hausdorff-product groups work on int64 coordinate columns.  Below this
-# cap the modulus m is at most 2^17 and the rank at most 7 (p >= 5), so a
-# transport sum (under rank*m^2) and an unreduced product coordinate (under
-# 5*m^2) both stay below 2^37, far inside int64.
+# cap m^r <= 2^17 for the modulus m and the rank r, so a transport sum is
+# under r*m^2 <= 2^34.  A product reduces its coordinates once, in encode.
+# With digits and structure constants in [0, m) and P = r(r-1)/2 basis
+# pairs, [x,y] is under P*m^3 and [x - y, [x,y]] under 2*P^2*m^5 in
+# absolute value, so an unreduced coordinate is under 3*P^2*m^6.  That is
+# largest at r = 2, where m <= 362 and it is under 3*2^51 < 2^53; for
+# r >= 3 it is under 2^39.  Every intermediate stays inside int64.
 BCH_CAP = 1 << 17
 _BCH_BLOCK = 1 << 12  # products per batch, so numpy temporaries stay small
 _ASSOC_BLOCK = 1 << 18  # table entries compared per row block in Light's test
@@ -189,8 +194,9 @@ _NOT_PERMUTED_ROWS = "each table row must permute the element ids"
 
 
 class _GroupLaws:
-    """The element laws both group kinds share, written once over `mul`,
-    `inv` and `identity`; a negative power inverts first."""
+    """The element laws written once over `mul`, `inv` and `identity`; a
+    negative power inverts first.  BCHGroup overrides power and
+    element_order with their coordinate forms."""
 
     def conjugate(self, g: int, x: int) -> int:
         """g x g^-1."""
@@ -223,7 +229,7 @@ class FiniteGroup(_GroupLaws):
     same buffer, so they return Python ints.  Identity, inverse,
     Latin-square and associativity laws are checked exactly at every order
     up to TABLE_CAP, in whole-array passes, associativity by Light's test.
-    BCHGroup shares the element laws (_GroupLaws) but has no table.
+    BCHGroup shares conjugate and commutator (_GroupLaws) but has no table.
     """
 
     def __init__(self, table, names=None):
@@ -1591,14 +1597,19 @@ class BCHGroup(_GroupLaws):
     Z/p^m with p at least 5; elements are mixed-radix ids, no table.
 
     `coords` is the coordinate view: rank read-only int64 columns holding
-    every id's digits, and `encode` turns columns back into ids.  The
-    product formula is written once over per-coordinate values, so `mul`
-    runs it on plain ints, one product at a time for closures and element
-    orders, and `mul_many` runs it on numpy columns for whole id arrays.
-    `transport` is one matmul on `coords` mod p^m.  Orders above BCH_CAP
-    are refused.
+    every id's digits, and `encode` turns columns back into ids, reducing
+    each coordinate mod p^m.  The product formula is written once over
+    per-coordinate values and cut at the ring's class c: x + y at c = 1,
+    plus [x,y]/2 at c = 2, plus [x - y, [x,y]]/12 only at c = 3, since
+    [x,y] lies in gamma_2 and [x - y, [x,y]] in gamma_3.  `mul` runs it on
+    plain ints, one product at a time for closures, and `mul_many` on
+    numpy columns for whole id arrays.  `transport` is one matmul on
+    `coords` mod p^m.  Orders above BCH_CAP are refused.
 
-    The element laws come from _GroupLaws, as on FiniteGroup, and the
+    conjugate and commutator come from _GroupLaws, as on FiniteGroup; power
+    and element_order are read off the coordinates.  The brackets of x with
+    itself vanish, so x^k is k*x for every integer k (x^-1 = -x), and the
+    order of x is its additive order, m / gcd(m, x_1, ..., x_r).  The
     coordinate basis is the recorded generating set.  What reads a table
     refuses this kind by name; `to_finite_group` builds one up to TABLE_CAP.
 
@@ -1611,9 +1622,10 @@ class BCHGroup(_GroupLaws):
     lie in the free class-3 nilpotent Lie ring over Z[1/6], which is
     torsion-free and so embeds in the one over Q; the identity therefore
     holds there, and in each of its images: every Lie ring of class at
-    most 3 over Z/p^m with p >= 5 is a Z[1/6]-algebra.  Up to
-    EXHAUSTIVE_CAP the full table is validated too, which guards the code
-    as well as the mathematics.
+    most 3 over Z/p^m with p >= 5 is a Z[1/6]-algebra.  Cutting at a lower
+    class changes none of this, because the terms it drops are zero on
+    such a ring.  Up to EXHAUSTIVE_CAP the full table is validated too,
+    which guards the code as well as the mathematics.
     """
 
     def __init__(self, lie: GradedLieRing):
@@ -1646,6 +1658,8 @@ class BCHGroup(_GroupLaws):
         self.lie_class = cls
         self._half = pow(2, -1, modulus)
         self._twelfth = pow(12, -1, modulus)
+        # (i, j, ((t, s), ...)) for each basis pair with a nonzero bracket
+        self._constants = tuple((i, j, terms) for (i, j), terms in lie.nonzero_constants.items())
         # the coordinate basis generates G: its images span L / (pL + [L,L]),
         # which is G over its Frattini subgroup
         self._own_generators = tuple(modulus**i for i in range(self.rank))
@@ -1663,23 +1677,34 @@ class BCHGroup(_GroupLaws):
         return _from_digits(vec, self.modulus)
 
     def _bracket(self, x, y) -> list:
-        m = self.modulus
+        """[x, y] unreduced: the sums of (x_i y_j - x_j y_i) s."""
         out = [0] * self.rank
-        for (i, j), terms in self.lie.nonzero_constants.items():
-            c = (x[i] * y[j] - x[j] * y[i]) % m
+        for i, j, terms in self._constants:
+            c = x[i] * y[j] - x[j] * y[i]
             for t, s in terms:
-                out[t] = (out[t] + c * s) % m
+                out[t] = out[t] + c * s
         return out
 
     def _hausdorff(self, x, y) -> list:
-        # [x,[x,y]]/12 - [y,[x,y]]/12 as one bracket [x - y, [x,y]]/12
-        z = self._bracket(x, y)
-        w = self._bracket([x[t] - y[t] for t in range(self.rank)], z)
-        m, half, tw = self.modulus, self._half, self._twelfth
-        return [(x[t] + y[t] + half * z[t] + tw * w[t]) % m for t in range(self.rank)]
+        """The product's coordinates unreduced, the series cut at the ring's
+        class: x + y, plus [x,y]/2 from class 2, plus [x - y, [x,y]]/12
+        (that is [x,[x,y]]/12 - [y,[x,y]]/12) at class 3."""
+        if self.lie_class == 1:
+            return [u + v for u, v in zip(x, y)]
+        z, half = self._bracket(x, y), self._half
+        if self.lie_class == 2:
+            return [u + v + half * c for u, v, c in zip(x, y, z)]
+        w, tw = self._bracket([u - v for u, v in zip(x, y)], z), self._twelfth
+        return [u + v + half * c + tw * d for u, v, c, d in zip(x, y, z, w)]
 
     def mul(self, a: int, b: int) -> int:
-        return self.encode(self._hausdorff(self.decode(a), self.decode(b)))
+        m, x, y = self.modulus, [], []
+        for _ in range(self.rank):
+            a, u = divmod(a, m)
+            b, v = divmod(b, m)
+            x.append(u)
+            y.append(v)
+        return self.encode(self._hausdorff(x, y))
 
     def mul_many(self, a, b) -> np.ndarray:
         """Elementwise products of two broadcastable id arrays."""
@@ -1687,6 +1712,14 @@ class BCHGroup(_GroupLaws):
 
     def inv(self, a: int) -> int:
         return self.encode([-c for c in self.decode(a)])
+
+    def power(self, a: int, k: int) -> int:
+        """k*x on the coordinates x of a."""
+        return self.encode([k * c for c in self.decode(a)])
+
+    def element_order(self, a: int) -> int:
+        """m / gcd(m, x_1, ..., x_r), the additive order of a's coordinates."""
+        return self.modulus // math.gcd(self.modulus, *self.decode(a))
 
     def transport(self, matrix) -> tuple[int, ...]:
         """Pointwise image of a Lie automorphism as a permutation of ids:

@@ -2,11 +2,11 @@
 breadth-first search, the subgroup and normality tests against their
 all-element definitions, the subgroup lattice against closed-form counts,
 Light's associativity test against a brute-force triple check, and the
-batched Hausdorff-product group against per-id evaluation and on the
-inputs it must refuse; then the element laws both group kinds share
-against their mul/inv definitions, the Lazard group's lower central series
-against its Lie ring's, and the table-only calls that refuse a Lazard
-group by name."""
+batched Hausdorff-product group against per-id evaluation of the full
+degree-3 series and on the inputs it must refuse; then the element laws
+against their mul/inv definitions, the Lazard group's coordinate powers and
+orders against iterated products, its lower central series against its Lie
+ring's, and the table-only calls that refuse a Lazard group by name."""
 from __future__ import annotations
 
 import functools
@@ -319,10 +319,17 @@ def filiform(p: int) -> gl.GradedLieRing:
     return gl.GradedLieRing(IntegersModRing(p), 4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
 
 
+def heisenberg(p: int) -> gl.GradedLieRing:
+    """[e1,e2] = e3 over Z/p: class 2, order p^3."""
+    return gl.GradedLieRing(IntegersModRing(p), 3, {(0, 1): {2: 1}})
+
+
 @functools.cache
 def bch_group(key):
     if key == "filiform5":
         return ge.BCHGroup(filiform(5))
+    if key == "heisenberg5":
+        return ge.BCHGroup(heisenberg(5))
     return ge.BCHGroup(gl.example_pm(*key).lie)
 
 
@@ -361,6 +368,23 @@ def test_mul_many_matches_scalar_mul(data):
     assert batched == [hausdorff_oracle(G, x, y) for x, y in zip(a, b)]
     # a scalar operand broadcasts against an array
     assert G.mul_many(a[0], np.array(b)).tolist() == [G.mul(a[0], y) for y in b]
+
+
+def test_cut_series_matches_the_full_degree_3_formula():
+    # the product evaluates the series only up to the ring's class; the
+    # oracle always evaluates all of it: every pair at classes 1 and 2, and
+    # at class 3 every a against the basis vectors and their inverses
+    abelian, heis, fil = bch_group((5, 1)), bch_group("heisenberg5"), bch_group("filiform5")
+    basis = ge.bch_generators(fil)
+    cases = [(abelian, range(abelian.order)), (heis, range(heis.order)),
+             (fil, basis + tuple(fil.inv(s) for s in basis))]
+    assert [G.lie_class for G, _ in cases] == [1, 2, 3]
+    for G, right in cases:
+        ids = np.arange(G.order)
+        for b in right:
+            want = [hausdorff_oracle(G, a, b) for a in range(G.order)]
+            assert G.mul_many(ids, b).tolist() == want
+            assert [G.mul(a, b) for a in range(G.order)] == want
 
 
 def test_to_finite_group_matches_scalar_table():
@@ -476,6 +500,20 @@ def test_element_laws_match_their_mul_inv_definitions(name):
         assert [G.power(a, k) for k in range(2 * n + 1)] == up
         assert [G.power(a, -k) for k in range(2 * n + 1)] == down
         assert G.element_order(a) == up.index(G.identity, 1)
+
+
+@pytest.mark.parametrize("key", ["heisenberg5", "filiform5"])
+def test_coordinate_powers_and_orders_match_iterated_products(key):
+    # x^k = k*x and the additive order, on rings whose brackets are nonzero
+    G = bch_group(key)
+    for a in range(G.order):
+        o = G.element_order(a)
+        up = iterated_products(G, a, 2 * o)
+        down = iterated_products(G, G.inv(a), 2 * o)
+        assert G.mul(a, G.inv(a)) == G.identity
+        assert [G.power(a, k) for k in range(2 * o + 1)] == up
+        assert [G.power(a, -k) for k in range(2 * o + 1)] == down
+        assert up.index(G.identity, 1) == o
 
 
 @pytest.mark.parametrize("key", BCH_KEYS + [(7, 2)])
