@@ -13,8 +13,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import FrobeniusParams, is_r_dependent
 from .errors import CapacityError, InputError
-from .linalg import Subspace, kernel, mat_apply, mat_identity, mat_mul, mat_sub, ring_det
-from .rings import Ring, factorize, ring_from_json, ring_to_json
+from .linalg import Subspace, kernel, mat_apply, mat_identity, mat_mul, mat_power, mat_sub, ring_det
+from .rings import Ring, factorize, power, ring_from_json, ring_to_json
 
 
 @dataclass(frozen=True)
@@ -417,15 +417,11 @@ class EigenDefectReport:
 
 
 def _verify_root_order(ring: Ring, omega, n: int) -> None:
-    acc = ring.one()
-    powers = []
-    for _ in range(n):
-        acc = ring.mul(acc, omega)
-        powers.append(acc)
-    if powers[-1] != ring.one():
+    one = ring.one()
+    if power(ring.mul, one, omega, n) != one:
         raise InputError("omega**n is not 1")
     for ell in factorize(n):
-        if powers[n // ell - 1] == ring.one():
+        if power(ring.mul, one, omega, n // ell) == one:
             raise InputError(f"omega has order dividing {n // ell}, not {n}")
 
 
@@ -451,19 +447,15 @@ def eigenspace_decomposition(
     omega = R.canon(omega)
     _verify_root_order(R, omega, n)
     (mat,) = _checked_matrices(L, [phi])
-    power = mat
-    for _ in range(n - 1):
-        power = mat_mul(R, power, mat)
-    if power != mat_identity(R, L.rank):
+    if mat_power(R, mat, n) != mat_identity(R, L.rank):
         raise InputError("phi**n is not the identity")
 
     comps = []
-    scalar = R.one()
-    for _ in range(n):
+    # the n eigenvalues 1, omega, ..., omega**(n-1)
+    for scalar in itertools.accumulate(itertools.repeat(omega, n - 1), R.mul, initial=R.one()):
         shifted = [[R.sub(mat[i][j], scalar if i == j else R.zero())
                     for j in range(L.rank)] for i in range(L.rank)]
         comps.append(kernel(R, shifted, L.rank))
-        scalar = R.mul(scalar, omega)
 
     total = L.zero_space()
     for comp in comps:
@@ -556,10 +548,10 @@ def ad_nilpotency_index(L: GradedLieRing, y: Sequence) -> int | None:
     else:
         # fields and characteristic-0 domains: nilpotency forces index <= rank
         cap = L.rank
-    power = mat_identity(R, L.rank)
+    ad_t = mat_identity(R, L.rank)
     for t in range(1, cap + 1):
-        power = mat_mul(R, power, mat)
-        if all(R.is_zero(c) for row in power for c in row):
+        ad_t = mat_mul(R, ad_t, mat)
+        if all(R.is_zero(c) for row in ad_t for c in row):
             return t
     return None
 

@@ -22,6 +22,10 @@ formula on ids, one product at a time on ints or in batches on int64
 coordinate columns; transports of Lie automorphisms are one matmul on
 those columns and are rechecked as homomorphisms exactly, against the
 coordinate generators.  Its orders cap at BCH_CAP.
+
+Polynomial arithmetic over F_p (the field actions, the free-module check)
+and every power come from rings: its polynomial helpers and its one
+square-and-multiply loop, power; matrix powers are linalg.mat_power.
 """
 
 from __future__ import annotations
@@ -41,17 +45,21 @@ from .graded_lie import (
     lower_central_series,
     validate,
 )
-from .linalg import Subspace, field_kernel, mat_identity, mat_mul
+from .linalg import Subspace, field_kernel, mat_power
 from .reports import INAPPLICABLE, PASS, VIOLATION, VerificationReport
 from .rings import (
     PrimeFieldRing,
     factorize,
+    irreducible_poly,
     is_prime,
     poly_add,
-    poly_divmod_monic,
+    poly_divmod,
     poly_mul,
+    poly_mulmod,
     poly_neg,
+    poly_powmod,
     poly_trim,
+    power,
 )
 
 TABLE_CAP = 5000
@@ -67,23 +75,6 @@ EXHAUSTIVE_CAP = 512
 BCH_CAP = 1 << 17
 _BCH_BLOCK = 1 << 12  # products per batch, so numpy temporaries stay small
 _ASSOC_BLOCK = 1 << 18  # table entries compared per row block in Light's test
-
-
-def _power(mul, one, a, k: int):
-    """a^k for k >= 0 by square-and-multiply over mul, with identity one:
-    the power of permutations, group elements, polynomials and matrices.
-
-    >>> _power(lambda x, y: x * y % 7, 1, 3, 5)
-    5
-    """
-    acc = one
-    while k:
-        if k & 1:
-            acc = mul(acc, a)
-        k >>= 1
-        if k:
-            a = mul(a, a)
-    return acc
 
 
 # --- permutations of element ids ---
@@ -108,7 +99,7 @@ def perm_inverse(a) -> tuple[int, ...]:
 def perm_power(a, k: int) -> tuple[int, ...]:
     if k < 0:
         a, k = perm_inverse(a), -k
-    return _power(perm_compose, perm_identity(len(a)), tuple(a), k)
+    return power(perm_compose, perm_identity(len(a)), tuple(a), k)
 
 
 def perm_order(a) -> int:
@@ -209,7 +200,7 @@ class _GroupLaws:
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
-        return _power(self.mul, self.identity, a, k)
+        return power(self.mul, self.identity, a, k)
 
     def element_order(self, a: int) -> int:
         """The least k >= 1 with a^k the identity."""
@@ -936,52 +927,6 @@ def fixed_points(G, automorphisms) -> frozenset:
 # --- the field-based action family ---
 
 
-def _fpp(poly, p: int) -> tuple[int, ...]:
-    return poly_trim([c % p for c in poly])
-
-
-def _fpp_divmod(a, b, p: int):
-    """Quotient and remainder over F_p: divide over Z by the monic b/lc(b),
-    which commutes with reduction mod p, and scale the quotient by 1/lc(b)."""
-    b = _fpp(b, p)
-    if not b:
-        raise InputError("polynomial division by zero")
-    inv_lc = pow(b[-1], -1, p)
-    quo, rem = poly_divmod_monic(_fpp(a, p), _fpp([c * inv_lc for c in b], p))
-    return _fpp([c * inv_lc for c in quo], p), _fpp(rem, p)
-
-
-def _fpp_mulmod(a, b, g, p: int):
-    return _fpp_divmod(poly_mul(a, b), g, p)[1]
-
-
-def _fpp_powmod(base, e: int, g, p: int):
-    return _power(lambda a, b: _fpp_mulmod(a, b, g, p), (1,), _fpp_divmod(base, g, p)[1], e)
-
-
-def _fpp_gcd(a, b, p: int):
-    a, b = _fpp(a, p), _fpp(b, p)
-    while b:
-        a, b = b, _fpp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple(c * inv % p for c in a)
-    return a
-
-
-def _irreducible_poly(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible of prime degree k over F_p, counter order."""
-    x = (0, 1)
-    for counter in range(p**k):
-        g = _digits(counter, p, k) + (1,)
-        if _fpp_powmod(x, p**k, g, p) != x:
-            continue
-        diff = _fpp(poly_add(_fpp_powmod(x, p, g, p), poly_neg(x)), p)
-        if len(_fpp_gcd(diff, g, p)) == 1:
-            return g
-    raise RuntimeError("no irreducible polynomial found")
-
-
 @dataclass(frozen=True)
 class FieldActionResult:
     """Additive group of GF(p^k) with multiplication-by-generator f and
@@ -1018,14 +963,14 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
     size = p**k
     if size > TABLE_CAP:
         raise CapacityError(f"field size {size} exceeds the table cap {TABLE_CAP}")
-    g = _irreducible_poly(p, k)
+    g = irreducible_poly(p, k)
     group = elementary_abelian_group(p, k)  # ids are coefficient digits mod g
 
     def fmul(a, b):
-        return _from_digits(_fpp_mulmod(_digits(a, p, k), _digits(b, p, k), g, p), p)
+        return _from_digits(poly_mulmod(_digits(a, p, k), _digits(b, p, k), g, p), p)
 
     def fpow(a, e):
-        return _from_digits(_fpp_powmod(_digits(a, p, k), e, g, p), p)
+        return _from_digits(poly_powmod(_digits(a, p, k), e, g, p), p)
 
     n = size - 1
     gen = next(  # id 1 is the constant polynomial 1
@@ -1199,18 +1144,15 @@ def _poly_invariant_factors(mat, p: int) -> list[tuple[int, ...]]:
     """Nonunit diagonal of the Smith form over F_p[x], monic and in
     divisibility order."""
     size = len(mat)
-    m = [[_fpp(entry, p) for entry in row] for row in mat]
+    m = [[poly_trim(entry, p) for entry in row] for row in mat]
     out = []
     k = 0
     while k < size:
-        pivot = None
-        for i in range(k, size):
-            for j in range(k, size):
-                if m[i][j] and (pivot is None or len(m[i][j]) < len(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        # a nonzero entry of least degree, the first in row-major order
+        pivots = [(len(m[i][j]), i, j) for i in range(k, size) for j in range(k, size) if m[i][j]]
+        if not pivots:
             break
-        pi, pj = pivot
+        _, pi, pj = min(pivots)
         m[k], m[pi] = m[pi], m[k]
         for row in m:
             row[k], row[pj] = row[pj], row[k]
@@ -1218,32 +1160,21 @@ def _poly_invariant_factors(mat, p: int) -> list[tuple[int, ...]]:
         m[k] = [tuple(c * inv_lc % p for c in f) for f in m[k]]
         for i in range(k + 1, size):
             if m[i][k]:
-                q, _ = _fpp_divmod(m[i][k], m[k][k], p)
-                m[i] = [
-                    _fpp(poly_add(m[i][j], poly_neg(poly_mul(q, m[k][j]))), p)
-                    for j in range(size)
-                ]
+                q, _ = poly_divmod(m[i][k], m[k][k], p)
+                m[i] = [poly_add(m[i][j], poly_neg(poly_mul(q, m[k][j])), p)
+                        for j in range(size)]
         for j in range(k + 1, size):
             if m[k][j]:
-                q, _ = _fpp_divmod(m[k][j], m[k][k], p)
+                q, _ = poly_divmod(m[k][j], m[k][k], p)
                 for i in range(k, size):
-                    m[i][j] = _fpp(
-                        poly_add(m[i][j], poly_neg(poly_mul(q, m[i][k]))), p
-                    )
-        if any(m[i][k] for i in range(k + 1, size)) or any(
-            m[k][j] for j in range(k + 1, size)
-        ):
+                    m[i][j] = poly_add(m[i][j], poly_neg(poly_mul(q, m[i][k])), p)
+        if any(m[i][k] or m[k][i] for i in range(k + 1, size)):
             continue
-        offender = None
-        for i in range(k + 1, size):
-            if any(
-                m[i][j] and _fpp_divmod(m[i][j], m[k][k], p)[1]
-                for j in range(k + 1, size)
-            ):
-                offender = i
-                break
+        # a row whose entries the pivot does not divide is added to the pivot row
+        offender = next((i for i in range(k + 1, size) if any(
+            m[i][j] and poly_divmod(m[i][j], m[k][k], p)[1] for j in range(k + 1, size))), None)
         if offender is not None:
-            m[k] = [_fpp(poly_add(m[k][j], m[offender][j]), p) for j in range(size)]
+            m[k] = [poly_add(m[k][j], m[offender][j], p) for j in range(size)]
             continue
         out.append(m[k][k])
         k += 1
@@ -1281,15 +1212,10 @@ def free_module_check(group, h, q: int) -> VerificationReport:
         group, 0, frozenset(range(group.order)), frozenset({group.identity}), p)
     dim = len(comp.basis)
     matrix = [[comp.coords_of[h[b]][i] for b in comp.basis] for i in range(dim)]
-    char = [
-        [
-            _fpp(((-matrix[i][j]) % p, 1) if i == j else ((-matrix[i][j]) % p,), p)
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
+    char = [[poly_trim((-matrix[i][j], 1) if i == j else (-matrix[i][j],), p)
+             for j in range(dim)] for i in range(dim)]
     factors = _poly_invariant_factors(char, p)
-    target = _fpp((-1,) + (0,) * (q - 1) + (1,), p)
+    target = poly_trim((-1,) + (0,) * (q - 1) + (1,), p)
     free = all(f == target for f in factors)
     witness = {
         "dim": dim,
@@ -1543,10 +1469,6 @@ def lazard_algebra(G, p: int) -> DLAlgebra:
     return DLAlgebra(G, filt, lie, tuple(degrees), components, block_start, lp)
 
 
-def _mat_power(ring, mat, k: int):
-    return _power(lambda a, b: mat_mul(ring, a, b), mat_identity(ring, len(mat)), mat, k)
-
-
 def lazard_lemma_check(G, p: int) -> VerificationReport:
     """(ad x)^p = ad(x^p) on the graded algebra, for every group element,
     plus ad-nilpotency within each element's order."""
@@ -1558,7 +1480,7 @@ def lazard_lemma_check(G, p: int) -> VerificationReport:
     for x in range(G.order):
         d, vec = dl.image(x)
         ad = L.ad_matrix(vec)
-        ad_p = _mat_power(ring, ad, p)
+        ad_p = mat_power(ring, ad, p)
         xp = G.power(x, p)
         dp, vec_p = dl.image(xp)
         if d is None or dp is None:
@@ -1570,7 +1492,7 @@ def lazard_lemma_check(G, p: int) -> VerificationReport:
         if ad_p != expected:
             return _report("lazard-lemma", t0, VIOLATION, {"element": x},
                            "(ad x)^p differs from ad(x^p)")
-        if _mat_power(ring, ad, G.element_order(x)) != zero:
+        if mat_power(ring, ad, G.element_order(x)) != zero:
             return _report("lazard-lemma", t0, VIOLATION,
                            {"element": x, "order": G.element_order(x)},
                            "ad-nilpotency index exceeds the element order")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
-from .rings import CyclotomicRing, RationalsRing, Ring, xgcd
+from .rings import CyclotomicRing, RationalsRing, Ring, power, xgcd
 
 # ---------------------------------------------------------------------------
 # field elimination
@@ -482,6 +482,11 @@ def _dot(ring: Ring, u, v):
 
 def mat_identity(ring: Ring, n: int) -> list[list]:
     return [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+
+
+def mat_power(ring: Ring, mat, k: int) -> list[list]:
+    """mat^k for k >= 0, with canonical entries."""
+    return power(lambda a, b: mat_mul(ring, a, b), mat_identity(ring, len(mat)), mat, k)
 
 
 def mat_sub(ring: Ring, a, b) -> list[list]:

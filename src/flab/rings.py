@@ -1,9 +1,13 @@
-"""Exact coefficient rings and integer polynomial helpers.
+"""Exact coefficient rings, polynomial helpers and the power loop.
 
 Every ring here is exact: arbitrary-precision integers, fractions.Fraction,
 residues stored as small non-negative ints, and cyclotomic integers stored
 as integer coefficient vectors reduced modulo the n-th cyclotomic polynomial.
 No floating point anywhere.
+
+The polynomial helpers are all of flab's polynomial arithmetic: over Z, or
+over F_p when given a prime modulus (group_engine's field actions and
+free-module check).  power is flab's one square-and-multiply loop.
 """
 from __future__ import annotations
 
@@ -14,25 +18,48 @@ from typing import Sequence
 
 from .errors import CapacityError, InputError
 
+
+def power(mul, one, a, k: int):
+    """a^k for k >= 0 by square-and-multiply over mul, with identity one:
+    the power of ring elements, permutations, group elements, polynomials
+    mod g and matrices.
+
+    >>> power(lambda x, y: x * y % 7, 1, 3, 5)
+    5
+    """
+    acc = one
+    while k:
+        if k & 1:
+            acc = mul(acc, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return acc
+
+
 # ---------------------------------------------------------------------------
-# integer polynomials, dense ascending coefficient lists
+# polynomials as dense ascending coefficient tuples, over Z or over F_mod
+# for a prime mod
 
 
-def poly_trim(p: Sequence[int]) -> tuple[int, ...]:
-    """Drop trailing zero coefficients; the zero polynomial is ().
+def poly_trim(p: Sequence[int], mod: int | None = None) -> tuple[int, ...]:
+    """Drop trailing zero coefficients, after reducing each mod `mod` when
+    one is given; the zero polynomial is ().
 
     >>> poly_trim([1, 2, 0])
     (1, 2)
+    >>> poly_trim([-1, 2, 3], 3)
+    (2, 2)
     """
-    p = list(p)
+    p = list(p) if mod is None else [c % mod for c in p]
     while p and p[-1] == 0:
         p.pop()
     return tuple(p)
 
 
-def poly_add(p, q):
+def poly_add(p, q, mod: int | None = None):
     n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
+    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)], mod)
 
 
 def poly_neg(p):
@@ -51,22 +78,74 @@ def poly_mul(p, q):
     return poly_trim(out)
 
 
-def poly_divmod_monic(p, d):
-    """Divide p by a monic divisor d over the integers, exactly."""
-    d = poly_trim(d)
-    if not d or d[-1] != 1:
+def poly_divmod(p, d, mod: int | None = None):
+    """Quotient and remainder of p by d, exactly: over Z d must be monic,
+    over F_mod it may be any d that is nonzero mod `mod`.
+
+    >>> poly_divmod((1, 0, 1), (1, 2), 3)
+    ((2, 2), (2,))
+    """
+    d = poly_trim(d, mod)
+    if mod is None and (not d or d[-1] != 1):
         raise InputError("divisor must be monic")
-    rem = list(poly_trim(p))
+    if not d:
+        raise InputError("polynomial division by zero")
+    inv_lc = 1 if mod is None else pow(d[-1], -1, mod)
+    lower = d[:-1]
+    rem = list(poly_trim(p, mod))
     quo = [0] * max(len(rem) - len(d) + 1, 0)
     while len(rem) >= len(d):
-        c = rem[-1]
         k = len(rem) - len(d)
-        quo[k] = c
-        for i, b in enumerate(d):
+        c = quo[k] = rem.pop() * inv_lc  # the leading term cancels exactly
+        for i, b in enumerate(lower):
             rem[k + i] -= c * b
+        if mod is not None:
+            rem[k:] = [r % mod for r in rem[k:]]
         while rem and rem[-1] == 0:
             rem.pop()
-    return poly_trim(quo), poly_trim(rem)
+    return poly_trim(quo, mod), tuple(rem)
+
+
+def poly_mulmod(a, b, g, mod: int | None = None):
+    """a*b reduced mod g (and mod `mod` when given)."""
+    return poly_divmod(poly_mul(a, b), g, mod)[1]
+
+
+def poly_powmod(a, e: int, g, mod: int | None = None):
+    """a^e reduced mod g (and mod `mod` when given), for e >= 0."""
+    one = poly_divmod((1,), g, mod)[1]
+    return power(lambda x, y: poly_mulmod(x, y, g, mod), one, poly_divmod(a, g, mod)[1], e)
+
+
+def poly_gcd(a, b, mod: int):
+    """The monic gcd of a and b over F_mod, for a prime mod; () when both
+    are zero.
+
+    >>> poly_gcd((2, 3, 1), (1, 1), 5)
+    (1, 1)
+    """
+    a, b = poly_trim(a, mod), poly_trim(b, mod)
+    while b:
+        a, b = b, poly_divmod(a, b, mod)[1]
+    return poly_divmod(a, a[-1:], mod)[0] if a else a  # a over its leading coefficient
+
+
+def irreducible_poly(p: int, k: int) -> tuple[int, ...]:
+    """The first monic irreducible of prime degree k over F_p, its lower
+    coefficients the base-p digits of 0, 1, 2, ... in turn.  For prime k, g
+    is irreducible iff x^(p^k) = x mod g and gcd(x^p - x, g) = 1.
+
+    >>> irreducible_poly(2, 3)
+    (1, 1, 0, 1)
+    """
+    x = (0, 1)
+    for counter in range(p**k):
+        g = tuple(counter // p**i % p for i in range(k)) + (1,)
+        if poly_powmod(x, p**k, g, p) != x:
+            continue
+        if len(poly_gcd(poly_add(poly_powmod(x, p, g, p), poly_neg(x), p), g, p)) == 1:
+            return g
+    raise RuntimeError("no irreducible polynomial found")
 
 
 def poly_eval_mod(p, x: int, mod: int) -> int:
@@ -131,7 +210,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             den = poly_mul(den, cyclotomic_poly(d))
-    quo, rem = poly_divmod_monic(num, den)
+    quo, rem = poly_divmod(num, den)
     if rem != ():
         raise RuntimeError(f"cyclotomic division for n = {n} leaves a remainder")
     return quo
@@ -553,7 +632,7 @@ class CyclotomicRing(Ring):
         return self.reduce([0, 1])
 
     def reduce(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        _, rem = poly_divmod_monic(poly_trim(coeffs), self.poly)
+        _, rem = poly_divmod(poly_trim(coeffs), self.poly)
         out = list(rem) + [0] * (self.degree - len(rem))
         return tuple(out)
 

@@ -271,6 +271,22 @@ def test_lie_eigen_with_omega(capsys, tmp_path):
     assert recs[0]["direct"] is True
 
 
+@pytest.mark.parametrize("phi, n, omega, reason", [
+    ([[1]], 2, 2, "omega**n is not 1"),
+    ([[1]], 2, 1, "omega has order dividing 1, not 2"),
+    ([[1]], 4, 4, "omega has order dividing 2, not 4"),
+    ([[2]], 2, 4, "phi**n is not the identity"),
+])
+def test_lie_eigen_refuses_a_bad_root_or_phi(capsys, tmp_path, phi, n, omega, reason):
+    from flab.rings import PrimeFieldRing
+    L = gl.GradedLieRing(PrimeFieldRing(5), 1, {})
+    path = tmp_path / "eigen.json"
+    path.write_text(json.dumps({"lie": L.to_json(), "phi": phi, "n": n, "omega": omega}))
+    code, recs = run_json(capsys, "lie", "eigen", str(path), "--format", "json")
+    assert code == 2
+    assert recs[0]["status"] == "input-error" and recs[0]["reason"] == reason
+
+
 def test_lie_eigen_on_a_dense_rank_12_phi_is_fast(tmp_path):
     # phi = I - 2 v w^T with w.v = 1 is an involution with no zero entry;
     # cofactor expansion would need about 12! products for its determinant

@@ -1,16 +1,21 @@
 """sympy as an independent oracle for the F_p[x] arithmetic behind the
-field actions and the free-module check, and direct checks of the group
-tables built from base-p digits (elementary abelian, Heisenberg)."""
+field actions and the free-module check (rings' polynomial helpers with a
+modulus, and the Smith form in group_engine), and direct checks of the
+group tables built from base-p digits (elementary abelian, Heisenberg)."""
 from __future__ import annotations
 
 import itertools
+import math
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import GF, Matrix, Poly, symbols
 from sympy.matrices.normalforms import invariant_factors
 
 from flab import group_engine as ge
+from flab.errors import InputError
+from flab.rings import irreducible_poly, is_prime, poly_divmod, poly_gcd, poly_powmod
 
 x = symbols("x")
 primes = st.sampled_from([2, 3, 5, 7, 11])
@@ -34,7 +39,45 @@ def from_sympy(poly, p):
 def test_fpp_divmod_matches_sympy(p, a, b):
     assume(any(c % p for c in b))
     quo, rem = to_sympy(a, p).div(to_sympy(b, p))
-    assert ge._fpp_divmod(a, b, p) == (from_sympy(quo, p), from_sympy(rem, p))
+    assert poly_divmod(a, b, p) == (from_sympy(quo, p), from_sympy(rem, p))
+
+
+def test_fp_division_refuses_a_zero_divisor():
+    for b in ([], [0, 0], [5, 10, 0]):
+        with pytest.raises(InputError, match="^polynomial division by zero$"):
+            poly_divmod([1, 2], b, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(primes, coeff_lists, coeff_lists)
+def test_fp_gcd_matches_sympy(p, a, b):
+    expected = to_sympy(a, p).gcd(to_sympy(b, p))
+    if not expected.is_zero:
+        expected = expected.monic()
+    assert poly_gcd(a, b, p) == from_sympy(expected, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(primes, coeff_lists, coeff_lists, st.integers(0, 40))
+def test_fp_powmod_matches_sympy(p, a, g, e):
+    assume(any(c % p for c in g))
+    expected = (to_sympy(a, p) ** e).rem(to_sympy(g, p))
+    assert poly_powmod(a, e, g, p) == from_sympy(expected, p)
+
+
+def _first_irreducible_by_sympy(p, k):
+    for counter in range(p**k):
+        g = tuple(counter // p**i % p for i in range(k)) + (1,)
+        if to_sympy(g, p).is_irreducible:
+            return g
+    return None
+
+
+@pytest.mark.parametrize("p, k", [(p, k) for k in range(2, 13)
+                                  for p in range(2, math.isqrt(ge.TABLE_CAP) + 1)
+                                  if is_prime(k) and is_prime(p) and p**k <= ge.TABLE_CAP])
+def test_irreducible_poly_is_the_first_irreducible_in_counter_order(p, k):
+    assert irreducible_poly(p, k) == _first_irreducible_by_sympy(p, k)
 
 
 def poly_matrices(max_size, max_degree):

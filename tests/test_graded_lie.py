@@ -19,6 +19,7 @@ from flab.rings import (
     IntegersRing,
     PrimeFieldRing,
     RationalsRing,
+    factorize,
 )
 
 
@@ -365,12 +366,38 @@ def test_eigenspace_defect_over_z4():
 
 def test_eigenspace_rejects_bad_omega():
     L = gl.GradedLieRing(PrimeFieldRing(5), 1, {})
-    with pytest.raises(InputError):
-        gl.eigenspace_decomposition(L, [[1]], 2, omega=1)  # order 1, not 2
-    with pytest.raises(InputError):
-        gl.eigenspace_decomposition(L, [[2]], 2, omega=4)  # phi**2 != 1
-    with pytest.raises(InputError):
-        gl.eigenspace_decomposition(L, [[1]], 3)  # no omega available
+    with pytest.raises(InputError, match=r"^omega has order dividing 1, not 2$"):
+        gl.eigenspace_decomposition(L, [[1]], 2, omega=1)
+    with pytest.raises(InputError, match=r"^omega has order dividing 2, not 4$"):
+        gl.eigenspace_decomposition(L, [[1]], 4, omega=4)
+    with pytest.raises(InputError, match=r"^omega\*\*n is not 1$"):
+        gl.eigenspace_decomposition(L, [[1]], 2, omega=2)
+    with pytest.raises(InputError, match=r"^phi\*\*n is not the identity$"):
+        gl.eigenspace_decomposition(L, [[2]], 2, omega=4)
+    with pytest.raises(InputError, match="^omega must be supplied for this ring$"):
+        gl.eigenspace_decomposition(L, [[1]], 3)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_root_order_check_matches_the_multiplicative_order(p):
+    # omega passes for n exactly when its order is n; otherwise the message
+    # names n // ell for the first prime ell of n whose quotient omega's
+    # order divides, or says omega**n is not 1
+    R = PrimeFieldRing(p)
+    for omega in range(1, p):
+        order = next(t for t in range(1, p) if pow(omega, t, p) == 1)
+        for n in range(1, 2 * p):
+            if n % order:
+                expected = "omega**n is not 1"
+            else:
+                ell = next((ell for ell in factorize(n) if (n // ell) % order == 0), None)
+                expected = None if ell is None else f"omega has order dividing {n // ell}, not {n}"
+            try:
+                gl._verify_root_order(R, omega, n)
+                got = None
+            except InputError as exc:
+                got = str(exc)
+            assert got == expected, (omega, n)
 
 
 def test_vandermonde_extract():

@@ -1,5 +1,7 @@
 """Source invariants of the library: no assert statement, which python -O
-would drop, and no import of random, so no check can be a sampled one."""
+would drop, and no import of random, so no check can be a sampled one; and
+one home for the arithmetic every module shares: the one square-and-multiply
+loop and the polynomial helpers live in rings."""
 from __future__ import annotations
 
 import ast
@@ -36,3 +38,55 @@ def test_the_lint_catches_both(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import random as rnd\nfrom random import choice\nassert rnd\n")
     assert len(_offences(bad)) == 3
+
+
+def _rings_polynomial_helpers() -> set[str]:
+    """The names of rings' polynomial helpers: poly_* and *_poly."""
+    tree = ast.parse((Path(flab.__file__).parent / "rings.py").read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and (node.name.startswith("poly_") or node.name.endswith("_poly"))}
+
+
+def _arithmetic_sites(path: Path, helpers: set[str]) -> list[str]:
+    """Every square-and-multiply loop (a >>= augmented assignment), and every
+    function outside rings.py named like a polynomial helper: one of
+    `helpers` with or without leading underscores, or an _fpp* helper."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift):
+            out.append(f"{path.name}: square-and-multiply loop")
+        elif isinstance(node, ast.FunctionDef) and path.name != "rings.py":
+            name = node.name.lstrip("_")
+            if name in helpers or name.startswith("fpp"):
+                out.append(f"{path.name}:{node.lineno}: polynomial helper {node.name}")
+    return out
+
+
+def test_rings_holds_the_one_power_loop_and_every_polynomial_helper():
+    helpers = _rings_polynomial_helpers()
+    assert {"poly_trim", "poly_divmod", "poly_powmod", "poly_gcd", "irreducible_poly"} <= helpers
+    sites = [s for path in SOURCES for s in _arithmetic_sites(path, helpers)]
+    assert sites == ["rings.py: square-and-multiply loop"]
+
+
+def test_the_arithmetic_lint_catches_a_second_copy(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def _power(mul, one, a, k):\n"
+        "    while k:\n"
+        "        k >>= 1\n"
+        "    return one\n"
+        "def _fpp(poly, p):\n"
+        "    return poly\n"
+        "def _poly_gcd(a, b, p):\n"
+        "    return a\n"
+        "def _irreducible_poly(p, k):\n"
+        "    return ()\n"
+        "def _poly_invariant_factors(mat, p):\n"
+        "    return []\n")
+    assert sorted(_arithmetic_sites(bad, _rings_polynomial_helpers())) == [
+        "bad.py: square-and-multiply loop",
+        "bad.py:5: polynomial helper _fpp",
+        "bad.py:7: polynomial helper _poly_gcd",
+        "bad.py:9: polynomial helper _irreducible_poly",
+    ]

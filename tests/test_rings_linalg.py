@@ -46,11 +46,13 @@ from flab.rings import (
     is_prime,
     multiplicative_order,
     poly_add,
-    poly_divmod_monic,
+    poly_divmod,
     poly_eval_mod,
     poly_mul,
     poly_neg,
+    poly_powmod,
     poly_trim,
+    power,
     ring_from_json,
     ring_to_json,
     sylvester_resultant,
@@ -94,15 +96,32 @@ def test_poly_divmod_monic_round_trip():
     for _ in range(200):
         d = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [1]
         p = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
-        quo, rem = poly_divmod_monic(p, d)
+        quo, rem = poly_divmod(p, d)
         recombined = poly_trim(poly_add(poly_mul(quo, d), rem))
         assert recombined == poly_trim(p)
         assert len(poly_trim(rem)) < len(poly_trim(d))
 
 
 def test_poly_divmod_requires_monic():
-    with pytest.raises(InputError):
-        poly_divmod_monic([1, 2, 3], [1, 2])
+    with pytest.raises(InputError, match="^divisor must be monic$"):
+        poly_divmod([1, 2, 3], [1, 2])
+    with pytest.raises(InputError, match="^divisor must be monic$"):
+        poly_divmod([1, 2, 3], [])
+
+
+def test_power_is_one_at_exponent_zero():
+    assert power(lambda x, y: x * y % 7, 1, 3, 0) == 1
+    assert power(lambda x, y: x * y % 7, 1, 3, 6) == 1
+    assert power(poly_mul, (1,), (1, 1), 0) == (1,)
+    assert power(poly_mul, (1,), (1, 1), 3) == (1, 3, 3, 1)
+
+
+def test_poly_powmod_over_z_matches_repeated_division():
+    g = cyclotomic_poly(5)
+    acc = (1,)
+    for e in range(12):
+        assert poly_powmod((2, -1), e, g) == acc
+        acc = poly_divmod(poly_mul(acc, (2, -1)), g)[1]
 
 
 def test_poly_eval_mod():
