@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 from .combinatorics import FrobeniusParams, is_r_dependent
 from .errors import CapacityError, InputError
 from .linalg import Subspace, kernel, mat_apply, mat_identity, mat_mul, mat_power, mat_sub, ring_det
-from .rings import Ring, factorize, power, ring_from_json, ring_to_json
+from .rings import Ring, factorize, orbit, power, ring_from_json, ring_to_json
 
 
 @dataclass(frozen=True)
@@ -675,20 +675,14 @@ def _check_fh_relations(L: GradedLieRing, f, h) -> None:
         if conj != fl[(i + 1) % 3]:
             raise RuntimeError(f"h does not conjugate f{i + 1} to f{(i + 1) % 3 + 1}")
     # closure of {f_1, f_2, f_3, h} has exactly 12 elements
-    seen = {tuple(map(tuple, m)) for m in ([ident] + fl + [hl])}
-    frontier = list(seen)
     gens = [tuple(map(tuple, m)) for m in fl + [hl]]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                prod = tuple(map(tuple, mat_mul(R, [list(r) for r in a], [list(r) for r in g])))
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    if len(seen) != 12:
-        raise RuntimeError(f"f and h generate {len(seen)} matrices, not 12")
+    closure = orbit(
+        [tuple(map(tuple, ident))] + gens,
+        lambda a: (tuple(map(tuple, mat_mul(R, a, g))) for g in gens),
+    )
+    size = sum(1 for _ in closure)
+    if size != 12:
+        raise RuntimeError(f"f and h generate {size} matrices, not 12")
     for m in f + (h,):
         issues = automorphism_issues(L, m)
         if issues:

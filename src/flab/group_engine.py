@@ -26,6 +26,8 @@ coordinate generators.  Its orders cap at BCH_CAP.
 Polynomial arithmetic over F_p (the field actions, the free-module check)
 and every power come from rings: its polynomial helpers and its one
 square-and-multiply loop, power; matrix powers are linalg.mat_power.
+Every closed set is walked by rings.orbit, except in subgroup_closure and
+Light's associativity test, whose generating sets grow mid-walk.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .rings import (
     factorize,
     irreducible_poly,
     is_prime,
+    orbit,
     poly_add,
     poly_divmod,
     poly_mul,
@@ -409,8 +412,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 
 def group_from_permutations(degree: int, generators) -> FiniteGroup:
-    """Closure of the generators under composition; ids in discovery order
-    with the identity first."""
+    """Closure of the generators under composition, as the orbit of the
+    identity under right multiplication by each generator; ids in
+    breadth-first discovery order with the identity first."""
     ident = perm_identity(degree)
     gens = []
     for g in generators:
@@ -418,23 +422,13 @@ def group_from_permutations(degree: int, generators) -> FiniteGroup:
         if len(g) != degree or set(g) != set(range(degree)):
             raise InputError("generators must be permutations of the degree")
         gens.append(g)
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = perm_compose(x, g)
-                if y not in index:
-                    if len(elements) >= TABLE_CAP:
-                        raise CapacityError(
-                            f"permutation closure exceeds the table cap {TABLE_CAP}"
-                        )
-                    index[y] = len(elements)
-                    elements.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    # the walk is lazy: islice stops it at the first element past the cap
+    elements = list(itertools.islice(
+        orbit([ident], lambda x: (perm_compose(x, g) for g in gens)), TABLE_CAP + 1
+    ))
+    if len(elements) > TABLE_CAP:
+        raise CapacityError(f"permutation closure exceeds the table cap {TABLE_CAP}")
+    index = {e: i for i, e in enumerate(elements)}
     table = [
         [index[perm_compose(a, b)] for b in elements] for a in elements
     ]
@@ -528,13 +522,16 @@ def is_subgroup(G, S) -> bool:
 
 def _normal_closure_by_generators(G, seed, gens) -> frozenset:
     """The least subgroup holding seed that conjugation by gens maps into
-    itself: the normal closure of seed when gens generate G (see is_normal)."""
-    current = subgroup_closure(G, seed)
-    while True:
-        extra = {G.conjugate(g, x) for g in gens for x in current}
-        if extra <= current:
-            return current
-        current = subgroup_closure(G, set(current) | extra)
+    itself: the normal closure of seed when gens generate G (see is_normal).
+
+    It is the subgroup N generated by the orbit O of seed under the maps
+    x -> g x g^-1, g in gens.  O is closed under each of these maps, and
+    each map is a homomorphism, so it maps N = <O> into itself.  Any
+    subgroup that holds seed and is mapped into itself by each map holds
+    every image of seed under them, so O, so N."""
+    return subgroup_closure(
+        G, orbit(seed, lambda x: (G.conjugate(g, x) for g in gens))
+    )
 
 
 def normal_closure(G, gens) -> frozenset:
@@ -652,17 +649,11 @@ def all_sylow_subgroups(G, p: int) -> list[frozenset]:
     by a generating set of G, which is all of them because G acts
     transitively on its Sylow p-subgroups (Sylow's theorem)."""
     gens = _generating_set(G)
-    P = sylow_subgroup(G, p)
-    out = {P}
-    stack = [P]
-    while stack:
-        Q = stack.pop()
-        for g in gens:
-            R = frozenset(G.conjugate(g, x) for x in Q)
-            if R not in out:
-                out.add(R)
-                stack.append(R)
-    return sorted(out, key=sorted)
+    conjugates = orbit(
+        [sylow_subgroup(G, p)],
+        lambda Q: (frozenset(G.conjugate(g, x) for x in Q) for g in gens),
+    )
+    return sorted(conjugates, key=sorted)
 
 
 def _lattice(G, orbit_of) -> list[frozenset]:
@@ -676,48 +667,43 @@ def _lattice(G, orbit_of) -> list[frozenset]:
     end of a chain of orbit extensions inside K, because for any invariant
     H < K and x in K - H, <H, O(x)> is invariant, lies in K and is larger
     than H.  Since H is invariant, every y in H*O(x) has <H, O(y)> = K, so
-    all of H*O(x) is marked tried after one closure.  Each subgroup keeps
-    the generators it was first reached by, so the closure starts from
-    those.  Singleton orbits give the whole lattice."""
+    all of H*O(x) is marked tried after one closure.  The subgroups found
+    are the orbit (rings.orbit) of the trivial subgroup under the map from
+    H to its extensions.  Each subgroup keeps, in known, the generators it
+    was first reached by, so its own extensions start from those.
+    Singleton orbits give the whole lattice."""
     if G.order > EXHAUSTIVE_CAP:
         raise CapacityError(f"subgroup enumeration capped at order {EXHAUSTIVE_CAP}")
     mul = G.mul
     trivial = frozenset({G.identity})
     known = {trivial: ()}
-    queue = [trivial]
-    while queue:
-        H = queue.pop()
+
+    def extensions(H):
         tried = set(H)
         for x in range(G.order):
             if x in tried:
                 continue
-            orbit = orbit_of[x]
-            tried.update(mul(h, y) for h in H for y in orbit)
-            gens = known[H] + orbit
+            orb = orbit_of[x]
+            tried.update(mul(h, y) for h in H for y in orb)
+            gens = known[H] + orb
             K = subgroup_closure(G, gens)
-            if K not in known:
-                known[K] = gens
-                queue.append(K)
-    return sorted(known, key=lambda s: (len(s), sorted(s)))
+            known.setdefault(K, gens)
+            yield K
+
+    return sorted(orbit([trivial], extensions), key=lambda s: (len(s), sorted(s)))
 
 
 def _orbits(n: int, perms) -> list[tuple[int, ...]]:
     """orbit_of[x]: the orbit of x under the group the permutations of
-    range(n) generate, by breadth-first search over their images."""
+    range(n) generate (each inverse is a positive power), as a tuple in
+    rings.orbit's breadth-first order from the orbit's least point."""
+    images = list(zip(range(n), *perms))  # y, then its image under each
     orbit_of: list = [None] * n
     for x in range(n):
-        if orbit_of[x] is not None:
-            continue
-        orbit, seen = [x], {x}
-        for y in orbit:  # the list grows while it is walked
-            for a in perms:
-                z = a[y]
-                if z not in seen:
-                    seen.add(z)
-                    orbit.append(z)
-        orbit = tuple(orbit)
-        for y in orbit:
-            orbit_of[y] = orbit
+        if orbit_of[x] is None:
+            orb = tuple(orbit([x], images.__getitem__))
+            for y in orb:
+                orbit_of[y] = orb
     return orbit_of
 
 
@@ -1209,7 +1195,7 @@ def free_module_check(group, h, q: int) -> VerificationReport:
         raise InputError("h^q is not the identity")
     # coordinates of the whole group, as the quotient by the trivial subgroup
     comp = _build_component(
-        group, 0, frozenset(range(group.order)), frozenset({group.identity}), p)
+        group, frozenset(range(group.order)), frozenset({group.identity}), p)
     dim = len(comp.basis)
     matrix = [[comp.coords_of[h[b]][i] for b in comp.basis] for i in range(dim)]
     char = [[poly_trim((-matrix[i][j], 1) if i == j else (-matrix[i][j],), p)
@@ -1324,12 +1310,11 @@ def jz_filtration(G, p: int) -> Filtration:
 
 @dataclass(frozen=True)
 class _Component:
-    degree: int
     basis: tuple[int, ...]
     coords_of: dict  # element id -> coordinate tuple over range(p)
 
 
-def _build_component(G, degree: int, D, Dn, p: int) -> _Component:
+def _build_component(G, D, Dn, p: int) -> _Component:
     coset_of = {}
     reps = []
     for x in sorted(D):
@@ -1357,7 +1342,7 @@ def _build_component(G, degree: int, D, Dn, p: int) -> _Component:
             raise RuntimeError("filtration quotient is not elementary abelian")
         coset_coords[idx] = coeffs
     coords_of = {x: coset_coords[coset_of[x]] for x in D}
-    return _Component(degree, tuple(basis), coords_of)
+    return _Component(tuple(basis), coords_of)
 
 
 class DLAlgebra:
@@ -1436,7 +1421,7 @@ def lazard_algebra(G, p: int) -> DLAlgebra:
     degrees: list[int] = []
     info = []
     for deg in range(1, top + 1):
-        comp = _build_component(G, deg, terms[deg - 1], terms[deg], p)
+        comp = _build_component(G, terms[deg - 1], terms[deg], p)
         block_start[deg] = len(degrees)
         degrees.extend([deg] * len(comp.basis))
         info.extend((deg, b) for b in comp.basis)

@@ -7,7 +7,8 @@ No floating point anywhere.
 
 The polynomial helpers are all of flab's polynomial arithmetic: over Z, or
 over F_p when given a prime modulus (group_engine's field actions and
-free-module check).  power is flab's one square-and-multiply loop.
+free-module check).  power and orbit are flab's shared loops: the one
+square-and-multiply loop, and the one walk of a set closed under a map.
 """
 from __future__ import annotations
 
@@ -35,6 +36,29 @@ def power(mul, one, a, k: int):
         if k:
             a = mul(a, a)
     return acc
+
+
+def orbit(starts, step):
+    """The closure of starts under step, where step(x) returns the images
+    of x, breadth first: each element is yielded the first time it is seen,
+    the starts first (Butler, Fundamental Algorithms for Permutation Groups,
+    1991).  Lazy, so a caller may stop it early, even on an infinite orbit.
+
+    >>> list(orbit([1, 1], lambda x: (2 * x % 7,)))
+    [1, 2, 4]
+    """
+    seen, found = set(), []
+    for x in starts:
+        if x not in seen:
+            seen.add(x)
+            found.append(x)
+            yield x
+    for x in found:  # the list grows while it is walked
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+                yield y
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +737,3 @@ def ring_to_json(ring: Ring) -> dict:
         out["modulus"] = d[1]
     return out
 
-
-def element_order(ring: Ring, a, limit: int = 10**6) -> int | None:
-    """Multiplicative order of a, or None if no power up to limit is 1."""
-    one = ring.one()
-    x = ring.canon(a)
-    for k in range(1, limit + 1):
-        if x == one:
-            return k
-        x = ring.mul(x, ring.canon(a))
-    return None

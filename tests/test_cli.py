@@ -397,6 +397,17 @@ def test_group_build_file(capsys, tmp_path):
     assert recs[0]["nilpotency_class"] is None
 
 
+def test_group_build_file_refuses_past_the_table_cap(capsys, tmp_path):
+    path = tmp_path / "s7.json"
+    path.write_text(json.dumps({"permutations": {"degree": 7, "generators": [
+        [1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]}}))
+    code, recs = run_json(capsys, "group", "build", "--file", str(path),
+                          "--format", "json")
+    assert code == 2
+    assert recs[0]["status"] == "capacity-error"
+    assert "permutation closure exceeds the table cap 5000" in recs[0]["reason"]
+
+
 def test_group_requires_source(capsys):
     code, recs = run_json(capsys, "group", "build", "--format", "json")
     assert code == 2

@@ -132,6 +132,33 @@ def test_group_from_permutations():
     assert len(ge.all_sylow_subgroups(S3, 2)) == 3
 
 
+def test_group_from_permutations_keeps_its_discovery_order():
+    # breadth first from the identity, right multiplying by each generator
+    S3 = ge.group_from_permutations(3, [(1, 2, 0), (1, 0, 2)])
+    assert S3.names == ("[0, 1, 2]", "[1, 2, 0]", "[1, 0, 2]",
+                        "[2, 0, 1]", "[2, 1, 0]", "[0, 2, 1]")
+    S4 = ge.group_from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
+    assert S4.order == 24
+    assert S4.names[:8] == ("[0, 1, 2, 3]", "[1, 2, 3, 0]", "[1, 0, 2, 3]",
+                            "[2, 3, 0, 1]", "[2, 1, 3, 0]", "[0, 2, 3, 1]",
+                            "[3, 0, 1, 2]", "[3, 2, 0, 1]")
+
+
+def test_group_from_permutations_stops_at_the_table_cap(monkeypatch):
+    # S7 has 5040 > TABLE_CAP elements; the closure stops at the first
+    # element past the cap, after no more products than that takes
+    compose, calls = ge.perm_compose, []
+
+    def counting(a, b):
+        calls.append(1)
+        return compose(a, b)
+
+    monkeypatch.setattr(ge, "perm_compose", counting)
+    with pytest.raises(CapacityError, match=r"^permutation closure exceeds the table cap 5000$"):
+        ge.group_from_permutations(7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)])
+    assert 0 < len(calls) <= 9678
+
+
 def test_build_group_formats():
     G = ge.build_group({"table": [[0, 1], [1, 0]]})
     assert G.order == 2

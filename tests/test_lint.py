@@ -1,7 +1,8 @@
 """Source invariants of the library: no assert statement, which python -O
 would drop, and no import of random, so no check can be a sampled one; and
-one home for the arithmetic every module shares: the one square-and-multiply
-loop and the polynomial helpers live in rings."""
+one home for the loops and arithmetic every module shares: the one
+square-and-multiply loop, the one orbit walk and the polynomial helpers
+live in rings."""
 from __future__ import annotations
 
 import ast
@@ -90,3 +91,85 @@ def test_the_arithmetic_lint_catches_a_second_copy(tmp_path):
         "bad.py:7: polynomial helper _poly_gcd",
         "bad.py:9: polynomial helper _irreducible_poly",
     ]
+
+
+# A walk of a list that grows while it is walked is the orbit algorithm,
+# which has one home, rings.orbit.  The exceptions are not orbits under
+# fixed maps: Dimino's algorithm adjoins generators mid-walk, Light's test
+# grows its generating set, and the rewrite worklist keeps duplicate terms.
+WALK_EXCEPTIONS = {
+    "rings.orbit",
+    "group_engine.subgroup_closure",
+    "group_engine._check_associativity",
+    "free_lie._rewrite",
+}
+
+
+def _grows(body, name: str, rebind: bool) -> bool:
+    """Whether the statements append to or extend the list `name`, or, with
+    rebind, assign to it."""
+    for node in (n for stmt in body for n in ast.walk(stmt)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("append", "extend")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == name):
+            return True
+        if rebind and isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return True
+    return False
+
+
+def _growing_walks(path: Path) -> list[str]:
+    """module.function for every function holding a `for x in L` whose body
+    appends to L, or a `while L` whose body appends to or rebinds L; a loop
+    counts for the innermost function around it."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{path.stem}.{child.name}")
+                continue
+            if isinstance(child, ast.For) and isinstance(child.iter, ast.Name):
+                grown = _grows(child.body, child.iter.id, rebind=False)
+            elif isinstance(child, ast.While) and isinstance(child.test, ast.Name):
+                grown = _grows(child.body, child.test.id, rebind=True)
+            else:
+                grown = False
+            if grown and where not in out:
+                out.append(where)
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return out
+
+
+def test_every_growing_walk_is_the_orbit_walk_or_a_named_exception():
+    walks = {w for path in SOURCES for w in _growing_walks(path)}
+    assert walks == WALK_EXCEPTIONS
+
+
+def test_the_walk_lint_catches_a_second_copy(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def _orbits(n, perms):\n"
+        "    orbit = [0]\n"
+        "    for y in orbit:\n"
+        "        orbit.append(perms[0][y])\n"
+        "def closure(gens):\n"
+        "    frontier = [()]\n"
+        "    while frontier:\n"
+        "        frontier = [g for g in gens]\n"
+        "def sylow_class(P):\n"
+        "    stack = [P]\n"
+        "    while stack:\n"
+        "        def inner(x):\n"
+        "            return x\n"
+        "        stack.append(inner(stack.pop()))\n"
+        "def fine(xs):\n"
+        "    out = []\n"
+        "    for x in xs:\n"
+        "        out.append(x)\n"
+        "    while xs:\n"
+        "        xs.pop()\n")
+    assert _growing_walks(bad) == ["bad._orbits", "bad.closure", "bad.sylow_class"]

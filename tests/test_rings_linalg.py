@@ -41,10 +41,10 @@ from flab.rings import (
     PrimeFieldRing,
     RationalsRing,
     cyclotomic_poly,
-    element_order,
     factorize,
     is_prime,
     multiplicative_order,
+    orbit,
     poly_add,
     poly_divmod,
     poly_eval_mod,
@@ -114,6 +114,22 @@ def test_power_is_one_at_exponent_zero():
     assert power(lambda x, y: x * y % 7, 1, 3, 6) == 1
     assert power(poly_mul, (1,), (1, 1), 0) == (1,)
     assert power(poly_mul, (1,), (1, 1), 3) == (1, 3, 3, 1)
+
+
+def test_orbit_is_lazy_breadth_first_and_yields_each_once():
+    # the orbit is infinite, so only a lazy walk returns
+    assert list(itertools.islice(orbit([0], lambda x: (x + 1,)), 5)) == [0, 1, 2, 3, 4]
+    # repeated starts are yielded once, the starts first and in order
+    assert list(orbit([3, 1, 3, 1], lambda x: ())) == [3, 1]
+    # breadth first: every image of x before any image of an image
+    step = {0: (1, 2), 1: (3, 0), 2: (4,), 3: (), 4: (2, 5), 5: ()}
+    assert list(orbit([0], lambda x: step[x])) == [0, 1, 2, 3, 4, 5]
+    assert list(orbit([], lambda x: (x,))) == []
+    # step is called once per element, on the elements in the order yielded
+    calls = []
+    assert list(orbit([2], lambda x: calls.append(x) or (x * 2 % 11,))) == [
+        2, 4, 8, 5, 10, 9, 7, 3, 6, 1]
+    assert calls == [2, 4, 8, 5, 10, 9, 7, 3, 6, 1]
 
 
 def test_poly_powmod_over_z_matches_repeated_division():
@@ -321,16 +337,6 @@ def test_prime_field_inverse():
         assert F.mul(a, F.inv(a)) == 1
     with pytest.raises(InputError):
         F.inv(0)
-
-
-def test_element_order():
-    R = IntegersModRing(12)
-    assert element_order(R, 1) == 1
-    assert element_order(R, 5) == 2  # 25 = 24 + 1
-    assert element_order(R, 2, limit=50) is None  # never reaches 1
-    F = PrimeFieldRing(7)
-    assert element_order(F, 3) == 6
-    assert element_order(F, 2) == 3
 
 
 def test_cyclotomic_root_relation():
