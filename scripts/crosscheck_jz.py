@@ -1,0 +1,53 @@
+"""Cross-check jz_filtration, which builds the Jennings series by Lazard's
+recursion D_i = [D_(i-1), G] D_ceil(i/p)^p, against Lazard's product
+formula D_i = prod over j*p^k >= i of gamma_j(G)^(p^k) on direct products.
+
+The factors are the 37 p-groups of jennings_groups in
+tests/test_group_engine.py (cyclic, dihedral, quaternion, Heisenberg and
+elementary abelian groups, direct products and permutation groups), and
+the oracle is that file's _lazard_product_terms.  Every direct product
+A x B of two of them (A before or equal to B in the list) whose orders
+are powers of the same prime and whose order is at most 512 is checked.
+It exits 1 on the first disagreement.
+
+    PYTHONPATH=src python scripts/crosscheck_jz.py
+
+The run is not part of the test suite.
+"""
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from test_group_engine import _lazard_product_terms, jennings_groups  # noqa: E402
+
+from flab import group_engine as ge  # noqa: E402
+
+LIMIT = 512
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    factors = [(name, build()) for name, build in jennings_groups().items()]
+    checked = 0
+    for i, (a, A) in enumerate(factors):
+        for b, B in factors[i:]:
+            if A.order * B.order > LIMIT:
+                continue
+            (p,) = ge.factorize(A.order)
+            if B.order % p:
+                continue
+            G = ge.direct_product(A, B)
+            if ge.jz_filtration(G, p).terms != _lazard_product_terms(G, p):
+                print(f"jz_filtration differs from the product formula on {a}x{b}")
+                return 1
+            checked += 1
+    print(f"{checked} direct products, all agree ({time.perf_counter() - t0:.0f} s)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

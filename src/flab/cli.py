@@ -8,6 +8,7 @@ Exit codes: 0 all pass, 1 any violation, 2 input or capacity trouble.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -23,6 +24,7 @@ from .reports import (
     PASS,
     VIOLATION,
     VerificationReport,
+    error_report,
     report_check,
 )
 from .rings import ring_from_json
@@ -132,10 +134,6 @@ def _exit_code(reports) -> int:
     return 0
 
 
-def _rename(rep: VerificationReport, name: str) -> VerificationReport:
-    return VerificationReport(name, rep.status, rep.witness, rep.reason, rep.seconds)
-
-
 # --- report adapters, shared by subcommands and the fixture suite ---
 
 
@@ -179,19 +177,17 @@ def report_charp(name: str, g1, g2, limit: int) -> VerificationReport:
     return report_check(name, body)
 
 
-def _rewrite_report(name, kind, u_indices, tail_indices, c, n, q, r, w=None):
+def _rewrite_report(name, kind, u, tail, c, n, q, r, w=None):
     def body():
         params = comb.FrobeniusParams(n, q, r)
-        head = fl.UAtom(tuple(u_indices))
-        tail = tuple(
-            fl.IndexedGenerator(f"x{t}", idx) for t, idx in enumerate(tail_indices)
-        )
+        head = fl.UAtom(tuple(u))
+        gens = tuple(fl.IndexedGenerator(f"x{t}", idx) for t, idx in enumerate(tail))
         if kind == "odin":
-            result = fl.odin_rewrite(head, tail, c, params)
+            result = fl.odin_rewrite(head, gens, c, params)
         else:
-            result = fl.dva_rewrite(head, tail, c, params, w)
+            result = fl.dva_rewrite(head, gens, c, params, w)
         identity = result.verify()
-        dset = comb.d_set(tuple(u_indices), params)
+        dset = comb.d_set(tuple(u), params)
         in_dset = all(
             fl.tree_index_sum(elem) % n in dset
             for term in result.kept_terms
@@ -213,12 +209,12 @@ def _rewrite_report(name, kind, u_indices, tail_indices, c, n, q, r, w=None):
     return report_check(name, body)
 
 
-def report_odin(name, u_indices, tail_indices, c, n, q, r):
-    return _rewrite_report(name, "odin", u_indices, tail_indices, c, n, q, r)
+def report_odin(name, u, tail, c, n, q, r):
+    return _rewrite_report(name, "odin", u, tail, c, n, q, r)
 
 
-def report_dva(name, u_indices, tail_indices, c, n, q, r, w):
-    return _rewrite_report(name, "dva", u_indices, tail_indices, c, n, q, r, w)
+def report_dva(name, u, tail, c, n, q, r, w):
+    return _rewrite_report(name, "dva", u, tail, c, n, q, r, w)
 
 
 def _razresh_data(rez: fl.RazreshReport) -> dict:
@@ -229,11 +225,11 @@ def _razresh_data(rez: fl.RazreshReport) -> dict:
     }
 
 
-def report_razresh(name, c, q, n, r, indices, expect_member) -> VerificationReport:
+def report_razresh(name, c, q, n, r, indices, member) -> VerificationReport:
     def body():
         rez = fl.razresh_membership(c, q, comb.FrobeniusParams(n, q, r), indices)
         witness = _razresh_data(rez)
-        if rez.member == expect_member:
+        if rez.member == member:
             return PASS, witness, None
         return VIOLATION, witness, "membership answer differs from the expected one"
 
@@ -266,9 +262,9 @@ def report_selective(name, data, c, n, q, r) -> VerificationReport:
     return report_check(name, body)
 
 
-def report_simple3(name: str, ring_json) -> VerificationReport:
+def report_simple3(name: str, ring) -> VerificationReport:
     def body():
-        ex = gl.example_simple3(ring_from_json(ring_json))
+        ex = gl.example_simple3(ring_from_json(ring))
         L = ex.lie
         fixed_f = gl.fixed_subring(L, ex.f)
         fixed_h = gl.fixed_subring(L, (ex.h,))
@@ -332,35 +328,33 @@ def report_field_verify(name: str, p: int, k: int, check: str) -> VerificationRe
 
 def report_free_module_field(name: str, p: int, k: int) -> VerificationReport:
     res = ge.build_field_action(p, k)
-    return _rename(ge.free_module_check(res.group, res.action.h, k), name)
+    return dataclasses.replace(ge.free_module_check(res.group, res.action.h, k), name=name)
 
 
 def report_free_module_trivial(name: str, p: int, dim: int, q: int) -> VerificationReport:
     group = ge.elementary_abelian_group(p, dim)
-    return _rename(
-        ge.free_module_check(group, ge.perm_identity(group.order), q), name
-    )
+    rep = ge.free_module_check(group, ge.perm_identity(group.order), q)
+    return dataclasses.replace(rep, name=name)
 
 
-def report_jz_dims(name: str, group_name: str, p: int, expected) -> VerificationReport:
+def report_jz_dims(name: str, group: str, p: int, dims) -> VerificationReport:
     def body():
-        G = ge.named_group(group_name)
-        dims = list(ge.jz_filtration(G, p).dims())
-        if dims == list(expected):
-            return PASS, {"dims": dims}, None
-        return VIOLATION, {"dims": dims, "expected": list(expected)}, \
+        found = list(ge.jz_filtration(ge.named_group(group), p).dims())
+        if found == list(dims):
+            return PASS, {"dims": found}, None
+        return VIOLATION, {"dims": found, "expected": list(dims)}, \
             "filtration dimensions differ"
 
     return report_check(name, body)
 
 
-def report_lazard_lemma(name: str, group_name: str, p: int) -> VerificationReport:
-    return _rename(ge.lazard_lemma_check(ge.named_group(group_name), p), name)
+def report_lazard_lemma(name: str, group: str, p: int) -> VerificationReport:
+    return dataclasses.replace(ge.lazard_lemma_check(ge.named_group(group), p), name=name)
 
 
-def report_powerful(name: str, group_name: str, p: int, expected: bool) -> VerificationReport:
+def report_powerful(name: str, group: str, p: int, expected: bool) -> VerificationReport:
     def body():
-        answer = ge.is_powerful(ge.named_group(group_name), p)
+        answer = ge.is_powerful(ge.named_group(group), p)
         if answer == bool(expected):
             return PASS, {"powerful": answer}, None
         return VIOLATION, {"powerful": answer, "expected": bool(expected)}, \
@@ -610,37 +604,27 @@ def cmd_group_lazard(args):
             "lp_rank": dl.lp.rank(),
             "lp_spans": dl.lp.rank() == dl.lie.rank,
         })
-        rep = VerificationReport(rep.name, rep.status, witness, rep.reason, rep.seconds)
+        rep = dataclasses.replace(rep, witness=witness)
     return "reports", [rep]
 
 
 # --- the bundled fixture suite ---
 
 TASK_KINDS = {
-    "prim": lambda name, a: report_prim(name, a["n"], a["q"], a["r"]),
-    "dset": lambda name, a: report_dset(
-        name, a["seq"], a["n"], a["q"], a["r"], a["expected"]),
-    "odin": lambda name, a: report_odin(
-        name, a["u"], a["tail"], a["c"], a["n"], a["q"], a["r"]),
-    "dva": lambda name, a: report_dva(
-        name, a["u"], a["tail"], a["c"], a["n"], a["q"], a["r"], a["w"]),
-    "razresh": lambda name, a: report_razresh(
-        name, a["c"], a["q"], a["n"], a["r"], a["indices"], a["member"]),
-    "example-simple3": lambda name, a: report_simple3(name, a["ring"]),
-    "example-pm": lambda name, a: report_pm(name, a["p"], a["m"]),
-    "bch-pm": lambda name, a: report_bch_pm(
-        name, a["p"], a["m"], a.get("sweep", True)),
-    "field-verify": lambda name, a: report_field_verify(
-        name, a["p"], a["k"], a["check"]),
-    "free-module-field": lambda name, a: report_free_module_field(
-        name, a["p"], a["k"]),
-    "free-module-trivial": lambda name, a: report_free_module_trivial(
-        name, a["p"], a["dim"], a["q"]),
-    "jz-dims": lambda name, a: report_jz_dims(
-        name, a["group"], a["p"], a["dims"]),
-    "lazard-lemma": lambda name, a: report_lazard_lemma(name, a["group"], a["p"]),
-    "powerful": lambda name, a: report_powerful(
-        name, a["group"], a["p"], a["expected"]),
+    "prim": report_prim,
+    "dset": report_dset,
+    "odin": report_odin,
+    "dva": report_dva,
+    "razresh": report_razresh,
+    "example-simple3": report_simple3,
+    "example-pm": report_pm,
+    "bch-pm": report_bch_pm,
+    "field-verify": report_field_verify,
+    "free-module-field": report_free_module_field,
+    "free-module-trivial": report_free_module_trivial,
+    "jz-dims": report_jz_dims,
+    "lazard-lemma": report_lazard_lemma,
+    "powerful": report_powerful,
 }
 
 
@@ -659,7 +643,7 @@ def _run_task(task) -> VerificationReport:
     kind = task.get("kind")
     if kind not in TASK_KINDS:
         raise InputError(f"unknown task kind {kind!r}")
-    return TASK_KINDS[kind](task["id"], task.get("args", {}))
+    return TASK_KINDS[kind](task["id"], **task.get("args", {}))
 
 
 def run_suite() -> list[VerificationReport]:
@@ -882,14 +866,8 @@ def run(argv) -> int:
     label = getattr(args, "label", "flab")
     try:
         kind, payload = args.func(args)
-    except InputError as exc:
-        rep = VerificationReport(label, INPUT_ERROR, None, str(exc) or "invalid input")
-        _emit_reports([rep], fmt, sys.stdout)
-        return 2
-    except CapacityError as exc:
-        rep = VerificationReport(
-            label, CAPACITY_ERROR, None, str(exc) or "capacity exceeded")
-        _emit_reports([rep], fmt, sys.stdout)
+    except (InputError, CapacityError) as exc:
+        _emit_reports([error_report(label, exc)], fmt, sys.stdout)
         return 2
     if kind == "data":
         _emit_data(payload, fmt, sys.stdout)

@@ -1183,10 +1183,7 @@ def free_module_check(group, h, q: int) -> VerificationReport:
     if len(fac) != 1:
         raise InputError("the module must be an elementary abelian p-group")
     p = next(iter(fac))
-    if not group.is_abelian() or any(
-        group.element_order(x) != p
-        for x in range(group.order) if x != group.identity
-    ):
+    if not group.is_abelian() or group.exponent() != p:
         raise InputError("the module must be elementary abelian")
     h = tuple(h)
     if not is_automorphism(group, h):
@@ -1268,7 +1265,17 @@ def _check_filtration_laws(G, filt: Filtration) -> None:
 
 
 def jz_filtration(G, p: int) -> Filtration:
-    """D_i generated by the gamma_j(G)^(p^k) with j*p^k >= i."""
+    """The Jennings series of a p-group G by Lazard's recursion D_1 = G,
+    D_i = [D_(i-1), G] D_ceil(i/p)^p (Lazard 1954; Dixon, du Sautoy, Mann
+    and Segal, Analytic Pro-p Groups, ch. 11).  It equals Lazard's product
+    D_i = prod over j*p^k >= i of gamma_j(G)^(p^k), the test oracle.
+
+    Both factors are normal, so their product is the subgroup their union
+    generates.  By the product formula D_i is trivial once
+    i > j*exp(gamma_j)/p for every j with gamma_j nontrivial; as
+    |G| >= p^(j-1) |gamma_j| >= p^(j-1) exp(gamma_j), that is at most
+    j |G| / p^j <= |G| / 2, so the guard at index |G| never fires.
+    """
     _require_table(G)
     if not is_prime(p):
         raise InputError("p must be prime")
@@ -1276,30 +1283,15 @@ def jz_filtration(G, p: int) -> Filtration:
         raise InputError(f"the group is not a {p}-group")
     if G.order == 1:
         return Filtration(p, ())
-    gammas = lower_central_series_sets(G)
-    if len(gammas[-1]) > 1:
-        raise RuntimeError("a p-group must have a terminating central series")
-    exponent = G.exponent()
-    terms = []
-    i = 1
-    while True:
-        gens: set[int] = set()
-        for j, gamma in enumerate(gammas, start=1):
-            if len(gamma) == 1:
-                continue
-            pk = 1
-            while pk <= exponent:
-                if j * pk >= i:
-                    gens.update(G.power(x, pk) for x in gamma)
-                    break  # larger powers land inside this piece
-                pk *= p
-        D = subgroup_closure(G, gens)
-        terms.append(D)
-        if len(D) == 1:
-            break
-        i += 1
-        if i > len(gammas) * exponent + 2:
+    whole = frozenset(range(G.order))
+    terms = [whole]
+    while len(terms[-1]) > 1:
+        i = len(terms) + 1
+        if i > G.order:
             raise RuntimeError("filtration failed to terminate")
+        terms.append(subgroup_closure(
+            G, commutator_subgroup(G, terms[-1], whole)
+            | power_subgroup(G, terms[-(-i // p) - 1], p)))
     filt = Filtration(p, tuple(terms))
     _check_filtration_laws(G, filt)
     return filt
@@ -1315,33 +1307,33 @@ class _Component:
 
 
 def _build_component(G, D, Dn, p: int) -> _Component:
-    coset_of = {}
-    reps = []
-    for x in sorted(D):
-        if x in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for t in Dn:
-            coset_of[G.mul(x, t)] = idx
+    """Coordinates over F_p of the layer D/Dn, Dn normal in D.
+
+    The basis b_1, ..., b_d is walked greedily, adjoining the least id
+    outside the span so far, and every id of b_1^c_1 ... b_d^c_d Dn gets
+    the exponents c in range(p)^d.  These p^d |Dn| products lie in D, so
+    they reach each id of D exactly once iff p^d |Dn| = |D| = the number
+    of ids reached.  An elementary abelian layer passes this count, since
+    each adjoined element multiplies the span by p; a layer that fails it
+    is refused.  The count alone does not make the coordinates additive
+    (it holds whenever each greedy step has index p): the callers' layers
+    are elementary abelian, since the filtration laws put [D_i, D_i] and
+    D_i^p in D_(i+1), and free_module_check tests its module first.
+    """
     basis = []
     span = frozenset(Dn)
     for x in sorted(D):
         if x not in span:
             basis.append(x)
             span = subgroup_closure(G, set(basis) | set(Dn))
-    if p ** len(basis) != len(reps):
-        raise RuntimeError("filtration quotient is not elementary abelian")
-    coset_coords = {}
+    coords_of = {}
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         e = G.identity
         for b, c in zip(basis, coeffs):
             e = G.mul(e, G.power(b, c))
-        idx = coset_of[e]
-        if idx in coset_coords:
-            raise RuntimeError("filtration quotient is not elementary abelian")
-        coset_coords[idx] = coeffs
-    coords_of = {x: coset_coords[coset_of[x]] for x in D}
+        coords_of.update((G.mul(e, t), coeffs) for t in Dn)
+    if not p ** len(basis) * len(Dn) == len(D) == len(coords_of):
+        raise RuntimeError("filtration quotient is not elementary abelian")
     return _Component(tuple(basis), coords_of)
 
 

@@ -74,20 +74,20 @@ class VerificationReport:
         )
 
 
+def error_report(name: str, exc, seconds: float = 0.0) -> VerificationReport:
+    """The report of a raised input or capacity error."""
+    if isinstance(exc, CapacityError):
+        return VerificationReport(
+            name, CAPACITY_ERROR, None, str(exc) or "capacity exceeded", seconds)
+    return VerificationReport(name, INPUT_ERROR, None, str(exc) or "invalid input", seconds)
+
+
 def report_check(name: str, fn) -> VerificationReport:
     """Run fn() -> (status, witness, reason), timing it; raised input or
     capacity errors become the matching report statuses."""
     t0 = time.perf_counter()
     try:
         status, witness, reason = fn()
-    except InputError as exc:
-        return VerificationReport(
-            name, INPUT_ERROR, None, str(exc) or "invalid input",
-            time.perf_counter() - t0,
-        )
-    except CapacityError as exc:
-        return VerificationReport(
-            name, CAPACITY_ERROR, None, str(exc) or "capacity exceeded",
-            time.perf_counter() - t0,
-        )
+    except (InputError, CapacityError) as exc:
+        return error_report(name, exc, time.perf_counter() - t0)
     return VerificationReport(name, status, witness, reason, time.perf_counter() - t0)

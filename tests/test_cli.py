@@ -2,6 +2,7 @@
 bundled fixture suite."""
 from __future__ import annotations
 
+import inspect
 import json
 import random
 import subprocess
@@ -474,6 +475,15 @@ def test_suite_paper_passes(capsys):
     assert all(r["status"] == "pass" for r in recs)
     ids = [r["name"] for r in recs]
     assert ids == sorted(ids)
+
+
+def test_every_bundled_task_binds_to_its_adapter_by_keyword():
+    tasks = [task for fixture in cli.load_fixtures() for task in fixture.get("tasks", ())]
+    assert len(tasks) == 50
+    for task in tasks:
+        adapter = cli.TASK_KINDS[task["kind"]]
+        inspect.signature(adapter).bind(task["id"], **task.get("args", {}))
+    assert {task["kind"] for task in tasks} == set(cli.TASK_KINDS)
 
 
 def test_console_entry_point():

@@ -506,6 +506,9 @@ def test_free_module_rejects_non_elementary():
     G = ge.cyclic_group(4)
     with pytest.raises(InputError):
         ge.free_module_check(G, ge.perm_identity(4), 2)
+    G = ge.direct_product(ge.cyclic_group(2), ge.cyclic_group(4))
+    with pytest.raises(InputError, match="the module must be elementary abelian"):
+        ge.free_module_check(G, ge.perm_identity(8), 2)
 
 
 # --- filtrations and the associated algebra ---
@@ -530,6 +533,113 @@ def test_jz_rejects_wrong_prime():
 def test_jz_trivial_group():
     T = ge.cyclic_group(1)
     assert ge.jz_filtration(T, 2).dims() == ()
+
+
+def _lazard_product_terms(G, p):
+    """Oracle: D_i generated by the gamma_j(G)^(p^k) with j*p^k >= i, up to
+    the trivial term (Lazard's product formula)."""
+    gammas = ge.lower_central_series_sets(G)
+    exponent = G.exponent()
+    terms = []
+    i = 1
+    while True:
+        gens = set()
+        for j, gamma in enumerate(gammas, start=1):
+            if len(gamma) == 1:
+                continue
+            pk = 1
+            while pk <= exponent:
+                if j * pk >= i:
+                    gens.update(G.power(x, pk) for x in gamma)
+                    break  # larger powers land inside this piece
+                pk *= p
+        D = ge.subgroup_closure(G, gens)
+        terms.append(D)
+        if len(D) == 1:
+            return tuple(terms)
+        i += 1
+
+
+def _perm(degree, *cycles):
+    """The permutation of range(degree) with the given cycles, as images."""
+    images = list(range(degree))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return tuple(images)
+
+
+def _sylow2_s8():
+    return ge.group_from_permutations(8, [
+        _perm(8, (0, 1)), _perm(8, (0, 2), (1, 3)),
+        _perm(8, (0, 4), (1, 5), (2, 6), (3, 7))])
+
+
+def jennings_groups() -> dict:
+    """name -> builder for 37 p-groups of order at most 343 with long or
+    branching Jennings series: cyclic, dihedral, quaternion, Heisenberg and
+    elementary abelian groups, direct products and permutation groups."""
+    out = {}
+    for k in range(1, 7):
+        out[f"C{2**k}"] = lambda k=k: ge.cyclic_group(2**k)
+    for k in range(1, 6):
+        out[f"D{2**(k + 1)}"] = lambda k=k: ge.dihedral_group(2**k)
+    out["Q8"] = ge.quaternion_group
+    for p in (2, 3, 5, 7):
+        out[f"Heis{p}"] = lambda p=p: ge.heisenberg_group(p)
+    for p in (3, 5, 7):
+        out[f"E{p}^2"] = lambda p=p: ge.elementary_abelian_group(p, 2)
+        out[f"C{p**2}"] = lambda p=p: ge.cyclic_group(p**2)
+        out[f"C{p**3}"] = lambda p=p: ge.cyclic_group(p**3)
+    out["E2^5"] = lambda: ge.elementary_abelian_group(2, 5)
+    pairs = {"Heis3xC3": (lambda: ge.heisenberg_group(3), lambda: ge.cyclic_group(3)),
+             "Heis3xC9": (lambda: ge.heisenberg_group(3), lambda: ge.cyclic_group(9)),
+             "D8xC4": (lambda: ge.dihedral_group(4), lambda: ge.cyclic_group(4)),
+             "Q8xC8": (ge.quaternion_group, lambda: ge.cyclic_group(8)),
+             "D16xQ8": (lambda: ge.dihedral_group(8), ge.quaternion_group)}
+    for name, (a, b) in pairs.items():
+        out[name] = lambda a=a, b=b: ge.direct_product(a(), b())
+    out["Syl2(S8)"] = _sylow2_s8
+    out["C3wrC3"] = lambda: ge.group_from_permutations(9, [
+        _perm(9, (0, 1, 2)), _perm(9, (0, 3, 6), (1, 4, 7), (2, 5, 8))])
+    out["C4wrC2"] = lambda: ge.group_from_permutations(8, [
+        _perm(8, (0, 1, 2, 3)), _perm(8, (0, 4), (1, 5), (2, 6), (3, 7))])
+    out["C2wrC4"] = lambda: ge.group_from_permutations(8, [
+        _perm(8, (0, 1)), _perm(8, (0, 2, 4, 6), (1, 3, 5, 7))])
+    out["Syl2(S6)"] = lambda: ge.group_from_permutations(6, [
+        _perm(6, (0, 1)), _perm(6, (0, 2), (1, 3)), _perm(6, (4, 5))])
+    out["Syl2(S8)xC2"] = lambda: ge.direct_product(_sylow2_s8(), ge.cyclic_group(2))
+    return out
+
+
+def test_jz_recursion_matches_lazard_product_formula():
+    groups = {name: build() for name, build in jennings_groups().items()}
+    assert len(groups) == 37
+    assert [groups[name].order for name in ("Syl2(S8)", "C3wrC3", "C4wrC2", "C2wrC4",
+                                            "Syl2(S6)", "Syl2(S8)xC2")] == [128, 81, 32, 64, 16, 256]
+    for name, G in groups.items():
+        (p,) = ge.factorize(G.order)
+        assert ge.jz_filtration(G, p).terms == _lazard_product_terms(G, p), name
+
+
+def test_build_component_refuses_layers_that_are_not_elementary_abelian():
+    for G, p in ((ge.cyclic_group(4), 2), (ge.heisenberg_group(3), 3)):
+        with pytest.raises(RuntimeError, match="filtration quotient is not elementary abelian"):
+            ge._build_component(G, frozenset(range(G.order)), frozenset({G.identity}), p)
+
+
+def test_build_component_coordinates_name_the_coset():
+    for G, p in ((ge.dihedral_group(4), 2), (ge.quaternion_group(), 2),
+                 (ge.heisenberg_group(3), 3), (_sylow2_s8(), 2)):
+        terms = ge.jz_filtration(G, p).terms
+        for D, Dn in zip(terms, terms[1:]):
+            comp = ge._build_component(G, D, Dn, p)
+            assert set(comp.coords_of) == D
+            for x, coeffs in comp.coords_of.items():
+                e = G.identity
+                for b, c in zip(comp.basis, coeffs):
+                    e = G.mul(e, G.power(b, c))
+                assert G.mul(G.inv(e), x) in Dn
 
 
 def test_lazard_algebra_d8():

@@ -64,3 +64,11 @@ def test_report_check_captures_errors():
 
     with pytest.raises(ZeroDivisionError):
         rp.report_check("demo", lambda: 1 // 0)
+
+
+def test_error_report_names_the_error_or_falls_back():
+    r = rp.error_report("demo", InputError("nope"), 1.5)
+    assert (r.status, r.reason, r.witness, r.seconds) == (rp.INPUT_ERROR, "nope", None, 1.5)
+    assert rp.error_report("demo", InputError()).reason == "invalid input"
+    r = rp.error_report("demo", CapacityError())
+    assert (r.status, r.reason, r.seconds) == (rp.CAPACITY_ERROR, "capacity exceeded", 0.0)
