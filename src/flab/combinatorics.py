@@ -23,6 +23,8 @@ between them, count only the exponents up to the first repeated power of r
 (at most n + 1 of them), so no call's work grows with q past r's order.
 The distinct powers are capped at POWERS_CAP and a search's cost, in
 odometer steps, at SEARCH_STEP_CAP, each checked before the work it counts.
+A D-set holds nonzero residues only, so the formula route stops at the
+first sum that brings it to n - 1 of them.
 
 All searches are exhaustive.  Requests past the configured caps raise
 CapacityError rather than sampling.
@@ -376,10 +378,14 @@ def d_set(
     j with exponent i is dependent exactly when j = (s - plain) / (1 - r**i),
     which needs 1 - r**i invertible for 0 < i < q (true under check_prim).  The
     sums s are the set bits of the sequence's reach set, or on the odometer
-    route (see is_r_dependent) the q**k tuples themselves.  "auto" picks
-    formula when the inverses exist, brute otherwise.  Sums times inverses,
-    or n - 1 searches on brute, are capped at SEARCH_STEP_CAP; the formula
-    cap is checked while the sums are gathered, before the inverses exist.
+    route (see is_r_dependent) the q**k tuples themselves.  Every solution
+    is a nonzero residue (s != plain and the inverse is a unit), so the
+    formula stops at the first sum after which the set holds all n - 1 of
+    them.  "auto" picks formula when the inverses exist, brute otherwise.
+    Sums times inverses, or n - 1 searches on brute, are capped at
+    SEARCH_STEP_CAP; the formula cap is checked while the sums are gathered,
+    before the inverses exist, and counts every sum whether or not the set
+    fills first.
 
     >>> sorted(d_set((1,), FrobeniusParams(7, 3, 2)))
     [2, 4, 6]
@@ -416,7 +422,14 @@ def d_set(
             sums = _residues(node[0])
         inverses = _inverses(n, q, r)
         if inverses is not None:
-            return {(s - plain) * inv % n for s in sums if s != plain for inv in inverses}
+            found = set()
+            for s in sums:
+                if s != plain:
+                    d = s - plain
+                    found.update([d * inv % n for inv in inverses])
+                    if len(found) == n - 1:
+                        break
+            return found
         if method == "formula":
             raise InputError("formula route needs 1 - r**i invertible")
     # each search costs at most its odometer tuples, on either route

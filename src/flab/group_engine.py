@@ -1246,6 +1246,13 @@ class Filtration:
 
 
 def _check_filtration_laws(G, filt: Filtration) -> None:
+    """Refuse a chain that is not descending or that breaks [D_i, D_j] <=
+    D_(i+j) or D_i^p <= D_(p i), naming the first law broken.
+
+    For a normal D_(i+j), [D_i, D_j] <= D_(i+j) iff it holds every [x, y]
+    with x, y in generating sets of D_i and D_j, built once per term:
+    modulo D_(i+j) the generators commute, so the subgroups they generate
+    do.  Another target falls back to commutator_subgroup."""
     terms, p = filt.terms, filt.prime
     m = len(terms)
     trivial = frozenset({G.identity})
@@ -1256,9 +1263,17 @@ def _check_filtration_laws(G, filt: Filtration) -> None:
     for i in range(1, m):
         if not term(i) >= term(i + 1):
             raise RuntimeError("filtration is not descending")
+    Y = _generating_set(G)
+    gens = [_generating_set(G, D, f"D_{i}") for i, D in enumerate(terms, start=1)]
+    normal = [all(G.conjugate(g, x) in D for g in Y for x in X) for D, X in zip(terms, gens)]
     for i in range(1, m + 1):
         for j in range(i, m + 1):
-            if not commutator_subgroup(G, term(i), term(j)) <= term(i + j):
+            target = term(i + j)
+            if i + j > m or normal[i + j - 1]:
+                holds = all(G.commutator(x, y) in target for x in gens[i - 1] for y in gens[j - 1])
+            else:
+                holds = commutator_subgroup(G, term(i), term(j)) <= target
+            if not holds:
                 raise RuntimeError(f"[D_{i}, D_{j}] escapes D_{i + j}")
         if not power_subgroup(G, term(i), p) <= term(p * i):
             raise RuntimeError(f"D_{i}^{p} escapes D_{p * i}")
@@ -1307,18 +1322,17 @@ class _Component:
 
 
 def _build_component(G, D, Dn, p: int) -> _Component:
-    """Coordinates over F_p of the layer D/Dn, Dn normal in D.
+    """Coordinates over F_p of the layer D/Dn, Dn normal in D; refused
+    unless the layer is elementary abelian.
 
     The basis b_1, ..., b_d is walked greedily, adjoining the least id
-    outside the span so far, and every id of b_1^c_1 ... b_d^c_d Dn gets
-    the exponents c in range(p)^d.  These p^d |Dn| products lie in D, so
-    they reach each id of D exactly once iff p^d |Dn| = |D| = the number
-    of ids reached.  An elementary abelian layer passes this count, since
-    each adjoined element multiplies the span by p; a layer that fails it
-    is refused.  The count alone does not make the coordinates additive
-    (it holds whenever each greedy step has index p): the callers' layers
-    are elementary abelian, since the filtration laws put [D_i, D_i] and
-    D_i^p in D_(i+1), and free_module_check tests its module first.
+    outside the span so far, so the b_i and Dn generate D.  The layer is
+    elementary abelian iff every b_i^p and every [b_i, b_j] lies in Dn:
+    then the images of the b_i commute and have order p, and each one
+    adjoined multiplies the span by p.  Every id of b_1^c_1 ... b_d^c_d Dn
+    gets the exponents c in range(p)^d; these p^d |Dn| products lie in D,
+    so they reach each id of D exactly once iff p^d |Dn| = |D| = the number
+    of ids reached, which the elementary abelian layer passes.
     """
     basis = []
     span = frozenset(Dn)
@@ -1326,6 +1340,9 @@ def _build_component(G, D, Dn, p: int) -> _Component:
         if x not in span:
             basis.append(x)
             span = subgroup_closure(G, set(basis) | set(Dn))
+    if not (all(G.power(b, p) in Dn for b in basis)
+            and all(G.commutator(b, c) in Dn for b, c in itertools.combinations(basis, 2))):
+        raise RuntimeError("filtration quotient is not elementary abelian")
     coords_of = {}
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         e = G.identity

@@ -400,6 +400,33 @@ def test_d_set_routes_agree_on_reach_sets_too_large_to_cache():
         assert d_set(seq, p) == d_set(seq, p, method="brute")
 
 
+@pytest.mark.parametrize("n, q, r, seq, size, passes", [
+    # 27 twisted sums 3 * 2**e off the plain sum; the second fills D
+    (29, 28, 2, (3,), 28, 2),
+    # composite n, D short of full: every sum off the plain one is used
+    (65, 4, 8, (2, 5), 33, 15),
+])
+def test_the_formula_stops_once_every_nonzero_residue_is_in(monkeypatch, n, q, r, seq, size,
+                                                            passes):
+    plain = sum(seq) % n
+    sums = {sum(pow(r, e, n) * a for e, a in zip(es, seq)) % n
+            for es in itertools.product(range(q), repeat=len(seq))} - {plain}
+    counted = []
+
+    class Inverses(tuple):
+        def __iter__(self):
+            counted.append(1)
+            return super().__iter__()
+
+    inverses = Inverses(comb._inverses(n, q, r))
+    monkeypatch.setattr(comb, "_inverses", lambda *args: inverses)
+    ds = d_set(seq, params(n, q, r), method="formula")
+    assert len(ds) == size
+    assert len(counted) == passes
+    assert (size == n - 1) == (passes < len(sums))
+    assert ds == d_set(seq, params(n, q, r), method="brute")
+
+
 def test_d_set_requires_independent_input():
     with pytest.raises(InputError):
         d_set((1, 2), params(7, 3, 2))  # (1,2) is r-dependent

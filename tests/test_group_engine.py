@@ -575,6 +575,11 @@ def _sylow2_s8():
         _perm(8, (0, 4), (1, 5), (2, 6), (3, 7))])
 
 
+def _c3_wr_c3():
+    return ge.group_from_permutations(9, [
+        _perm(9, (0, 1, 2)), _perm(9, (0, 3, 6), (1, 4, 7), (2, 5, 8))])
+
+
 def jennings_groups() -> dict:
     """name -> builder for 37 p-groups of order at most 343 with long or
     branching Jennings series: cyclic, dihedral, quaternion, Heisenberg and
@@ -600,8 +605,7 @@ def jennings_groups() -> dict:
     for name, (a, b) in pairs.items():
         out[name] = lambda a=a, b=b: ge.direct_product(a(), b())
     out["Syl2(S8)"] = _sylow2_s8
-    out["C3wrC3"] = lambda: ge.group_from_permutations(9, [
-        _perm(9, (0, 1, 2)), _perm(9, (0, 3, 6), (1, 4, 7), (2, 5, 8))])
+    out["C3wrC3"] = _c3_wr_c3
     out["C4wrC2"] = lambda: ge.group_from_permutations(8, [
         _perm(8, (0, 1, 2, 3)), _perm(8, (0, 4), (1, 5), (2, 6), (3, 7))])
     out["C2wrC4"] = lambda: ge.group_from_permutations(8, [
@@ -623,9 +627,41 @@ def test_jz_recursion_matches_lazard_product_formula():
 
 
 def test_build_component_refuses_layers_that_are_not_elementary_abelian():
-    for G, p in ((ge.cyclic_group(4), 2), (ge.heisenberg_group(3), 3)):
+    # C4 with id 1 of order 2 adjoins the basis (1, 2) by steps of index 2,
+    # so the count passes; 2 * 2 = 1 is not in the trivial subgroup
+    C4 = ge.FiniteGroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]])
+    for G, p in ((ge.cyclic_group(4), 2), (ge.heisenberg_group(3), 3), (C4, 2)):
         with pytest.raises(RuntimeError, match="filtration quotient is not elementary abelian"):
             ge._build_component(G, frozenset(range(G.order)), frozenset({G.identity}), p)
+
+
+def _corrupted_filtrations():
+    D8 = ge.dihedral_group(4)
+    whole = frozenset(range(8))
+    C8 = ge.cyclic_group(8)
+    c8_terms = ge.jz_filtration(C8, 2).terms
+    W = _c3_wr_c3()
+    X = ge._generating_set(W)
+    # generated by the commutators of W's generators, but not normal (order
+    # 3, where [W, W] has order 9): only the whole commutator subgroup
+    # refuses it
+    S = ge.subgroup_closure(W, {W.commutator(x, y) for x in X for y in X})
+    return [
+        pytest.param(D8, 2, (whole, frozenset({0})), r"\[D_1, D_1\] escapes D_2", id="commutator"),
+        pytest.param(D8, 2, (whole, frozenset({0, 4}), frozenset({0})),
+                     r"\[D_1, D_1\] escapes D_2", id="not-normal"),
+        pytest.param(W, 3, (frozenset(range(W.order)), S, frozenset({W.identity})),
+                     r"\[D_1, D_1\] escapes D_2", id="not-normal-generators-inside"),
+        pytest.param(C8, 2, c8_terms[:3] + c8_terms[4:], r"D_2\^2 escapes D_4", id="term-dropped"),
+        pytest.param(D8, 2, (whole, frozenset({0, 4}), frozenset({0, 2}), frozenset({0})),
+                     "filtration is not descending", id="not-descending"),
+    ]
+
+
+@pytest.mark.parametrize("G, p, terms, message", _corrupted_filtrations())
+def test_filtration_laws_refuse_a_corrupted_filtration(G, p, terms, message):
+    with pytest.raises(RuntimeError, match=message):
+        ge._check_filtration_laws(G, ge.Filtration(p, terms))
 
 
 def test_build_component_coordinates_name_the_coset():
