@@ -1,11 +1,14 @@
 """Cross-check jz_filtration, which builds the Jennings series by Lazard's
 recursion D_i = [D_(i-1), G] D_ceil(i/p)^p, against Lazard's product
-formula D_i = prod over j*p^k >= i of gamma_j(G)^(p^k) on direct products.
+formula D_i = prod over j*p^k >= i of gamma_j(G)^(p^k) on direct products;
+and lazard_lemma_check, which works on whole id arrays, against the walk
+of the ids one at a time with two matrix powers each, on the same groups.
 
 The factors are the 37 p-groups of jennings_groups in
 tests/test_group_engine.py (cyclic, dihedral, quaternion, Heisenberg and
 elementary abelian groups, direct products and permutation groups), and
-the oracle is that file's _lazard_product_terms.  Every direct product
+the oracles are that file's _lazard_product_terms and
+lazard_lemma_by_element.  Every direct product
 A x B of two of them (A before or equal to B in the list) whose orders
 are powers of the same prime and whose order is at most 512 is checked.
 It exits 1 on the first disagreement.
@@ -22,7 +25,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from test_group_engine import _lazard_product_terms, jennings_groups  # noqa: E402
+from test_group_engine import (  # noqa: E402
+    _lazard_product_terms,
+    jennings_groups,
+    lazard_lemma_by_element,
+)
 
 from flab import group_engine as ge  # noqa: E402
 
@@ -41,8 +48,13 @@ def main() -> int:
             if B.order % p:
                 continue
             G = ge.direct_product(A, B)
-            if ge.jz_filtration(G, p).terms != _lazard_product_terms(G, p):
+            dl = ge.lazard_algebra(G, p)  # its filtration is jz_filtration(G, p)
+            if dl.filtration.terms != _lazard_product_terms(G, p):
                 print(f"jz_filtration differs from the product formula on {a}x{b}")
+                return 1
+            report = ge._lazard_lemma_report(dl, time.perf_counter())
+            if (report.status, report.witness, report.reason) != lazard_lemma_by_element(dl):
+                print(f"lazard_lemma_check differs from the element walk on {a}x{b}")
                 return 1
             checked += 1
     print(f"{checked} direct products, all agree ({time.perf_counter() - t0:.0f} s)")

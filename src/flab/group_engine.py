@@ -11,7 +11,8 @@ central one seeded by the group's generating set), Sylow subgroups and the
 fixed-point checks that read no table take either kind.  What reads a table refuses a
 BCHGroup by name: is_automorphism (so action checks, invariant-subgroup
 enumerations and coverage), quotient_group, direct_product, jz_filtration
-(so the Lazard algebra), free_module_check and exponent_relation_report.
+(so the Lazard algebra), free_module_check, exponent_of_subset and
+exponent_relation_report.
 
 Tables cap at TABLE_CAP elements.  A table group stores its table once,
 as one read-only numpy array, and checks every group law on it exactly
@@ -25,7 +26,10 @@ coordinate generators.  Its orders cap at BCH_CAP.
 
 Polynomial arithmetic over F_p (the field actions, the free-module check)
 and every power come from rings: its polynomial helpers and its one
-square-and-multiply loop, power; matrix powers are linalg.mat_power.
+square-and-multiply loop, power.  Power maps of whole id arrays
+(exponents, Sylow subgroups, the Lazard lemma) run that loop once over
+mul_many, which both kinds have, and the Lazard lemma's stack of ad
+matrices runs it over matmul mod p.
 Every closed set is walked by rings.orbit, except in subgroup_closure and
 Light's associativity test, whose generating sets grow mid-walk.
 """
@@ -47,7 +51,7 @@ from .graded_lie import (
     lower_central_series,
     validate,
 )
-from .linalg import Subspace, field_kernel, mat_power
+from .linalg import Subspace, field_kernel
 from .reports import INAPPLICABLE, PASS, VIOLATION, VerificationReport
 from .rings import (
     PrimeFieldRing,
@@ -281,23 +285,13 @@ class FiniteGroup(_GroupLaws):
     def inv(self, a: int) -> int:
         return self._inv[a]
 
+    def mul_many(self, a, b) -> np.ndarray:
+        """Elementwise products of two broadcastable id arrays."""
+        return self._table[a, b]
+
     def exponent(self) -> int:
-        """lcm of the element orders, by one power walk over all ids at
-        once: step k keeps the ids whose k-th power is not yet the
-        identity, so each distinct order is read off when its ids leave."""
-        t, e = self._table, self.identity
-        ids = np.arange(self.order)
-        x = ids
-        orders = set()
-        k = 1
-        while len(ids):
-            done = x == e
-            if done.any():
-                orders.add(k)
-                ids, x = ids[~done], x[~done]
-            x = t[x, ids]
-            k += 1
-        return math.lcm(*orders)
+        """lcm of the element orders (exponent_of_subset)."""
+        return exponent_of_subset(self, range(self.order))
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self._table, self._table.T))
@@ -626,14 +620,16 @@ def derived_length(G) -> int | None:
 def sylow_subgroup(G, p: int) -> frozenset:
     """One Sylow p-subgroup, grown by closure extensions.  Element and
     subgroup orders divide |G|, so one is a power of p exactly when it
-    divides the p-part of |G|."""
+    divides the p-part of |G|; the p-elements x, those with x^part the
+    identity, are read off one power map of every id."""
     if not is_prime(p):
         raise InputError("p must be prime")
     part = p ** factorize(G.order).get(p, 0)
+    p_elements = np.flatnonzero(_power_map(G, np.arange(G.order), part) == G.identity).tolist()
     P = frozenset({G.identity})
     while len(P) < part:
-        for x in range(G.order):
-            if x in P or part % G.element_order(x):
+        for x in p_elements:
+            if x in P:
                 continue
             K = subgroup_closure(G, set(P) | {x})
             if len(K) > len(P) and not part % len(K):
@@ -779,8 +775,28 @@ def group_rank(G) -> int:
     return max(minimal_generator_count(G, S) for S in all_subgroups(G))
 
 
+def _power_map(G, xs, k: int) -> np.ndarray:
+    """x^k for every id in the array xs, k >= 0, by one square-and-multiply
+    (rings.power) over mul_many on the whole array."""
+    return power(G.mul_many, np.full_like(xs, G.identity), xs, k)
+
+
 def exponent_of_subset(G, S) -> int:
-    return math.lcm(*(G.element_order(x) for x in S))
+    """lcm of the orders of the ids in S, one prime at a time on id arrays.
+
+    For p^v exactly dividing |G|, the p-part of the order of x is the order
+    of y = x^(|G|/p^v), a power of p.  So the p-th power map is applied to
+    the array of those y until every entry is the identity, and each step
+    multiplies the exponent by p."""
+    _require_table(G)
+    xs = np.fromiter(S, dtype=np.intp)
+    out = 1
+    for p, v in factorize(G.order).items():
+        y = _power_map(G, xs, G.order // p**v)
+        while (y := y[y != G.identity]).size:
+            y = _power_map(G, y, p)
+            out *= p
+    return out
 
 
 # --- quotients and restrictions ---
@@ -1465,32 +1481,81 @@ def lazard_algebra(G, p: int) -> DLAlgebra:
 
 def lazard_lemma_check(G, p: int) -> VerificationReport:
     """(ad x)^p = ad(x^p) on the graded algebra, for every group element,
-    plus ad-nilpotency within each element's order."""
+    plus ad-nilpotency within each element's order (Lazard 1954; Dixon, du
+    Sautoy, Mann and Segal, Analytic Pro-p Groups, ch. 11); exhaustive, on
+    whole id arrays (_lazard_lemma_report)."""
     t0 = time.perf_counter()
-    dl = lazard_algebra(G, p)
-    L = dl.lie
-    ring = L.ring
-    zero = [[ring.zero()] * L.rank for _ in range(L.rank)]
-    for x in range(G.order):
-        d, vec = dl.image(x)
-        ad = L.ad_matrix(vec)
-        ad_p = mat_power(ring, ad, p)
-        xp = G.power(x, p)
-        dp, vec_p = dl.image(xp)
-        if d is None or dp is None:
-            expected = zero
-        else:
-            if dp < p * d:
-                raise RuntimeError("power depths must respect the filtration")
-            expected = L.ad_matrix(vec_p) if dp == p * d else zero
-        if ad_p != expected:
-            return _report("lazard-lemma", t0, VIOLATION, {"element": x},
-                           "(ad x)^p differs from ad(x^p)")
-        if mat_power(ring, ad, G.element_order(x)) != zero:
-            return _report("lazard-lemma", t0, VIOLATION,
-                           {"element": x, "order": G.element_order(x)},
-                           "ad-nilpotency index exceeds the element order")
-    return _report("lazard-lemma", t0, PASS, {"elements": G.order})
+    return _lazard_lemma_report(lazard_algebra(G, p), t0)
+
+
+def _lazard_lemma_report(dl: DLAlgebra, t0: float) -> VerificationReport:
+    """The Lazard lemma report on a built algebra, timed from t0.
+
+    Every id's depth is the number of filtration terms holding it, and its
+    leading-coset coordinates form one row of V (zero for the identity).
+    All ad matrices are one einsum of V with the structure constants, mod p.
+    The p-th power map of the ids and the p-th power of the stack of ad
+    matrices are each one square-and-multiply (rings.power).  Each x must
+    have (ad x)^p equal to ad(x^p) when x^p has depth p*depth(x), and zero
+    when deeper; a shallower x^p is refused.  G is a p-group, so the order
+    of x is the least p^j with x^(p^j) the identity, and (ad x)^(p^j) is
+    read off the j-th successive p-th power of the stack, taken in step
+    with the iterated p-map.
+
+    The report is the one a walk of the ids in order gives: the least
+    offending id is the witness, at one id a refused depth comes before a
+    lemma failure and a lemma failure before a nilpotency failure.
+
+    No int64 entry overflows: matrix entries lie in [0, p), so a sum of
+    products is under r*(p-1)^2 for the rank r, and under TABLE_CAP p^r is
+    at most 5000, so r <= 12 and that bound is far below 2^63.
+    """
+    G, L, p = dl.group, dl.lie, dl.filtration.prime
+    n, r, e = G.order, L.rank, G.identity
+    ids = np.arange(n)
+    depth = np.zeros(n, dtype=np.int64)
+    for D in dl.filtration.terms:  # descending, so this counts up to the depth
+        depth[np.fromiter(D, dtype=np.intp, count=len(D))] += 1
+    V = np.zeros((n, r), dtype=np.int64)
+    for d, comp in dl._components.items():
+        start = dl._block_start[d]
+        for x, coeffs in comp.coords_of.items():
+            if depth[x] == d:
+                V[x, start:start + len(coeffs)] = coeffs
+    C = np.zeros((r, r, r), dtype=np.int64)  # C[i, j, k]: b_k in [b_i, b_j]
+    for (i, j), terms in L.nonzero_constants.items():
+        for k, c in terms:
+            C[i, j, k], C[j, i, k] = c, -c % p
+    AD = np.einsum("xi,ijk->xkj", V, C) % p  # AD[x] @ v = [x, v]
+
+    def matmul(A, B):
+        return A @ B % p
+
+    eye = np.eye(r, dtype=np.int64)
+    xp = _power_map(G, ids, p)
+    ad_p = power(matmul, eye, AD, p)
+    expected = np.where((depth[xp] == p * depth)[:, None, None], AD[xp], 0)
+    shallow = (ids != e) & (xp != e) & (depth[xp] < p * depth)
+    lemma = (ad_p != expected).any(axis=(1, 2))
+    nil_order = np.zeros(n, dtype=np.int64)  # the order of each failing id
+    live = ids[ids != e]  # the identity has order 1, and its row of V is zero
+    y, M, o = xp[live], ad_p[live], p  # y = x^o and M = (ad x)^o for x in live
+    while live.size:
+        done = y == e
+        nil_order[live[done & M.any(axis=(1, 2))]] = o
+        live, y, M = live[~done], y[~done], M[~done]
+        y, M, o = _power_map(G, y, p), power(matmul, eye, M, p), o * p
+    first = [int(np.argmax(m)) if m.any() else n for m in (shallow, lemma, nil_order > 0)]
+    if first[0] < n and first[0] <= min(first[1:]):
+        raise RuntimeError("power depths must respect the filtration")
+    if first[1] < n and first[1] <= first[2]:
+        return _report("lazard-lemma", t0, VIOLATION, {"element": first[1]},
+                       "(ad x)^p differs from ad(x^p)")
+    if first[2] < n:
+        return _report("lazard-lemma", t0, VIOLATION,
+                       {"element": first[2], "order": int(nil_order[first[2]])},
+                       "ad-nilpotency index exceeds the element order")
+    return _report("lazard-lemma", t0, PASS, {"elements": n})
 
 
 def is_powerful(G, p: int) -> bool:

@@ -578,6 +578,8 @@ class IntegersModRing(Ring):
         return 1 % self.modulus
 
     def canon(self, a):
+        if type(a) is int:  # the common case, before the slower ABC test
+            return a % self.modulus
         if isinstance(a, Fraction):
             if math.gcd(a.denominator, self.modulus) != 1:
                 raise InputError("denominator not invertible")

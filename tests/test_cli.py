@@ -356,6 +356,25 @@ def test_group_verify_field(capsys):
     assert all(r["status"] == "pass" for r in recs)
 
 
+@pytest.mark.parametrize("field", ["2,11", "3,7", "5,5"])
+def test_group_verify_reports_a_refused_check_and_runs_the_rest(field):
+    # a subprocess: building these fields' actions peaks near 400 MB, which
+    # would stay in this process's own peak RSS
+    out = subprocess.run(
+        [sys.executable, "-m", "flab.cli", "group", "verify", "all", "--field", field,
+         "--format", "json"],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    recs = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [r["name"] for r in recs] == [
+        "order-formula", "coverage", "generation", "invariant-sylow",
+        "nilpotency-transfer", "exponent-relation"]
+    assert [r["status"] for r in recs] == ["pass", "capacity-error"] + ["pass"] * 4
+    assert recs[1]["reason"] == "subgroup enumeration capped at order 512"
+    p = int(field.split(",")[0])
+    assert recs[5]["witness"] == {"fixed_exponent": p, "group_exponent": p}
+
+
 def test_group_verify_single_check(capsys):
     code, recs = run_json(capsys, "group", "verify", "order-formula",
                           "--field", "3,2", "--format", "json")

@@ -2,6 +2,8 @@
 actions, filtrations, and the Hausdorff-product groups."""
 from __future__ import annotations
 
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -12,6 +14,7 @@ from flab import group_engine as ge
 from flab import graded_lie as gl
 from flab.combinatorics import FrobeniusParams
 from flab.errors import CapacityError, InputError
+from flab.linalg import mat_power
 
 
 # --- permutation helpers ---
@@ -747,6 +750,163 @@ def test_lazard_lemma_corpus():
         report = ge.lazard_lemma_check(ge.named_group(name), p)
         assert report.status == "pass", name
         assert report.witness["elements"] == ge.named_group(name).order
+
+
+def lazard_lemma_by_element(dl):
+    """Oracle: the walk of the ids in order, two matrix powers each, that
+    lazard_lemma_check replaced; (status, witness, reason) of its report.
+    A shallow power raises, as there."""
+    G, L, p = dl.group, dl.lie, dl.filtration.prime
+    ring = L.ring
+    zero = [[ring.zero()] * L.rank for _ in range(L.rank)]
+    for x in range(G.order):
+        d, vec = dl.image(x)
+        ad = L.ad_matrix(vec)
+        dp, vec_p = dl.image(G.power(x, p))
+        if d is None or dp is None:
+            expected = zero
+        else:
+            if dp < p * d:
+                raise RuntimeError("power depths must respect the filtration")
+            expected = L.ad_matrix(vec_p) if dp == p * d else zero
+        if mat_power(ring, ad, p) != expected:
+            return "violation", {"element": x}, "(ad x)^p differs from ad(x^p)"
+        order = G.element_order(x)
+        if mat_power(ring, ad, order) != zero:
+            return ("violation", {"element": x, "order": order},
+                    "ad-nilpotency index exceeds the element order")
+    return "pass", {"elements": G.order}, None
+
+
+def _lemma_outcomes(dl):
+    """The oracle's outcome and the check's, a raised RuntimeError as its message."""
+    def check(dl):
+        report = ge._lazard_lemma_report(dl, time.perf_counter())
+        return report.status, report.witness, report.reason
+
+    out = []
+    for run in (lazard_lemma_by_element, check):
+        try:
+            out.append(run(dl))
+        except RuntimeError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_lazard_lemma_check_matches_the_element_walk_on_the_jennings_groups():
+    for name, build in jennings_groups().items():
+        G = build()
+        (p,) = ge.factorize(G.order)
+        report = ge.lazard_lemma_check(G, p)
+        assert (report.status, report.witness) == ("pass", {"elements": G.order}), name
+        oracle, check = _lemma_outcomes(ge.lazard_algebra(G, p))
+        assert oracle == check, name
+
+
+def _corrupted(dl, entries):
+    """dl with each structure constant [b_i, b_j]_k, i < j, of entries
+    (i, j, k) raised by one."""
+    L = dl.lie
+    brackets = {pair: dict(terms) for pair, terms in L.nonzero_constants.items()}
+    for i, j, k in entries:
+        entry = brackets.setdefault((i, j), {})
+        entry[k] = (entry.get(k, 0) + 1) % L.ring.modulus
+    lie = gl.GradedLieRing(L.ring, L.rank, brackets)
+    return ge.DLAlgebra(dl.group, dl.filtration, lie, dl.degrees,
+                        dl._components, dl._block_start, dl.lp)
+
+
+def _single_entries(dl):
+    r = dl.lie.rank
+    return [[(i, j, k)] for i in range(r) for j in range(i + 1, r) for k in range(r)]
+
+
+def _algebra_on_terms(G, p, terms):
+    """The algebra of a chain of subgroups, laws unchecked, abelian bracket."""
+    components, block_start, degrees = {}, {}, []
+    for d in range(1, len(terms)):
+        components[d] = ge._build_component(G, terms[d - 1], terms[d], p)
+        block_start[d] = len(degrees)
+        degrees += [d] * len(components[d].basis)
+    lie = gl.GradedLieRing(ge.PrimeFieldRing(p), len(degrees), {})
+    return ge.DLAlgebra(G, ge.Filtration(p, tuple(terms)), lie, tuple(degrees),
+                        components, block_start, lie.full_space())
+
+
+def test_lazard_lemma_check_names_the_first_failure_as_the_element_walk_does():
+    algebras = [ge.lazard_algebra(G, p) for G, p in (
+        (ge.cyclic_group(16), 2), (ge.dihedral_group(8), 2), (ge.quaternion_group(), 2),
+        (ge.heisenberg_group(3), 3), (ge.cyclic_group(27), 3))]
+    # C8 with D_3 = 2C8 instead of 4C8: 2 has depth 3 and 2^2 = 4 depth 4 < 6,
+    # so the walk refuses at id 2 unless a violation comes first
+    C8 = ge.cyclic_group(8)
+    algebras.append(_algebra_on_terms(C8, 2, [frozenset(range(8)), frozenset({0, 2, 4, 6}),
+                                              frozenset({0, 2, 4, 6}), frozenset({0, 4}),
+                                              frozenset({0})]))
+    cases = [(dl, entries) for dl in algebras for entries in _single_entries(dl)]
+    # two raised constants that keep the lemma at id 1 but not ad-nilpotency
+    cases += [(algebras[0], [(0, 2, 2), (1, 2, 2)]), (algebras[0], [(0, 3, 3), (1, 3, 3)]),
+              (algebras[1], [(0, 3, 3), (2, 3, 3)]), (algebras[4], [(0, 2, 2), (1, 2, 2)])]
+    seen = set()
+    for dl, entries in cases:
+        oracle, check = _lemma_outcomes(_corrupted(dl, entries))
+        assert oracle == check, (dl.group.order, entries)
+        seen.add(oracle if isinstance(oracle, str) else (oracle[0], len(oracle[1])))
+    assert [_lemma_outcomes(_corrupted(dl, entries))[1][1] for dl, entries in cases[-4:]] \
+        == [{"element": 1, "order": o} for o in (16, 16, 8, 27)]
+    assert _lemma_outcomes(algebras[-1]) == ["power depths must respect the filtration"] * 2
+    assert seen == {("pass", 1), ("violation", 1), ("violation", 2),
+                    "power depths must respect the filtration"}
+
+
+def test_exponents_are_the_lcm_of_element_orders():
+    S3 = ge.group_from_permutations(3, [(1, 2, 0), (1, 0, 2)])
+    D514 = ge.dihedral_group(257)
+    for G, subsets in ((S3, ([0], [1], [0, 1, 2], range(6))),
+                       (D514, ([0], [1], [257], [1, 257], range(0, 514, 3), range(514)))):
+        for S in subsets:
+            S = list(S)
+            expected = np.lcm.reduce([G.element_order(x) for x in S])
+            assert ge.exponent_of_subset(G, S) == expected
+            assert ge.exponent_of_subset(G, frozenset(S)) == expected
+        assert G.exponent() == np.lcm.reduce([G.element_order(x) for x in range(G.order)])
+    assert (S3.exponent(), D514.exponent()) == (6, 514)
+    assert ge.exponent_of_subset(ge.cyclic_group(1), [0]) == ge.cyclic_group(1).exponent() == 1
+    # a subprocess: building the order-4999 table peaks near 250 MB, which
+    # would stay in this process's own peak RSS
+    code = ("from flab import group_engine as ge; G = ge.cyclic_group(4999); "
+            "print(G.exponent(), G.element_order(1), G.element_order(1234), "
+            "ge.exponent_of_subset(G, [1234]), ge.exponent_of_subset(G, [0]), "
+            "ge.exponent_of_subset(G, []))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, check=True).stdout.split()
+    assert out == ["4999"] * 4 + ["1", "1"]
+
+
+def sylow_by_element_orders(G, p):
+    """Oracle: sylow_subgroup's extension walk over the ids whose
+    element_order divides the p-part of |G|, as it was before the power map."""
+    part = p ** ge.factorize(G.order).get(p, 0)
+    P = frozenset({G.identity})
+    while len(P) < part:
+        for x in range(G.order):
+            if x in P or part % G.element_order(x):
+                continue
+            K = ge.subgroup_closure(G, set(P) | {x})
+            if len(K) > len(P) and not part % len(K):
+                P = K
+                break
+        else:
+            raise RuntimeError("sylow extension failed")
+    return P
+
+
+def test_sylow_subgroup_matches_the_element_order_walk():
+    groups = [build() for build in builder_groups(64).values()]
+    groups.append(ge.BCHGroup(gl.example_pm(5, 1).lie))
+    for G in groups:
+        for p in (2, 3, 5, 7):
+            assert ge.sylow_subgroup(G, p) == sylow_by_element_orders(G, p)
 
 
 def test_is_powerful():

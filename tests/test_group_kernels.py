@@ -546,6 +546,7 @@ TABLE_ONLY = {
     "lazard_lemma_check": lambda G, a: ge.lazard_lemma_check(G, 5),
     "free_module_check": lambda G, a: ge.free_module_check(G, a.h, 3),
     "exponent_relation_report": ge.exponent_relation_report,
+    "exponent_of_subset": lambda G, a: ge.exponent_of_subset(G, range(G.order)),
     "direct_product": lambda G, a: ge.direct_product(G, G),
 }
 

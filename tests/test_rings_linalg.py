@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings
@@ -329,6 +330,24 @@ def test_ring_axioms_sampled(ring):
 def test_ring_json_round_trip(ring):
     again = ring_from_json(ring_to_json(ring))
     assert again.describe() == ring.describe()
+
+
+@pytest.mark.parametrize("ring", [IntegersModRing(6), PrimeFieldRing(7)], ids=lambda r: r.kind)
+def test_canon_gives_plain_ints_for_every_integer_kind(ring):
+    # exact ints take the fast path; bools, numpy ints and Fractions the
+    # general one, with the same values
+    m = ring.modulus
+    cases = [(-8, -8 % m), (m + 3, 3), (True, 1), (False, 0),
+             (np.int64(-3), -3 % m), (np.uint16(m + 1), 1), (np.int8(5), 5 % m)]
+    if m == 7:
+        cases.append((Fraction(3, 2), 3 * 4 % 7))
+    for a, expected in cases:
+        got = ring.canon(a)
+        assert type(got) is int and got == expected, (a, got)
+    assert ring.canon(Fraction(4, 1)) == 4 % m
+    if m == 6:
+        with pytest.raises(InputError, match="denominator not invertible"):
+            ring.canon(Fraction(1, 2))
 
 
 def test_prime_field_inverse():
