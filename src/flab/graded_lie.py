@@ -285,6 +285,19 @@ def subring_series(L: GradedLieRing, M: Subspace) -> SubringChain:
     return _descending_chain(L, lambda g: _bracket_span(L, g, M), M, "lower_central")
 
 
+def generated_subring(L: GradedLieRing, M: Subspace) -> Subspace:
+    """The subring generated by M: the ascending walk S <- S + [S, M] from
+    S = M, which stops, as the coefficient rings are Noetherian, at the span
+    of the left-normed brackets of elements of M.  That span is a subring,
+    by induction on u in [x, [u, m]] = [[x, u], m] - [[x, m], u]."""
+    S = M
+    while True:
+        nxt = S.sum(_bracket_span(L, S, M))
+        if nxt == S:
+            return S
+        S = nxt
+
+
 # --- centralizers and fixed points ---
 
 

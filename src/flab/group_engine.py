@@ -16,7 +16,8 @@ exponent_relation_report.
 
 Tables cap at TABLE_CAP elements.  A table group stores its table once,
 as one read-only numpy array, and checks every group law on it exactly
-up to that cap, in whole-array passes.  Anything advertised as exhaustive
+up to that cap, in whole-array passes; the builders write their tables
+in place, in the stored id type.  Anything advertised as exhaustive
 (subgroup lattices, coset recomputation) is limited to EXHAUSTIVE_CAP and
 raises CapacityError beyond it.  The Hausdorff-product group evaluates its
 formula on ids, one product at a time on ints or in batches on int64
@@ -32,6 +33,11 @@ mul_many, which both kinds have, and the Lazard lemma's stack of ad
 matrices runs it over matmul mod p.
 Every closed set is walked by rings.orbit, except in subgroup_closure and
 Light's associativity test, whose generating sets grow mid-walk.
+
+The layer coordinates of a filtration live in one order x rank matrix,
+DLAlgebra.coords, built by _layer_coordinates with the ids' depths; the
+algebra's brackets and images, the Lazard lemma and the free-module check
+all read its rows.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .errors import CapacityError, InputError
 from .graded_lie import (
     GradedLieRing,
     automorphism_issues,
+    generated_subring,
     lower_central_series,
     validate,
 )
@@ -315,13 +322,31 @@ def _require_table_cap(n: int) -> None:
         raise CapacityError(f"order {n} exceeds the table cap {TABLE_CAP}")
 
 
+def _product_table(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The table of the direct product of the groups with tables A and B,
+    the id of (a, b) being a*len(B) + b, written in place in the stored id
+    type: entry (a1, b1, a2, b2) is A[a1, a2]*len(B) + B[b1, b2]."""
+    a, m = len(A), len(B)
+    out = np.empty((a * m, a * m), dtype=np.min_scalar_type(a * m - 1))
+    high = A.astype(out.dtype)
+    high *= m
+    np.add(high[:, None, :, None], B[None, :, None, :], out=out.reshape(a, m, a, m))
+    return out
+
+
+def _sums_mod(n: int, dtype) -> np.ndarray:
+    """Windows of length n of 0..n-1 written twice, as an (n + 1) x n view:
+    entry (i, j) is i + j mod n, and row i + 1 reversed is i - j mod n."""
+    ids = np.arange(n, dtype=dtype)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([ids, ids]), n)
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     """Z/n with ids as residues."""
     if n < 1:
         raise InputError("order must be positive")
     _require_table_cap(n)
-    ids = np.arange(n, dtype=np.int32)
-    return FiniteGroup((ids[:, None] + ids) % n)
+    return FiniteGroup(_sums_mod(n, np.min_scalar_type(n - 1))[:n])
 
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
@@ -330,21 +355,26 @@ def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
         raise InputError("p must be prime")
     if k < 0:
         raise InputError("k must be nonnegative")
-    n = p**k
-    _require_table_cap(n)
-    digits = _digits(np.arange(n, dtype=np.int32), p, k)
-    table = _from_digits([d[:, None] + d for d in digits], p)
-    return FiniteGroup(np.broadcast_to(table, (n, n)))  # k = 0 sums no digits
+    _require_table_cap(p**k)
+    cyclic, table = _sums_mod(p, np.min_scalar_type(p - 1))[:p], np.zeros((1, 1), dtype=np.uint8)
+    for _ in range(k):  # each factor adds the most significant digit
+        table = _product_table(cyclic, table)
+    return FiniteGroup(table)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
-    """Symmetries of the n-gon, order 2n; id of r^i s^e is i + n*e."""
+    """Symmetries of the n-gon, order 2n; id of r^i s^e is i + n*e, and
+    r^i s^e r^j s^f = r^(i + (1 - 2e) j) s^(e + f)."""
     if n < 1:
         raise InputError("n must be positive")
     _require_table_cap(2 * n)
-    e, i = np.divmod(np.arange(2 * n, dtype=np.int32), n)
-    e1, i1 = e[:, None], i[:, None]
-    return FiniteGroup((i1 + (1 - 2 * e1) * i) % n + n * (e1 ^ e))
+    table = np.empty((2 * n, 2 * n), dtype=np.min_scalar_type(2 * n - 1))
+    sums = _sums_mod(n, table.dtype)
+    table[:n, :n] = table[:n, n:] = sums[:n]
+    table[n:, :n] = table[n:, n:] = sums[1:, ::-1]
+    table[:n, n:] += n
+    table[n:, :n] += n
+    return FiniteGroup(table)
 
 
 _QUATERNION_UNITS = {
@@ -397,12 +427,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Componentwise product; id of (g, h) is g*|H| + h."""
     _require_table(G)
     _require_table(H)
-    m, n = H.order, G.order * H.order
-    _require_table_cap(n)
-    # entry (g1, h1, g2, h2) is the id of (g1, h1)(g2, h2); int32 so that
-    # g*|H| cannot overflow the stored id type
-    blocks = G.table.astype(np.int32)[:, None, :, None] * m + H.table[:, None, :]
-    return FiniteGroup(blocks.reshape(n, n))
+    _require_table_cap(G.order * H.order)
+    return FiniteGroup(_product_table(G.table, H.table))
 
 
 def group_from_permutations(degree: int, generators) -> FiniteGroup:
@@ -867,6 +893,9 @@ class FrobeniusAction:
     params: FrobeniusParams
 
 
+_NOT_FROBENIUS = "a nontrivial power of h centralizes a nontrivial power of f"
+
+
 def action_issues(G, f, h, params: FrobeniusParams) -> list[str]:
     """Invariant failures of a would-be action, empty when it conforms.
 
@@ -893,7 +922,7 @@ def action_issues(G, f, h, params: FrobeniusParams) -> list[str]:
     if perm_compose(h, perm_compose(f, perm_inverse(h))) != perm_power(f, params.r):
         issues.append("h f h^-1 differs from f^r")
     if not issues and prim_failure(params.n, params.q, params.r) is not None:
-        issues.append("a nontrivial power of h centralizes a nontrivial power of f")
+        issues.append(_NOT_FROBENIUS)
     return issues
 
 
@@ -952,12 +981,14 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
 
     Both maps are F_p-linear, so each is built from the images of the k
     basis ids p^i (the monomials x^i), combined digit by digit for all p^k
-    ids.  Every hypothesis is then rechecked on the permutations: both are
-    automorphisms, f and h have orders p^k - 1 and k, and h f h^-1 = f^p.
+    ids.  Every hypothesis is then rechecked on the permutations by
+    action_issues: both are automorphisms, f and h have orders p^k - 1 and
+    k, and h f h^-1 = f^p.
     With h[1] == 1 these pin h exactly: the twist gives h(gen*y) =
     gen^p * h(y), so by induction h(gen^i) = gen^(p*i) * h(1) = (gen^i)^p
     on every nonzero id, and h(0) = 0 by additivity.  Both flags are then
-    check_prim on (p^k - 1, k, p)."""
+    action_issues' Frobenius condition, which is check_prim on
+    (p^k - 1, k, p)."""
     if not is_prime(p):
         raise InputError("p must be prime")
     if not is_prime(k):
@@ -992,15 +1023,12 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
     params = FrobeniusParams(n, k, p)
     # multiplication and the p-power map are additive; orders and the
     # twist relation hold by field arithmetic
-    if not (is_automorphism(group, f) and is_automorphism(group, h)):
-        raise RuntimeError("field multiplication and the p-power map must be automorphisms")
-    if perm_order(f) != n or perm_order(h) != k:
-        raise RuntimeError(f"f and h must have orders {n} and {k}")
-    if perm_compose(h, perm_compose(f, perm_inverse(h))) != perm_power(f, p):
-        raise RuntimeError("h f h^-1 must equal f^p")
+    issues = action_issues(group, f, h, params)
+    if issues not in ([], [_NOT_FROBENIUS]):
+        raise RuntimeError("; ".join(issues))
     if h[1] != 1:
         raise RuntimeError("the p-power map must fix 1")
-    prim_ok = params.passes_prim()
+    prim_ok = not issues
     return FieldActionResult(
         group=group,
         action=FrobeniusAction(f, h, params),
@@ -1207,10 +1235,10 @@ def free_module_check(group, h, q: int) -> VerificationReport:
     if perm_power(h, q) != perm_identity(group.order):
         raise InputError("h^q is not the identity")
     # coordinates of the whole group, as the quotient by the trivial subgroup
-    comp = _build_component(
-        group, frozenset(range(group.order)), frozenset({group.identity}), p)
-    dim = len(comp.basis)
-    matrix = [[comp.coords_of[h[b]][i] for b in comp.basis] for i in range(dim)]
+    _, basis, _, coords = _layer_coordinates(
+        group, (frozenset(range(group.order)), frozenset({group.identity})), p)
+    dim = len(basis)
+    matrix = coords[[h[b] for b in basis]].T.tolist()  # column b: h(b)
     char = [[poly_trim((-matrix[i][j], 1) if i == j else (-matrix[i][j],), p)
              for j in range(dim)] for i in range(dim)]
     factors = _poly_invariant_factors(char, p)
@@ -1331,96 +1359,79 @@ def jz_filtration(G, p: int) -> Filtration:
 # --- the graded algebra of the filtration ---
 
 
-@dataclass(frozen=True)
-class _Component:
-    basis: tuple[int, ...]
-    coords_of: dict  # element id -> coordinate tuple over range(p)
+def _layer_coordinates(G, terms, p: int) -> tuple:
+    """(degrees, basis, depths, coords) of the layers D_d/D_(d+1) of the
+    chain terms over F_p, D_(d+1) normal in D_d; refused unless every
+    layer is elementary abelian.  degrees and basis give each coordinate's
+    degree and representative, depths[x] is the number of terms holding x,
+    and row x of the read-only order x rank int64 matrix coords is nonzero
+    only in the block of x's depth, where it holds x's leading-coset
+    coordinates.
 
-
-def _build_component(G, D, Dn, p: int) -> _Component:
-    """Coordinates over F_p of the layer D/Dn, Dn normal in D; refused
-    unless the layer is elementary abelian.
-
-    The basis b_1, ..., b_d is walked greedily, adjoining the least id
-    outside the span so far, so the b_i and Dn generate D.  The layer is
-    elementary abelian iff every b_i^p and every [b_i, b_j] lies in Dn:
-    then the images of the b_i commute and have order p, and each one
-    adjoined multiplies the span by p.  Every id of b_1^c_1 ... b_d^c_d Dn
-    gets the exponents c in range(p)^d; these p^d |Dn| products lie in D,
-    so they reach each id of D exactly once iff p^d |Dn| = |D| = the number
-    of ids reached, which the elementary abelian layer passes.
+    A layer's basis b_1, ..., b_k adjoins the least id outside the span so
+    far.  The layer is elementary abelian iff every b_i^p and [b_i, b_j]
+    lies in D_(d+1); then the images of the b_i commute and have order p,
+    and the p^k |D_(d+1)| ids b_1^c_1 ... b_k^c_k t, c in range(p)^k and t
+    in D_(d+1), reach each id of D_d once: p^k |D_(d+1)| = |D_d| = the
+    number reached.  The id gets c in the layer's block, in one assignment.
     """
-    basis = []
-    span = frozenset(Dn)
-    for x in sorted(D):
-        if x not in span:
-            basis.append(x)
-            span = subgroup_closure(G, set(basis) | set(Dn))
-    if not (all(G.power(b, p) in Dn for b in basis)
-            and all(G.commutator(b, c) in Dn for b, c in itertools.combinations(basis, 2))):
-        raise RuntimeError("filtration quotient is not elementary abelian")
-    coords_of = {}
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        e = G.identity
-        for b, c in zip(basis, coeffs):
-            e = G.mul(e, G.power(b, c))
-        coords_of.update((G.mul(e, t), coeffs) for t in Dn)
-    if not p ** len(basis) * len(Dn) == len(D) == len(coords_of):
-        raise RuntimeError("filtration quotient is not elementary abelian")
-    return _Component(tuple(basis), coords_of)
+    degrees: list[int] = []
+    basis: list[int] = []
+    blocks = [np.zeros((G.order, 0), dtype=np.int64)]
+    for d, (D, Dn) in enumerate(zip(terms, terms[1:]), start=1):
+        gens = []
+        span = frozenset(Dn)
+        for x in sorted(D):
+            if x not in span:
+                gens.append(x)
+                span = subgroup_closure(G, set(gens) | set(Dn))
+        if not (all(G.power(b, p) in Dn for b in gens)
+                and all(G.commutator(b, c) in Dn for b, c in itertools.combinations(gens, 2))):
+            raise RuntimeError("filtration quotient is not elementary abelian")
+        k = len(gens)
+        reps = np.array([G.identity])
+        for b in gens:  # reps[c] = b_1^c_1 ... b_k^c_k, the last exponent fastest
+            powers = list(itertools.accumulate([b] * (p - 1), G.mul, initial=G.identity))
+            reps = G.mul_many(reps[:, None], powers).ravel()
+        ids = G.mul_many(reps[:, None], np.fromiter(Dn, dtype=np.intp, count=len(Dn)))
+        if not p**k * len(Dn) == len(D) == np.count_nonzero(np.bincount(ids.ravel())):
+            raise RuntimeError("filtration quotient is not elementary abelian")
+        block = np.zeros((G.order, k), dtype=np.int64)
+        block[ids] = np.indices((p,) * k).reshape(k, p**k).T[:, None, :]
+        blocks.append(block)
+        degrees += [d] * k
+        basis += gens
+    depths = np.zeros(G.order, dtype=np.int64)
+    for D in terms:  # descending, so this counts up to the depth
+        depths[np.fromiter(D, dtype=np.intp, count=len(D))] += 1
+    coords = np.hstack(blocks)
+    depths.flags.writeable = coords.flags.writeable = False
+    return tuple(degrees), tuple(basis), depths, coords
 
 
+@dataclass(frozen=True, eq=False)
 class DLAlgebra:
     """Graded algebra over F_p on the filtration quotients, with the
     bracket induced by group commutators; lp is the subalgebra generated
-    by the degree-1 block."""
+    by the degree-1 block.  degrees, basis, depths and coords are those of
+    _layer_coordinates: row x of coords is x's leading-coset coordinates."""
 
-    def __init__(self, group, filtration, lie, degrees, components, block_start, lp):
-        self.group = group
-        self.filtration = filtration
-        self.lie = lie
-        self.degrees = degrees
-        self.lp = lp
-        self._components = components
-        self._block_start = block_start
+    group: FiniteGroup
+    filtration: Filtration
+    lie: GradedLieRing
+    degrees: tuple[int, ...]
+    basis: tuple[int, ...]
+    depths: np.ndarray
+    coords: np.ndarray
+    lp: Subspace
 
     def depth(self, x: int) -> int | None:
         """Largest i with x in D_i; None for the identity."""
-        if x == self.group.identity:
-            return None
-        d = 0
-        for i, D in enumerate(self.filtration.terms, start=1):
-            if x not in D:
-                break
-            d = i
-        return d
+        return None if x == self.group.identity else int(self.depths[x])
 
     def image(self, x: int) -> tuple[int | None, list]:
         """(depth, leading-coset coordinates); the identity maps to zero."""
-        d = self.depth(x)
-        vec = self.lie.zero_vector()
-        if d is None:
-            return None, vec
-        comp = self._components[d]
-        start = self._block_start[d]
-        for t, c in enumerate(comp.coords_of[x]):
-            vec[start + t] = self.lie.ring.canon(c)
-        return d, vec
-
-
-def _generated_subalgebra(L: GradedLieRing, seeds) -> Subspace:
-    S = L.span(list(seeds))
-    while True:
-        gens = S.gens()
-        nxt = S
-        for u in gens:
-            for v in gens:
-                w = L.bracket(u, v)
-                if not nxt.contains(w):
-                    nxt = nxt.sum(L.span([w]))
-        if nxt == S:
-            return S
-        S = nxt
+        return self.depth(x), self.coords[x].tolist()
 
 
 def lazard_algebra(G, p: int) -> DLAlgebra:
@@ -1433,50 +1444,26 @@ def lazard_algebra(G, p: int) -> DLAlgebra:
     with [x, y, u] in D_(2i+j+1) and [u, y] in D_(i+j+1), so [xu, y] and
     [x, y] agree modulo D_(i+j+1); likewise in y.  The same expansion with u
     in D_i makes the bracket additive in each argument, so the brackets of
-    basis cosets determine it.
+    basis cosets determine it.  [e_a, e_b] is the coords row of the
+    commutator when its depth is deg a + deg b, and zero when deeper.
     """
     filt = jz_filtration(G, p)
     if not filt.terms:
         raise InputError("the trivial group has no graded pieces")
-    terms = filt.terms
-    top = len(terms) - 1
-    ring = PrimeFieldRing(p)
-    components = {}
-    block_start = {}
-    degrees: list[int] = []
-    info = []
-    for deg in range(1, top + 1):
-        comp = _build_component(G, terms[deg - 1], terms[deg], p)
-        block_start[deg] = len(degrees)
-        degrees.extend([deg] * len(comp.basis))
-        info.extend((deg, b) for b in comp.basis)
-        components[deg] = comp
-    rank = len(degrees)
+    degrees, basis, depths, coords = _layer_coordinates(G, filt.terms, p)
+    rank = len(basis)
     brackets = {}
-    for a in range(rank):
-        da, ea = info[a]
-        for b in range(a + 1, rank):
-            db, eb = info[b]
-            target = da + db
-            if target > top:
-                continue
-            c = G.commutator(ea, eb)
-            entry = {
-                block_start[target] + t: cf
-                for t, cf in enumerate(components[target].coords_of[c])
-                if cf
-            }
-            if entry:
-                brackets[(a, b)] = entry
-    lie = GradedLieRing(ring, rank, brackets)
-    report = validate(lie)
-    if not report.valid:
+    for a, b in itertools.combinations(range(rank), 2):
+        c = G.commutator(basis[a], basis[b])
+        row = coords[c]
+        if depths[c] == degrees[a] + degrees[b] and row.any():
+            brackets[(a, b)] = {int(k): int(row[k]) for k in np.flatnonzero(row)}
+    lie = GradedLieRing(PrimeFieldRing(p), rank, brackets)
+    if not validate(lie).valid:
         raise RuntimeError("commutator brackets must satisfy the Lie laws")
-    first_block = [
-        lie.basis_vector(i) for i in range(rank) if degrees[i] == 1
-    ]
-    lp = _generated_subalgebra(lie, first_block)
-    return DLAlgebra(G, filt, lie, tuple(degrees), components, block_start, lp)
+    first_block = lie.span(lie.basis_vector(i) for i in range(rank) if degrees[i] == 1)
+    return DLAlgebra(G, filt, lie, degrees, basis, depths, coords,
+                     generated_subring(lie, first_block))
 
 
 def lazard_lemma_check(G, p: int) -> VerificationReport:
@@ -1491,9 +1478,9 @@ def lazard_lemma_check(G, p: int) -> VerificationReport:
 def _lazard_lemma_report(dl: DLAlgebra, t0: float) -> VerificationReport:
     """The Lazard lemma report on a built algebra, timed from t0.
 
-    Every id's depth is the number of filtration terms holding it, and its
-    leading-coset coordinates form one row of V (zero for the identity).
-    All ad matrices are one einsum of V with the structure constants, mod p.
+    Every id's depth and its leading-coset coordinates, one row of V (zero
+    for the identity), are the algebra's depths and coords.  All ad
+    matrices are one einsum of V with the structure constants, mod p.
     The p-th power map of the ids and the p-th power of the stack of ad
     matrices are each one square-and-multiply (rings.power).  Each x must
     have (ad x)^p equal to ad(x^p) when x^p has depth p*depth(x), and zero
@@ -1512,16 +1499,7 @@ def _lazard_lemma_report(dl: DLAlgebra, t0: float) -> VerificationReport:
     """
     G, L, p = dl.group, dl.lie, dl.filtration.prime
     n, r, e = G.order, L.rank, G.identity
-    ids = np.arange(n)
-    depth = np.zeros(n, dtype=np.int64)
-    for D in dl.filtration.terms:  # descending, so this counts up to the depth
-        depth[np.fromiter(D, dtype=np.intp, count=len(D))] += 1
-    V = np.zeros((n, r), dtype=np.int64)
-    for d, comp in dl._components.items():
-        start = dl._block_start[d]
-        for x, coeffs in comp.coords_of.items():
-            if depth[x] == d:
-                V[x, start:start + len(coeffs)] = coeffs
+    ids, depth, V = np.arange(n), dl.depths, dl.coords
     C = np.zeros((r, r, r), dtype=np.int64)  # C[i, j, k]: b_k in [b_i, b_j]
     for (i, j), terms in L.nonzero_constants.items():
         for k, c in terms:

@@ -202,6 +202,22 @@ def test_subring_series_of_ideal():
     assert chain.nilpotency_class() == 1
 
 
+def test_generated_subring_of_two_basis_vectors():
+    # a perfect ring: e1 and e2 give [e1, e2] = e3, so all of it
+    for ring in (PrimeFieldRing(7), IntegersRing()):
+        L = gl.example_simple3(ring).lie
+        assert gl.generated_subring(L, L.span([L.basis_vector(0), L.basis_vector(1)])) \
+            == L.full_space()
+    # over Z/25 with brackets scaled by 5: e1, e2 and [e1, e2] = 5 e3, whose
+    # brackets with e1 and e2 are 25 e2 = 25 e1 = 0
+    L = gl.example_pm(5, 2).lie
+    M = L.span([[1, 0, 0], [0, 1, 0]])
+    assert gl.generated_subring(L, M) == L.span([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
+    H = heis(IntegersRing())
+    assert gl.generated_subring(H, H.span([[1, 0, 0]])) == H.span([[1, 0, 0]])
+    assert gl.generated_subring(H, H.zero_space()) == H.zero_space()
+
+
 # --- centralizers, fixed points, automorphisms ---
 
 

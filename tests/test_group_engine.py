@@ -2,6 +2,7 @@
 actions, filtrations, and the Hausdorff-product groups."""
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 import time
@@ -629,13 +630,13 @@ def test_jz_recursion_matches_lazard_product_formula():
         assert ge.jz_filtration(G, p).terms == _lazard_product_terms(G, p), name
 
 
-def test_build_component_refuses_layers_that_are_not_elementary_abelian():
+def test_layer_coordinates_refuse_layers_that_are_not_elementary_abelian():
     # C4 with id 1 of order 2 adjoins the basis (1, 2) by steps of index 2,
     # so the count passes; 2 * 2 = 1 is not in the trivial subgroup
     C4 = ge.FiniteGroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]])
     for G, p in ((ge.cyclic_group(4), 2), (ge.heisenberg_group(3), 3), (C4, 2)):
         with pytest.raises(RuntimeError, match="filtration quotient is not elementary abelian"):
-            ge._build_component(G, frozenset(range(G.order)), frozenset({G.identity}), p)
+            ge._layer_coordinates(G, (frozenset(range(G.order)), frozenset({G.identity})), p)
 
 
 def _corrupted_filtrations():
@@ -667,18 +668,21 @@ def test_filtration_laws_refuse_a_corrupted_filtration(G, p, terms, message):
         ge._check_filtration_laws(G, ge.Filtration(p, terms))
 
 
-def test_build_component_coordinates_name_the_coset():
+def test_layer_coordinates_name_the_coset():
     for G, p in ((ge.dihedral_group(4), 2), (ge.quaternion_group(), 2),
                  (ge.heisenberg_group(3), 3), (_sylow2_s8(), 2)):
         terms = ge.jz_filtration(G, p).terms
-        for D, Dn in zip(terms, terms[1:]):
-            comp = ge._build_component(G, D, Dn, p)
-            assert set(comp.coords_of) == D
-            for x, coeffs in comp.coords_of.items():
+        degrees, basis, depths, coords = ge._layer_coordinates(G, terms, p)
+        for d, (D, Dn) in enumerate(zip(terms, terms[1:]), start=1):
+            block = np.array(degrees) == d
+            assert {x for x in range(G.order) if depths[x] >= d} == D
+            for x in D:
                 e = G.identity
-                for b, c in zip(comp.basis, coeffs):
-                    e = G.mul(e, G.power(b, c))
+                for b, c in zip(np.array(basis)[block], coords[x, block]):
+                    e = G.mul(e, G.power(int(b), int(c)))
                 assert G.mul(G.inv(e), x) in Dn
+            # a row is nonzero only in the block of its depth
+            assert not coords[[x for x in D if depths[x] != d]][:, block].any()
 
 
 def test_lazard_algebra_d8():
@@ -712,7 +716,7 @@ def coset_bracket_mismatches(A) -> int:
     the commutators [x, y] whose image differs from the bracket of the two
     basis vectors; an image of depth past i + j is zero there."""
     terms = A.filtration.terms
-    basis = [(d, e) for d in sorted(A._components) for e in A._components[d].basis]
+    basis = list(zip(A.degrees, A.basis))
     zero = A.lie.zero_vector()
     bad = 0
     for a, (da, ea) in enumerate(basis):
@@ -743,6 +747,36 @@ def test_lazard_brackets_are_well_defined_on_every_coset_pair():
     for name, G, p in groups:
         assert coset_bracket_mismatches(ge.lazard_algebra(G, p)) == 0, name
     assert len(groups) == 72
+
+
+def generated_subalgebra_by_pairs(L, seeds):
+    """Oracle: the closure loop lazard_algebra used before generated_subring,
+    which brackets every pair of generators until the span stops growing."""
+    S = L.span(list(seeds))
+    while True:
+        gens = S.gens()
+        nxt = S
+        for u in gens:
+            for v in gens:
+                w = L.bracket(u, v)
+                if not nxt.contains(w):
+                    nxt = nxt.sum(L.span([w]))
+        if nxt == S:
+            return S
+        S = nxt
+
+
+def test_generated_subring_matches_the_pairwise_closure_on_the_jennings_groups():
+    partial = 0
+    for name, build in jennings_groups().items():
+        G = build()
+        (p,) = ge.factorize(G.order)
+        A = ge.lazard_algebra(G, p)
+        first = [A.lie.basis_vector(i) for i, d in enumerate(A.degrees) if d == 1]
+        oracle = generated_subalgebra_by_pairs(A.lie, first)
+        assert gl.generated_subring(A.lie, A.lie.span(first)) == oracle == A.lp, name
+        partial += oracle != A.lie.full_space()
+    assert partial > 0  # some degree-1 blocks generate less than the whole algebra
 
 
 def test_lazard_lemma_corpus():
@@ -811,9 +845,7 @@ def _corrupted(dl, entries):
     for i, j, k in entries:
         entry = brackets.setdefault((i, j), {})
         entry[k] = (entry.get(k, 0) + 1) % L.ring.modulus
-    lie = gl.GradedLieRing(L.ring, L.rank, brackets)
-    return ge.DLAlgebra(dl.group, dl.filtration, lie, dl.degrees,
-                        dl._components, dl._block_start, dl.lp)
+    return dataclasses.replace(dl, lie=gl.GradedLieRing(L.ring, L.rank, brackets))
 
 
 def _single_entries(dl):
@@ -823,14 +855,10 @@ def _single_entries(dl):
 
 def _algebra_on_terms(G, p, terms):
     """The algebra of a chain of subgroups, laws unchecked, abelian bracket."""
-    components, block_start, degrees = {}, {}, []
-    for d in range(1, len(terms)):
-        components[d] = ge._build_component(G, terms[d - 1], terms[d], p)
-        block_start[d] = len(degrees)
-        degrees += [d] * len(components[d].basis)
+    degrees, basis, depths, coords = ge._layer_coordinates(G, terms, p)
     lie = gl.GradedLieRing(ge.PrimeFieldRing(p), len(degrees), {})
-    return ge.DLAlgebra(G, ge.Filtration(p, tuple(terms)), lie, tuple(degrees),
-                        components, block_start, lie.full_space())
+    return ge.DLAlgebra(G, ge.Filtration(p, tuple(terms)), lie, degrees, basis,
+                        depths, coords, lie.full_space())
 
 
 def test_lazard_lemma_check_names_the_first_failure_as_the_element_walk_does():
@@ -857,6 +885,25 @@ def test_lazard_lemma_check_names_the_first_failure_as_the_element_walk_does():
     assert _lemma_outcomes(algebras[-1]) == ["power depths must respect the filtration"] * 2
     assert seen == {("pass", 1), ("violation", 1), ("violation", 2),
                     "power depths must respect the filtration"}
+
+
+def test_lazard_lemma_check_reduces_the_ad_matrix_of_a_power_mod_p():
+    # C9 x C3 = <g> x <h> relabelled so that g is id 1 and g^6 (id 2), not
+    # g^3, is the degree-3 basis element: g^3 has coordinate 2 there.  With
+    # [b_0, b_1] = b_1 and [b_1, b_2] = b_1, (ad g)^3 = diag(0, 1, 0) =
+    # 2 ad(b_2) mod 3, whose one entry is 2 * 2 = 4 before reduction; so the
+    # lemma holds at g and ad-nilpotency fails there
+    G = ge.direct_product(ge.cyclic_group(9), ge.cyclic_group(3))
+    order = [0, 3, 18, 9, 1]  # e, g, g^6, g^3, h, then the rest
+    order += [x for x in range(G.order) if x not in order]
+    new = {old: i for i, old in enumerate(order)}
+    H = ge.FiniteGroup([[new[G.mul(a, b)] for b in order] for a in order])
+    dl = ge.lazard_algebra(H, 3)
+    assert (dl.degrees, dl.basis) == ((1, 1, 3), (1, 4, 2))
+    assert dl.image(new[9]) == (3, [0, 0, 2])
+    oracle, check = _lemma_outcomes(_corrupted(dl, [(0, 1, 1), (1, 2, 1)]))
+    assert oracle == check == ("violation", {"element": 1, "order": 9},
+                               "ad-nilpotency index exceeds the element order")
 
 
 def test_exponents_are_the_lcm_of_element_orders():

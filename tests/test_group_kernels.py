@@ -276,7 +276,7 @@ def test_invariants_survive_optimized_mode():
     ).stdout.splitlines()
     assert out == [
         "table: table is not associative",
-        "field: field multiplication and the p-power map must be automorphisms",
+        "field: f is not an automorphism; h is not an automorphism",
         "rref: row reduction needs a field, not IntegersModRing(6)",
         "example: not a Lie automorphism: made up",
     ]

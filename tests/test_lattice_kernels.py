@@ -162,6 +162,41 @@ def test_heisenberg_table_matches_the_digit_formula(p):
     assert G.table.tolist() == [[mul(x, y) for y in range(n)] for x in range(n)]
 
 
+def _formula_table(n, mul):
+    return [[mul(x, y) for y in range(n)] for x in range(n)]
+
+
+# orders on both sides of 256, where the stored id type widens
+@pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 255, 256, 257])
+def test_cyclic_and_dihedral_tables_match_their_formulas(n):
+    assert C(n).table.tolist() == _formula_table(n, lambda x, y: (x + y) % n)
+
+    def dihedral(x, y):
+        (e1, i1), (e2, i2) = divmod(x, n), divmod(y, n)
+        return (i1 + (1 - 2 * e1) * i2) % n + n * ((e1 + e2) % 2)
+
+    assert D(n).table.tolist() == _formula_table(2 * n, dihedral)
+
+
+@pytest.mark.parametrize("p, k", [(2, 0), (2, 1), (2, 8), (3, 5), (17, 2), (257, 1)])
+def test_elementary_abelian_table_matches_the_digit_formula(p, k):
+    def add(x, y):
+        return ge._from_digits([a + b for a, b in zip(ge._digits(x, p, k), ge._digits(y, p, k))], p)
+
+    assert E(p, k).table.tolist() == _formula_table(p**k, add)
+
+
+@pytest.mark.parametrize("g, h", [("C12", "D6"), ("D15", "Q8"), ("Q8", "D32"), ("D32", "D8")])
+def test_direct_product_table_matches_the_componentwise_formula(g, h):
+    G, H = BUILDERS[g](), BUILDERS[h]()
+    m = H.order
+
+    def mul(x, y):
+        return G.mul(x // m, y // m) * m + H.mul(x % m, y % m)
+
+    assert P(G, H).table.tolist() == _formula_table(G.order * m, mul)
+
+
 @pytest.mark.parametrize("p, k", [(2, 2), (2, 7), (3, 5), (5, 3), (7, 3), (13, 2)])
 def test_field_maps_match_polynomial_arithmetic(p, k):
     """Oracle: f and h evaluated id by id with F_p[x] arithmetic mod g."""
@@ -195,14 +230,38 @@ def test_field_checks_on_gf128_and_gf243_finish_within_budget():
     assert time.perf_counter() - t0 < 2.0
 
 
-def test_heisenberg_17_peak_rss_stays_under_300_mb():
+def _child_peak_kib(build: str) -> tuple[int, int]:
+    """(order, peak RSS in KiB) of `G = build` in a fresh interpreter.
+
+    The peak is the child's own VmHWM, which exec resets; ru_maxrss would
+    carry over this process's peak when that is higher."""
     src = str(Path(flab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import resource; from flab import group_engine as ge; "
-            "G = ge.heisenberg_group(17); "
-            "print(G.order, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    code = ("from flab import group_engine as ge; "
+            f"G = {build}; "
+            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')); "
+            "print(G.order, hwm.split()[1])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True).stdout.split()
-    assert int(out[0]) == 17**3
-    assert int(out[1]) <= 300 * 1024  # ru_maxrss is in KiB on Linux
+    return int(out[0]), int(out[1])
+
+
+def test_heisenberg_17_peak_rss_stays_under_300_mb():
+    order, peak = _child_peak_kib("ge.heisenberg_group(17)")
+    assert order == 17**3
+    assert peak <= 300 * 1024
+
+
+@pytest.mark.parametrize("build, order, cap_mb", [
+    # each cap lies below the peak of the builder that made order x order
+    # temporaries: 337, 252, 324 and 249 MB, against 97, 152, 201 and 199 MB
+    ("ge.elementary_abelian_group(5, 5)", 5**5, 150),
+    ("ge.cyclic_group(4999)", 4999, 200),
+    ("ge.dihedral_group(2499)", 4998, 250),
+    ("ge.direct_product(ge.cyclic_group(70), ge.cyclic_group(71))", 4970, 225),
+])
+def test_table_builders_peak_rss_stays_under_their_caps(build, order, cap_mb):
+    got, peak = _child_peak_kib(build)
+    assert got == order
+    assert peak <= cap_mb * 1024

@@ -1,11 +1,13 @@
 """Source invariants of the library: no assert statement, which python -O
-would drop, and no import of random, so no check can be a sampled one; and
+would drop, and no import of random, so no check can be a sampled one;
 one home for the loops and arithmetic every module shares: the one
 square-and-multiply loop, the one orbit walk and the polynomial helpers
-live in rings."""
+live in rings; and no public function that nothing names, unless README
+lists it as public API."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import flab
@@ -173,3 +175,64 @@ def test_the_walk_lint_catches_a_second_copy(tmp_path):
         "    while xs:\n"
         "        xs.pop()\n")
     assert _growing_walks(bad) == ["bad._orbits", "bad.closure", "bad.sylow_class"]
+
+
+# Public functions that nothing in the library names besides their def:
+# public API for callers outside it, each with a reason in README.
+PUBLIC_API = {
+    "group_engine.direct_product",
+    "group_engine.normal_closure",
+    "group_engine.invariant_subgroups",
+    "group_engine.group_rank",
+    "group_engine.lower_central_series_sets",
+    "graded_lie.ad_nilpotency_index",
+    "graded_lie.centralizer",
+    "graded_lie.check_scaled_nilpotency",
+    "graded_lie.vandermonde_extract",
+    "graded_lie.verify_hall_implication",
+    "combinatorics.find_independent_subseq",
+    "free_lie.normalize_terms",
+}
+
+
+def _public_functions(paths) -> dict[str, str]:
+    """module.function -> function name, for every public top-level function."""
+    return {f"{path.stem}.{node.name}": node.name for path in paths
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def _unnamed_public_functions(paths) -> list[str]:
+    """module.function for every public top-level function that no source
+    among paths names anywhere but on a def line."""
+    texts = [path.read_text() for path in paths]
+    return sorted(key for key, name in _public_functions(paths).items()
+                  if not any(re.search(rf"(?<!def )\b{name}\b", text) for text in texts))
+
+
+def test_every_public_function_is_named_in_the_library_or_is_public_api():
+    assert set(_unnamed_public_functions(SOURCES)) <= PUBLIC_API
+    assert PUBLIC_API <= set(_public_functions(SOURCES))
+
+
+def test_the_public_api_list_matches_the_readme():
+    readme = (Path(flab.__file__).resolve().parents[2] / "README.md").read_text()
+    (paragraph,) = [p for p in readme.split("\n\n") if "Public API is what the CLI calls" in p]
+    assert PUBLIC_API == set(re.findall(r"`(\w+\.\w+)`", paragraph))
+
+
+def test_the_caller_lint_catches_an_unnamed_function(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n"
+        "    return unused_too\n"
+        "def unused():\n"
+        "    return 0\n"
+        "def unused_too():\n"
+        "    return 0\n"
+        "def _private():\n"
+        "    return 0\n"
+        "class K:\n"
+        "    def method(self):\n"
+        "        return 0\n")
+    (tmp_path / "b.py").write_text("from a import used\n\n\ndef unused(x):\n    return x\n")
+    assert _unnamed_public_functions(sorted(tmp_path.glob("*.py"))) == ["a.unused", "b.unused"]
