@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .combinatorics import (
     FrobeniusParams,
@@ -29,7 +29,7 @@ REASON_INDEPENDENT = "r-independent (c+1)-bracket"
 REASON_ENGEL = "w equal high-order indices"
 
 
-# the default cap on word weights in hall_basis and razresh_membership
+# the cap on word weights in hall_basis, and razresh_membership's default
 WEIGHT_CAP = 8
 # razresh_membership enumerates (2m - 3)!! trees of weight m: 15 at weight 4,
 # 135,135 at weight 8, whose normalization alone takes about 20 s
@@ -251,13 +251,6 @@ def _normal_pairs(expr) -> Collection[tuple[HallWord, int]]:
     raise InputError(f"not a bracket expression: {expr!r}")
 
 
-def normalize_terms(pairs: Iterable[tuple[int, object]]) -> FreeLieElement:
-    out = FreeLieElement.zero()
-    for coeff, expr in pairs:
-        out = out + normalize(expr).scale(coeff)
-    return out
-
-
 def tree_index_sum(tree) -> int:
     if isinstance(tree, IndexedGenerator):
         return tree.index
@@ -266,33 +259,24 @@ def tree_index_sum(tree) -> int:
     return tree_index_sum(tree[0]) + tree_index_sum(tree[1])
 
 
-def tree_leaves(tree) -> tuple[IndexedGenerator, ...]:
-    if isinstance(tree, IndexedGenerator):
-        return (tree,)
-    if isinstance(tree, HallWord):
-        return tree.leaves()
-    return tree_leaves(tree[0]) + tree_leaves(tree[1])
-
-
 # --- Hall basis enumeration ---
 
 
 def hall_basis(
     generators: Sequence[IndexedGenerator],
     max_weight: int,
-    cap: int | None = None,
 ) -> list[HallWord]:
-    """All Hall words of weight up to max_weight, sorted.
+    """All Hall words of weight up to max_weight, sorted; max_weight past
+    WEIGHT_CAP raises CapacityError.
 
     >>> a, b = IndexedGenerator("a"), IndexedGenerator("b")
     >>> [w.weight for w in hall_basis([a, b], 2)]
     [1, 1, 2]
     """
-    cap = WEIGHT_CAP if cap is None else cap
     if max_weight < 1:
         raise InputError("max_weight must be at least 1")
-    if max_weight > cap:
-        raise CapacityError(f"max_weight {max_weight} exceeds cap {cap}")
+    if max_weight > WEIGHT_CAP:
+        raise CapacityError(f"max_weight {max_weight} exceeds cap {WEIGHT_CAP}")
     gens = list(generators)
     if len({(g.name, g.index) for g in gens}) != len(gens):
         raise InputError("generators must be distinct")

@@ -282,7 +282,8 @@ def derived_series(L: GradedLieRing) -> SubringChain:
 
 def subring_series(L: GradedLieRing, M: Subspace) -> SubringChain:
     """Lower central series of the subring generated by M, in ambient coordinates."""
-    return _descending_chain(L, lambda g: _bracket_span(L, g, M), M, "lower_central")
+    S = generated_subring(L, M)
+    return _descending_chain(L, lambda g: _bracket_span(L, g, S), S, "lower_central")
 
 
 def generated_subring(L: GradedLieRing, M: Subspace) -> Subspace:
@@ -362,7 +363,6 @@ def check_selective_nilpotency(
     L: GradedLieRing,
     c: int,
     params: FrobeniusParams,
-    cap: int = 8,
 ) -> tuple[bool, SelectiveWitness | None]:
     """True when every left-normed bracket of c+1 homogeneous elements whose
     grade tuple is r-independent vanishes.
@@ -396,7 +396,7 @@ def check_selective_nilpotency(
         return None
 
     for tup in itertools.product(grades, repeat=c + 1):
-        dep, _ = is_r_dependent(tup, params, cap)
+        dep, _ = is_r_dependent(tup, params)
         if dep:
             continue
         for b in comp[tup[0]]:

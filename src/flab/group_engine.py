@@ -609,7 +609,7 @@ def _lower_central_terms(G) -> list[frozenset]:
     Y = _generating_set(G)
     terms, size, xs = [], G.order, Y
     while size > 1:
-        gamma = _normal_closure_by_generators(G, {G.commutator(x, y) for x in xs for y in Y}, Y)
+        gamma = normal_closure(G, {G.commutator(x, y) for x in xs for y in Y})
         if len(gamma) == size:
             break
         terms.append(gamma)
@@ -678,24 +678,25 @@ def all_sylow_subgroups(G, p: int) -> list[frozenset]:
     return sorted(conjugates, key=sorted)
 
 
-def _lattice(G, orbit_of) -> list[frozenset]:
-    """Every subgroup that is a union of the orbits orbit_of[x], by
-    closure over orbit extensions K = <H, O(x)> of every such H found,
-    sorted by (size, elements).
+def _lattice(G, perms) -> list[frozenset]:
+    """Every subgroup that is a union of orbits O(x) of the group A that
+    the automorphisms perms generate, by closure over orbit extensions
+    K = <H, O(x)> of every such H found, sorted by (size, elements).
 
-    The orbits are those of a group A of automorphisms, so the subgroups
-    returned are the A-invariant ones.  Each K found is invariant, being
-    generated by an invariant set.  Every invariant K is found: it is the
-    end of a chain of orbit extensions inside K, because for any invariant
-    H < K and x in K - H, <H, O(x)> is invariant, lies in K and is larger
-    than H.  Since H is invariant, every y in H*O(x) has <H, O(y)> = K, so
-    all of H*O(x) is marked tried after one closure.  The subgroups found
-    are the orbit (rings.orbit) of the trivial subgroup under the map from
-    H to its extensions.  Each subgroup keeps, in known, the generators it
-    was first reached by, so its own extensions start from those.
-    Singleton orbits give the whole lattice."""
+    So the subgroups returned are the A-invariant ones.  Each K found is
+    invariant, being generated by an invariant set.  Every invariant K is
+    found: it is the end of a chain of orbit extensions inside K, because
+    for any invariant H < K and x in K - H, <H, O(x)> is invariant, lies in
+    K and is larger than H.  Since H is invariant, every y in H*O(x) has
+    <H, O(y)> = K, so all of H*O(x) is marked tried after one closure.  The
+    subgroups found are the orbit (rings.orbit) of the trivial subgroup
+    under the map from H to its extensions.  Each subgroup keeps, in known,
+    the generators it was first reached by, so its own extensions start
+    from those.  With no perms every orbit is one id, and the lattice is
+    whole."""
     if G.order > EXHAUSTIVE_CAP:
         raise CapacityError(f"subgroup enumeration capped at order {EXHAUSTIVE_CAP}")
+    orbit_of = _orbits(G.order, perms)
     mul = G.mul
     trivial = frozenset({G.identity})
     known = {trivial: ()}
@@ -754,17 +755,16 @@ def _generating_set(G, S=None, name="S") -> list[int]:
 
 
 def all_subgroups(G) -> list[frozenset]:
-    """The full subgroup lattice: the orbit-extension closure of _lattice
-    with every orbit a single id, so each right coset Hx of each subgroup
-    H found is extended once.  Refused above EXHAUSTIVE_CAP."""
-    return _lattice(G, [(x,) for x in range(G.order)])
+    """The full subgroup lattice, as the subgroups invariant under no
+    automorphism.  Refused above EXHAUSTIVE_CAP."""
+    return invariant_subgroups(G, ())
 
 
 def invariant_subgroups(G, automorphisms) -> list[frozenset]:
     """The subgroups mapped onto themselves by every listed automorphism,
     enumerated over the orbits of the group they generate, without the
     rest of the lattice."""
-    return _lattice(G, _orbits(G.order, _automorphism_list(G, automorphisms)))
+    return _lattice(G, _automorphism_list(G, automorphisms))
 
 
 def invariant_normal_subgroups(G, automorphisms) -> list[frozenset]:
@@ -774,7 +774,7 @@ def invariant_normal_subgroups(G, automorphisms) -> list[frozenset]:
     inner = [
         tuple(G.conjugate(g, x) for x in range(G.order)) for g in _generating_set(G)
     ]
-    return _lattice(G, _orbits(G.order, autos + inner))
+    return _lattice(G, autos + inner)
 
 
 def _automorphism_list(G, automorphisms) -> list[tuple[int, ...]]:

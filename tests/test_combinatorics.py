@@ -14,6 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flab import combinatorics as comb
+from flab import free_lie as fl
+from flab import graded_lie as gl
 from flab.combinatorics import (
     DependenceWitness,
     FrobeniusParams,
@@ -30,7 +32,7 @@ from flab.combinatorics import (
     prim_failure,
 )
 from flab.errors import CapacityError, InputError
-from flab.rings import multiplicative_order
+from flab.rings import PrimeFieldRing, multiplicative_order
 
 
 def params(n, q, r):
@@ -141,6 +143,28 @@ def test_dependence_rejects_zero_entries():
 def test_dependence_capacity():
     with pytest.raises(CapacityError):
         is_r_dependent(tuple([1] * 9), params(7, 3, 2))
+
+
+# the first input past each length cap, which callers once could raise, and
+# the message it is refused with
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: is_r_dependent((1,) * 9, params(7, 3, 2)),
+                 "sequence length 9 exceeds cap 8", id="is_r_dependent"),
+    pytest.param(lambda: d_set((1,) * 8, params(7, 3, 2)),
+                 "extension length 9 exceeds cap 8", id="d_set"),
+    pytest.param(lambda: gl.check_selective_nilpotency(
+                     gl.GradedLieRing(PrimeFieldRing(5), 3, {(0, 1): {2: 1}},
+                                      grading=[1, 2, 3], grade_modulus=7),
+                     8, params(7, 3, 2)),
+                 "sequence length 9 exceeds cap 8", id="check_selective_nilpotency"),
+    pytest.param(lambda: char0_exhaust(3, 7), "m=7 exceeds cap 6", id="char0_exhaust"),
+    pytest.param(lambda: fl.hall_basis([fl.IndexedGenerator("a")], 9),
+                 "max_weight 9 exceeds cap 8", id="hall_basis"),
+])
+def test_refusals_at_the_length_caps(call, message):
+    with pytest.raises(CapacityError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def _first_solution(seq, n, q, r):

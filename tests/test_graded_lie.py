@@ -218,6 +218,16 @@ def test_generated_subring_of_two_basis_vectors():
     assert gl.generated_subring(H, H.zero_space()) == H.zero_space()
 
 
+def test_subring_series_starts_from_the_generated_subring():
+    # span(e1, e2) is no subring; the subring it generates is the whole
+    # perfect ring, whose series stalls at once
+    for ring in (PrimeFieldRing(7), IntegersRing()):
+        L = gl.example_simple3(ring).lie
+        chain = gl.subring_series(L, L.span([L.basis_vector(0), L.basis_vector(1)]))
+        assert chain.members == (L.full_space(),)
+        assert chain.nilpotency_class() is None
+
+
 # --- centralizers, fixed points, automorphisms ---
 
 

@@ -2,7 +2,7 @@
 would drop, and no import of random, so no check can be a sampled one;
 one home for the loops and arithmetic every module shares: the one
 square-and-multiply loop, the one orbit walk and the polynomial helpers
-live in rings; and no public function that nothing names, unless README
+live in rings; and no public function that no code refers to, unless README
 lists it as public API."""
 from __future__ import annotations
 
@@ -177,12 +177,10 @@ def test_the_walk_lint_catches_a_second_copy(tmp_path):
     assert _growing_walks(bad) == ["bad._orbits", "bad.closure", "bad.sylow_class"]
 
 
-# Public functions that nothing in the library names besides their def:
-# public API for callers outside it, each with a reason in README.
+# Public functions that no code in the library refers to: public API for
+# callers outside it, each with a reason in README.
 PUBLIC_API = {
     "group_engine.direct_product",
-    "group_engine.normal_closure",
-    "group_engine.invariant_subgroups",
     "group_engine.group_rank",
     "group_engine.lower_central_series_sets",
     "graded_lie.ad_nilpotency_index",
@@ -190,8 +188,9 @@ PUBLIC_API = {
     "graded_lie.check_scaled_nilpotency",
     "graded_lie.vandermonde_extract",
     "graded_lie.verify_hall_implication",
+    "combinatorics.char0_exhaust",
     "combinatorics.find_independent_subseq",
-    "free_lie.normalize_terms",
+    "free_lie.is_hall",
 }
 
 
@@ -202,12 +201,38 @@ def _public_functions(paths) -> dict[str, str]:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
 
+def _references(tree) -> set[str]:
+    """The names code refers to, as a Name, an Attribute or an import alias;
+    a function's references to itself in its own body do not count, nor
+    does text in strings and docstrings."""
+    out = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        else:
+            name = None
+        if name is not None and name not in inside:
+            out.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return out
+
+
 def _unnamed_public_functions(paths) -> list[str]:
-    """module.function for every public top-level function that no source
-    among paths names anywhere but on a def line."""
-    texts = [path.read_text() for path in paths]
-    return sorted(key for key, name in _public_functions(paths).items()
-                  if not any(re.search(rf"(?<!def )\b{name}\b", text) for text in texts))
+    """module.function for every public top-level function that no code
+    among paths refers to outside the function itself."""
+    refs = set().union(*(_references(ast.parse(path.read_text(), filename=str(path)))
+                         for path in paths))
+    return sorted(key for key, name in _public_functions(paths).items() if name not in refs)
 
 
 def test_every_public_function_is_named_in_the_library_or_is_public_api():
@@ -233,6 +258,19 @@ def test_the_caller_lint_catches_an_unnamed_function(tmp_path):
         "    return 0\n"
         "class K:\n"
         "    def method(self):\n"
-        "        return 0\n")
-    (tmp_path / "b.py").write_text("from a import used\n\n\ndef unused(x):\n    return x\n")
-    assert _unnamed_public_functions(sorted(tmp_path.glob("*.py"))) == ["a.unused", "b.unused"]
+        "        return 0\n"
+        "def in_a_string():\n"
+        "    return 0\n"
+        "def in_a_docstring():\n"
+        "    return 0\n"
+        "def recursive(n):\n"
+        "    def step(k):\n"
+        "        return recursive(k)\n"
+        "    return step(n - 1) if n else 0\n"
+        "def caller():\n"
+        "    \"\"\"Unlike in_a_docstring.\"\"\"\n"
+        "    return f\"in_a_string {used()}\"\n")
+    (tmp_path / "b.py").write_text(
+        "from a import used, caller\n\n\ndef unused(x):\n    return x\n")
+    assert _unnamed_public_functions(sorted(tmp_path.glob("*.py"))) == [
+        "a.in_a_docstring", "a.in_a_string", "a.recursive", "a.unused", "b.unused"]
