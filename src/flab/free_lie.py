@@ -44,7 +44,9 @@ class IndexedGenerator:
     index: int = 0
 
 
-# intern tables: the one HallWord per generator, and per (left, right) pair
+# intern tables: the one HallWord per generator, and per (left, right) pair;
+# one int key packed from dense per-word serials was measured no faster on
+# lie-rewrite than the pair tuple (BENCH_25.json), so the pair stays the key
 _LEAVES: dict[IndexedGenerator, "HallWord"] = {}
 _NODES: dict[tuple["HallWord", "HallWord"], "HallWord"] = {}
 
@@ -123,12 +125,12 @@ class HallWord:
 
 def is_hall(word: HallWord) -> bool:
     """Whether the tree satisfies the Hall conditions of the fixed order."""
-    if word.is_leaf:
+    if word.gen is not None:
         return True
     u, v = word.left, word.right
-    if not (is_hall(u) and is_hall(v) and u > v):
+    if not (is_hall(u) and is_hall(v) and u.key > v.key):
         return False
-    return u.is_leaf or u.right <= v
+    return u.gen is not None or u.right.key <= v.key
 
 
 class FreeLieElement:
@@ -174,11 +176,14 @@ class FreeLieElement:
 # --- Hall rewriting ---
 
 # results of [u, v] that needed the Hall rewrite; a bracket already in Hall
-# form is its interned node, so it is never stored here
-_BRACKET_MEMO: dict[tuple[HallWord, HallWord], tuple[tuple[HallWord, int], ...]] = {}
+# form is its interned node, so it is never stored here.  Each row is the
+# rewrite's accumulator without its zero coefficients, kept as one dict (no
+# pair tuple per term for the garbage collector to track), and callers get
+# only row.items(): normalize and bracket copy it into the element they build.
+_BRACKET_MEMO: dict[tuple[HallWord, HallWord], dict[HallWord, int]] = {}
 
 
-def _hall_bracket(u: HallWord, v: HallWord) -> tuple[tuple[HallWord, int], ...]:
+def _hall_bracket(u: HallWord, v: HallWord) -> Collection[tuple[HallWord, int]]:
     """[u, v] for Hall words u, v, expanded into the Hall basis as
     (word, coefficient) pairs."""
     if u is v:
@@ -187,9 +192,10 @@ def _hall_bracket(u: HallWord, v: HallWord) -> tuple[tuple[HallWord, int], ...]:
         return tuple((w, -c) for w, c in _hall_bracket(v, u))
     if u.gen is not None or u.right.key <= v.key:
         return ((HallWord.node(u, v), 1),)
-    got = _BRACKET_MEMO.get((u, v))
+    pair = (u, v)
+    got = _BRACKET_MEMO.get(pair)
     if got is not None:
-        return got
+        return got.items()
     # u = [u1, u2] with u2 > v: [[u1,u2],v] = [[u1,v],u2] + [u1,[u2,v]]
     u1, u2 = u.left, u.right
     acc: dict[HallWord, int] = {}
@@ -199,8 +205,8 @@ def _hall_bracket(u: HallWord, v: HallWord) -> tuple[tuple[HallWord, int], ...]:
     for w, c in _hall_bracket(u2, v):
         for x, d in _hall_bracket(u1, w):
             acc[x] = acc.get(x, 0) + c * d
-    out = _BRACKET_MEMO[(u, v)] = tuple((w, c) for w, c in acc.items() if c)
-    return out
+    row = _BRACKET_MEMO[pair] = {w: c for w, c in acc.items() if c}
+    return row.items()
 
 
 def _dict_bracket(a: Collection[tuple[HallWord, int]],
@@ -232,12 +238,6 @@ def normalize(expr) -> FreeLieElement:
 
 def _normal_pairs(expr) -> Collection[tuple[HallWord, int]]:
     """normalize() as (word, coefficient) pairs with distinct words."""
-    if isinstance(expr, FreeLieElement):
-        return expr.terms.items()
-    if isinstance(expr, HallWord):
-        return ((expr, 1),)
-    if isinstance(expr, IndexedGenerator):
-        return ((HallWord.leaf(expr), 1),)
     if isinstance(expr, (tuple, list)):
         if len(expr) != 2:
             raise InputError("bracket trees are binary; use nested pairs")
@@ -248,6 +248,12 @@ def _normal_pairs(expr) -> Collection[tuple[HallWord, int]]:
         got = _hall_bracket(u, v)
         c = cu * cv
         return got if c == 1 else tuple((w, c * k) for w, k in got)
+    if isinstance(expr, IndexedGenerator):
+        return ((HallWord.leaf(expr), 1),)
+    if isinstance(expr, HallWord):
+        return ((expr, 1),)
+    if isinstance(expr, FreeLieElement):
+        return expr.terms.items()
     raise InputError(f"not a bracket expression: {expr!r}")
 
 

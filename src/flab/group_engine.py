@@ -693,9 +693,7 @@ def _lattice(G, perms) -> list[frozenset]:
     under the map from H to its extensions.  Each subgroup keeps, in known,
     the generators it was first reached by, so its own extensions start
     from those.  With no perms every orbit is one id, and the lattice is
-    whole."""
-    if G.order > EXHAUSTIVE_CAP:
-        raise CapacityError(f"subgroup enumeration capped at order {EXHAUSTIVE_CAP}")
+    whole.  Callers run _check_lattice_cap before building perms."""
     orbit_of = _orbits(G.order, perms)
     mul = G.mul
     trivial = frozenset({G.identity})
@@ -760,16 +758,25 @@ def all_subgroups(G) -> list[frozenset]:
     return invariant_subgroups(G, ())
 
 
+def _check_lattice_cap(G) -> None:
+    if G.order > EXHAUSTIVE_CAP:
+        raise CapacityError(f"subgroup enumeration capped at order {EXHAUSTIVE_CAP}")
+
+
 def invariant_subgroups(G, automorphisms) -> list[frozenset]:
     """The subgroups mapped onto themselves by every listed automorphism,
     enumerated over the orbits of the group they generate, without the
-    rest of the lattice."""
+    rest of the lattice.  Refused above EXHAUSTIVE_CAP."""
+    _check_lattice_cap(G)
     return _lattice(G, _automorphism_list(G, automorphisms))
 
 
 def invariant_normal_subgroups(G, automorphisms) -> list[frozenset]:
     """Invariant subgroups that are also normal: those invariant under the
-    listed automorphisms and under conjugation by a generating set of G."""
+    listed automorphisms and under conjugation by a generating set of G.
+    Refused above EXHAUSTIVE_CAP, before any automorphism is checked or
+    conjugation permutation built."""
+    _check_lattice_cap(G)
     autos = _automorphism_list(G, automorphisms)
     inner = [
         tuple(G.conjugate(g, x) for x in range(G.order)) for g in _generating_set(G)

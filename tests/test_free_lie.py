@@ -259,6 +259,36 @@ def test_bracket_memo_holds_only_hall_rewrites():
     assert fl._BRACKET_MEMO
     for u, v in fl._BRACKET_MEMO:
         assert u > v and not u.is_leaf and u.right > v, (u, v)
+    for row in fl._BRACKET_MEMO.values():
+        assert type(row) is dict
+        for w, c in row.items():
+            assert type(c) is int and c != 0 and fl.is_hall(w), (w, c)
+
+
+def test_changing_returned_terms_leaves_later_results_intact():
+    trees = oracle_trees("aliasing", 140)
+    junk = fl.HallWord.leaf(X)
+
+    def scramble(elem):
+        for w in list(elem.terms):
+            elem.terms[w] *= 3
+        elem.terms[junk] = elem.terms.get(junk, 0) + 5
+
+    # oracle_trees gives tree i the weight 2 + i % 7; bracket pairs of
+    # total weight at most 9
+    pairs = [(trees[i], trees[i + 1]) for i in range(0, len(trees), 2)
+             if 4 + i % 7 + (i + 1) % 7 <= 9]
+    assert len(pairs) >= 20
+    for tree in trees:
+        scramble(fl.normalize(tree))
+    for left, right in pairs:
+        scramble(fl.bracket(fl.normalize(left), fl.normalize(right)))
+    memo = {}
+    for tree in trees:
+        assert fl.normalize(tree).terms == reference_normalize(tree, memo), tree
+    for left, right in pairs:
+        got = fl.bracket(fl.normalize(left), fl.normalize(right))
+        assert got.terms == reference_normalize((left, right), memo), (left, right)
 
 
 # --- interned Hall words ---

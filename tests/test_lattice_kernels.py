@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flab
+from flab import graded_lie as gl
 from flab import group_engine as ge
-from flab.errors import InputError
+from flab.errors import CapacityError, InputError
 from flab.rings import poly_mulmod, poly_powmod
 
 C, D, E, P = (ge.cyclic_group, ge.dihedral_group, ge.elementary_abelian_group,
@@ -112,6 +113,29 @@ def test_invariant_subgroups_refuse_non_automorphisms():
         ge.invariant_subgroups(G, [(0, 2, 1, 3)])
     with pytest.raises(InputError):
         ge.invariant_normal_subgroups(G, [(0, 1, 2)])
+
+
+def test_lattice_calls_refuse_past_the_cap_before_any_map_is_built(monkeypatch):
+    G = ge.BCHGroup(gl.example_pm(7, 2).lie)
+    assert G.order == 7**6 > ge.EXHAUSTIVE_CAP
+    calls = []
+
+    def counted(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(G, "conjugate", counted("conjugate", G.conjugate))
+    monkeypatch.setattr(ge, "is_automorphism", counted("is_automorphism", ge.is_automorphism))
+    identity = tuple(range(G.order))
+    for enumerate_subgroups in (ge.all_subgroups,
+                                lambda G: ge.invariant_subgroups(G, [identity]),
+                                lambda G: ge.invariant_normal_subgroups(G, []),
+                                lambda G: ge.invariant_normal_subgroups(G, [identity])):
+        with pytest.raises(CapacityError, match=r"^subgroup enumeration capped at order 512$"):
+            enumerate_subgroups(G)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS) + ["C510", "D250"])
