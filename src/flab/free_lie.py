@@ -142,6 +142,14 @@ class FreeLieElement:
         self.terms = {w: c for w, c in (terms or {}).items() if c}
 
     @classmethod
+    def _of(cls, terms: dict[HallWord, int]) -> "FreeLieElement":
+        """The element that keeps `terms`, a new dict with no zero
+        coefficient, without copying it."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "FreeLieElement":
         return cls()
 
@@ -223,7 +231,7 @@ def _dict_bracket(a: Collection[tuple[HallWord, int]],
 
 def bracket(a: FreeLieElement, b: FreeLieElement) -> FreeLieElement:
     """Lie bracket of two normalized elements."""
-    return FreeLieElement(_dict_bracket(a.terms.items(), b.terms.items()))
+    return FreeLieElement._of(_dict_bracket(a.terms.items(), b.terms.items()))
 
 
 def normalize(expr) -> FreeLieElement:
@@ -233,11 +241,12 @@ def normalize(expr) -> FreeLieElement:
     """
     if isinstance(expr, FreeLieElement):
         return expr
-    return FreeLieElement(dict(_normal_pairs(expr)))
+    return FreeLieElement._of(dict(_normal_pairs(expr)))
 
 
 def _normal_pairs(expr) -> Collection[tuple[HallWord, int]]:
-    """normalize() as (word, coefficient) pairs with distinct words."""
+    """normalize() as (word, coefficient) pairs with distinct words and no
+    zero coefficient."""
     if isinstance(expr, (tuple, list)):
         if len(expr) != 2:
             raise InputError("bracket trees are binary; use nested pairs")

@@ -16,7 +16,7 @@ exponent_relation_report.
 
 Tables cap at TABLE_CAP elements.  A table group stores its table once,
 as one read-only numpy array, and checks every group law on it exactly
-up to that cap, in whole-array passes; the builders write their tables
+up to that cap, in passes over row blocks; the builders write their tables
 in place, in the stored id type.  Anything advertised as exhaustive
 (subgroup lattices, coset recomputation) is limited to EXHAUSTIVE_CAP and
 raises CapacityError beyond it.  The Hausdorff-product group evaluates its
@@ -88,7 +88,7 @@ EXHAUSTIVE_CAP = 512
 # r >= 3 it is under 2^39.  Every intermediate stays inside int64.
 BCH_CAP = 1 << 17
 _BCH_BLOCK = 1 << 12  # products per batch, so numpy temporaries stay small
-_ASSOC_BLOCK = 1 << 18  # table entries compared per row block in Light's test
+_ASSOC_BLOCK = 1 << 18  # table entries per row block in FiniteGroup's checks
 
 
 # --- permutations of element ids ---
@@ -160,6 +160,14 @@ def _from_digits(digits, base: int):
 # --- table-backed groups ---
 
 
+def _rows_permute(t: np.ndarray) -> bool:
+    """Whether each row of the square id array t permutes the ids, sorted
+    in row blocks of _ASSOC_BLOCK entries; t.T checks the columns."""
+    n = len(t)
+    ids, block = np.arange(n, dtype=t.dtype), max(1, _ASSOC_BLOCK // n)
+    return all((np.sort(t[i:i + block], axis=1) == ids).all() for i in range(0, n, block))
+
+
 def _check_associativity(t: np.ndarray, identity: int) -> None:
     """Light's associativity test (Clifford and Preston, The Algebraic
     Theory of Semigroups I, section 1.2), exact at every order.
@@ -169,8 +177,12 @@ def _check_associativity(t: np.ndarray, identity: int) -> None:
     and the right-multiplication closure of S from the identity covers the
     table, the whole table is associative.  S grows greedily from the
     lowest uncovered id, and each new member is tested before the closure
-    is extended: while every member passes, the covered ids form a group
-    that at least doubles with each new member, so |S| <= log2(order).
+    is extended.  The rows of t permute the ids and `identity` is
+    two-sided, so while every member passes, the covered ids C form a
+    finite monoid with injective left multiplications, a group, and a new
+    member s adds s*C, of size |C| and disjoint from C (s*c = c' would put
+    s = c' * c^-1 in C): |S| <= log2(order).  A table that passes is such
+    a monoid itself, so a group, whose columns permute the ids too.
     """
     n = len(t)
     rows = memoryview(t)
@@ -231,9 +243,13 @@ class FiniteGroup(_GroupLaws):
 
     The table is one read-only np.min_scalar_type(order - 1) array, the
     `table` property; scalar products read it through a memoryview of the
-    same buffer, so they return Python ints.  Identity, inverse,
-    Latin-square and associativity laws are checked exactly at every order
-    up to TABLE_CAP, in whole-array passes, associativity by Light's test.
+    same buffer, so they return Python ints.  The group laws are checked
+    exactly at every order up to TABLE_CAP, in passes over row blocks:
+    rows that permute the ids, a two-sided identity, associativity by
+    Light's test, and inverses.  The first three make a group, whose
+    columns permute the ids, so the columns are checked only once a later
+    law fails, and a refusal names the first law broken in the order rows,
+    columns, identity, associativity, inverse.
     BCHGroup shares conjugate and commutator (_GroupLaws) but has no table.
     """
 
@@ -256,19 +272,22 @@ class FiniteGroup(_GroupLaws):
             raise InputError(_NOT_PERMUTED_ROWS)
         t = t.astype(np.min_scalar_type(n - 1))  # a copy the caller cannot reach
         t.flags.writeable = False
-        ids = np.arange(n)
-        if not (np.sort(t, axis=1) == ids).all():
+        if not _rows_permute(t):
             raise InputError(_NOT_PERMUTED_ROWS)
-        if not (np.sort(t, axis=0) == ids[:, None]).all():
-            raise InputError("each table column must permute the element ids")
-        two_sided = (t == ids).all(axis=1) & (t == ids[:, None]).all(axis=0)
-        if not two_sided.any():
-            raise InputError("table has no two-sided identity")
-        ident = int(two_sided.argmax())
-        _check_associativity(t, ident)
-        inv = (t == ident).argmax(axis=1)
-        if not (t[inv, ids] == ident).all():
-            raise InputError("inverse law fails")
+        ids, block = np.arange(n, dtype=t.dtype), max(1, _ASSOC_BLOCK // n)
+        try:
+            ident = int(t[0].argmin())  # row 0 holds 0 once; a right identity e has 0*e == 0
+            if not (np.array_equal(t[ident], ids) and np.array_equal(t[:, ident], ids)):
+                raise InputError("table has no two-sided identity")
+            _check_associativity(t, ident)
+            inv = np.concatenate([(t[i:i + block] == ident).argmax(axis=1)
+                                  for i in range(0, n, block)])
+            if not (t[inv, ids] == ident).all():
+                raise InputError("inverse law fails")
+        except InputError:
+            if not _rows_permute(t.T):
+                raise InputError("each table column must permute the element ids") from None
+            raise
         self._table = t
         self._rows = memoryview(t)
         self._inv = tuple(inv.tolist())

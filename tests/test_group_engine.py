@@ -58,6 +58,8 @@ _INTEGERS = "table entries must be integer ids"
     # rows are checked before columns
     pytest.param([[0, 0], [0, 0]], _ROWS, id="rows-first"),
     pytest.param([[1, 0], [1, 0]], _COLUMNS, id="column-repeats"),
+    # rows permute the ids and 0 is a two-sided identity, but column 1 repeats
+    pytest.param([[0, 1, 2], [1, 2, 0], [2, 1, 0]], _COLUMNS, id="identity-column-repeats"),
     # a Latin square whose only identity row (1) is not an identity column
     pytest.param([[1, 2, 0], [0, 1, 2], [2, 0, 1]], "table has no two-sided identity",
                  id="no-identity"),

@@ -1,7 +1,8 @@
 """The group kernels against independent oracles: subgroup closure against
 breadth-first search, the subgroup and normality tests against their
 all-element definitions, the subgroup lattice against closed-form counts,
-Light's associativity test against a brute-force triple check, and the
+Light's associativity test against a brute-force triple check, the table
+refusal messages against the group laws checked one by one, and the
 batched Hausdorff-product group against per-id evaluation of the full
 degree-3 series and on the inputs it must refuse; then the element laws
 against their mul/inv definitions, the Lazard group's coordinate powers and
@@ -10,6 +11,7 @@ ring's, and the table-only calls that refuse a Lazard group by name."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -232,6 +234,109 @@ def test_large_groups_pass_the_exact_test():
                                (ge.dihedral_group(300), 600, 300),
                                (xor, 1024, 2)):
         assert (G.order, G.exponent()) == (order, exponent)
+
+
+# --- refusal messages against the laws checked one by one ---
+
+
+def reference_refusal(t) -> str | None:
+    """The message for a square table with ids in range, or None for a
+    group, checking by the definitions in the order rows, columns,
+    identity over every id, associativity over every triple, inverse law."""
+    n = len(t)
+    ids = list(range(n))
+    if any(sorted(row) != ids for row in t):
+        return "each table row must permute the element ids"
+    if any(sorted(col) != ids for col in zip(*t)):
+        return "each table column must permute the element ids"
+    ident = next((e for e in ids if all(t[e][x] == x == t[x][e] for x in ids)), None)
+    if ident is None:
+        return "table has no two-sided identity"
+    if any(t[t[x][y]][z] != t[x][t[y][z]] for x in ids for y in ids for z in ids):
+        return "table is not associative"
+    if any(t[t[x].index(ident)][x] != ident for x in ids):
+        return "inverse law fails"
+    return None
+
+
+def test_every_table_of_order_2_and_3_gets_the_reference_verdict():
+    seen = {}
+    for n in (2, 3):
+        for entries in itertools.product(range(n), repeat=n * n):
+            t = [list(entries[i:i + n]) for i in range(0, n * n, n)]
+            message = reference_refusal(t)
+            assert refusal(t) == message, t
+            seen[message] = seen.get(message, 0) + 1
+    # 4 + 216 tables have permuting rows, 2 + 12 are Latin squares, and
+    # those with an identity are Z/2 in 2 labellings and Z/3 in 3: a Latin
+    # square of order at most 3 with an identity is a group
+    assert seen == {None: 5, "each table row must permute the element ids": 19479,
+                    "each table column must permute the element ids": 206,
+                    "table has no two-sided identity": 9}
+
+
+_SMALL_GROUPS = (
+    [[(x + y) % 4 for y in range(4)] for x in range(4)],
+    [[x ^ y for y in range(4)] for x in range(4)],
+    [[(x + y) % 5 for y in range(5)] for x in range(5)],
+    [[(x + y) % 6 for y in range(6)] for x in range(6)],
+    ge.dihedral_group(3).table.tolist(),
+)
+# Latin squares isotopic to no group: a loop of order 5 with 1*1 = 0, and
+# Z/6 with one intercalate switched
+_NON_GROUP_SQUARES = (
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+    switched_cyclic(6, 1, 2),
+)
+
+
+@st.composite
+def row_permuting_tables(draw):
+    """Tables of order 4-6 whose rows permute the ids: relabelled groups,
+    random rows (the columns then nearly always repeat), or isotopes
+    x*y = c(L(a(x), b(y))) of a Latin square L isotopic to no group.  For
+    some of the last two, e becomes a two-sided identity: in random rows
+    by swapping one entry in each row, and in an isotope M by its
+    principal isotope x*y = M(u(x), v(y)), with u and v the inverses of
+    column e and row e of M, a Latin square with identity M(e, e) that is
+    not associative."""
+    kind = draw(st.sampled_from(["group", "rows", "isotope"]))
+    if kind == "group":
+        base = draw(st.sampled_from(_SMALL_GROUPS))
+        n = len(base)
+        p = draw(st.permutations(range(n)))
+        t = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                t[p[x]][p[y]] = p[base[x][y]]
+        return t
+    if kind == "rows":
+        n = draw(st.integers(4, 6))
+        t = [list(draw(st.permutations(range(n)))) for _ in range(n)]
+    else:
+        base = draw(st.sampled_from(_NON_GROUP_SQUARES))
+        n = len(base)
+        a, b, c = (draw(st.permutations(range(n))) for _ in range(3))
+        t = [[c[base[a[x]][b[y]]] for y in range(n)] for x in range(n)]
+    if not draw(st.booleans()):
+        return t
+    e = draw(st.integers(0, n - 1))
+    if kind == "isotope":
+        u, v = [0] * n, [0] * n
+        for x in range(n):
+            u[t[x][e]], v[t[e][x]] = x, x
+        return [[t[u[x]][v[y]] for y in range(n)] for x in range(n)]
+    t[e] = list(range(n))
+    for x, row in enumerate(t):
+        j = row.index(x)
+        row[e], row[j] = row[j], row[e]
+    return t
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(row_permuting_tables())
+def test_row_permuting_tables_get_the_reference_verdict(t):
+    assert refusal(t) == reference_refusal(t)
 
 
 _OPTIMIZED_SCRIPT = """
