@@ -9,7 +9,7 @@ of f^d and q the order of h^j.  Each sub-action passes the automorphism,
 order and twist checks (h^j f^d h^-j = (f^d)^(p^j)), so action_issues must
 return nothing when no such pair exists and exactly the Frobenius issue
 when one does; for the full action (d = 1, j = 1) build_field_action's
-frobenius_ok must say the same.  It exits 1 on the first disagreement.
+prim_ok must say the same.  It exits 1 on the first disagreement.
 
     PYTHONPATH=src python scripts/crosscheck_frobenius.py
 
@@ -72,8 +72,8 @@ def main() -> int:
         G, f, h = res.group, res.action.f, res.action.h
         n = p**k - 1
         full = not commuting_powers_exist(f, h, n, k)
-        if res.frobenius_ok != full:
-            print(f"frobenius_ok differs on GF({p}^{k}): {res.frobenius_ok}, definition {full}")
+        if res.prim_ok != full:
+            print(f"prim_ok differs on GF({p}^{k}): {res.prim_ok}, definition {full}")
             return 1
         for d in divisors(n)[:-1]:
             fd = ge.perm_power(f, d)

@@ -8,10 +8,9 @@ Exit codes: 0 all pass, 1 any violation, 2 input or capacity trouble.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import sys
-import time
 from importlib import resources
 
 from . import combinatorics as comb
@@ -27,6 +26,7 @@ from .reports import (
     VerificationReport,
     error_report,
     report_check,
+    verdict,
 )
 from .rings import ring_from_json
 
@@ -138,76 +138,76 @@ def _exit_code(reports) -> int:
 # --- report adapters, shared by subcommands and the fixture suite ---
 
 
-def report_prim(name: str, n: int, q: int, r: int) -> VerificationReport:
-    def body():
-        failure = comb.prim_failure(n, q, r)
-        if failure is None:
-            return PASS, {"n": n, "q": q, "r": r}, None
-        d, order = failure
-        witness = {"n": n, "q": q, "r": r, "divisor": d, "order": order}
-        return VIOLATION, witness, "r lacks multiplicative order q modulo a divisor of n"
+def _adapter(body):
+    """The report_check, under the name passed first, of a check body(name,
+    ...) -> (status, witness, reason); the adapter keeps body's signature."""
+    @functools.wraps(body)
+    def adapter(name: str, *args, **kwargs) -> VerificationReport:
+        return report_check(name, lambda: body(name, *args, **kwargs))
 
-    return report_check(name, body)
+    return adapter
 
 
-def report_dset(name, seq, n, q, r, expected) -> VerificationReport:
-    def body():
-        found = sorted(comb.d_set(seq, comb.FrobeniusParams(n, q, r)))
-        if found == sorted(expected):
-            return PASS, {"d_set": found}, None
-        return VIOLATION, {"d_set": found, "expected": sorted(expected)}, \
-            "computed D-set differs from the expected one"
-
-    return report_check(name, body)
-
-
-def report_charp(name: str, g1, g2, limit: int) -> VerificationReport:
-    def body():
-        bound = comb.charp_bound(g1, g2)
-        moduli = sorted(comb.common_root_moduli(g1, g2, limit))
-        exceeding = [m for m in moduli if m > bound]
-        witness = {"bound": bound, "moduli": moduli}
-        if exceeding:
-            witness["exceeding"] = exceeding
-            return VIOLATION, witness, (
-                "a common-root modulus exceeds the bound; "
-                "the polynomials likely share a complex root"
-            )
-        return PASS, witness, None
-
-    return report_check(name, body)
+@_adapter
+def report_prim(name: str, n: int, q: int, r: int):
+    failure = comb.prim_failure(n, q, r)
+    if failure is None:
+        return PASS, {"n": n, "q": q, "r": r}, None
+    d, order = failure
+    witness = {"n": n, "q": q, "r": r, "divisor": d, "order": order}
+    return VIOLATION, witness, "r lacks multiplicative order q modulo a divisor of n"
 
 
-def _rewrite_report(name, kind, u, tail, c, n, q, r, w=None):
-    def body():
-        params = comb.FrobeniusParams(n, q, r)
-        head = fl.UAtom(tuple(u))
-        gens = tuple(fl.IndexedGenerator(f"x{t}", idx) for t, idx in enumerate(tail))
-        if kind == "odin":
-            result = fl.odin_rewrite(head, gens, c, params)
-        else:
-            result = fl.dva_rewrite(head, gens, c, params, w)
-        identity = result.verify()
-        dset = comb.d_set(tuple(u), params)
-        in_dset = all(
-            fl.tree_index_sum(elem) % n in dset
-            for term in result.kept_terms
-            for elem in term.elems
+@_adapter
+def report_dset(name, seq, n, q, r, expected):
+    found = sorted(comb.d_set(seq, comb.FrobeniusParams(n, q, r)))
+    if found == sorted(expected):
+        return PASS, {"d_set": found}, None
+    return VIOLATION, {"d_set": found, "expected": sorted(expected)}, \
+        "computed D-set differs from the expected one"
+
+
+@_adapter
+def report_charp(name: str, g1, g2, limit: int):
+    bound = comb.charp_bound(g1, g2)
+    moduli = sorted(comb.common_root_moduli(g1, g2, limit))
+    exceeding = [m for m in moduli if m > bound]
+    witness = {"bound": bound, "moduli": moduli}
+    if exceeding:
+        witness["exceeding"] = exceeding
+        return VIOLATION, witness, (
+            "a common-root modulus exceeds the bound; "
+            "the polynomials likely share a complex root"
         )
-        witness = {
-            "kept_terms": len(result.kept_terms),
-            "dropped_terms": len(result.dropped_terms),
-            "drop_reasons": sorted(
-                {t.reason for t in result.dropped_terms if t.reason}
-            ),
-            "identity": identity,
-            "kept_indices_in_dset": in_dset,
-        }
-        if identity and in_dset:
-            return PASS, witness, None
-        return VIOLATION, witness, "rewrite guarantees fail"
+    return PASS, witness, None
 
-    return report_check(name, body)
+
+@_adapter
+def _rewrite_report(name, kind, u, tail, c, n, q, r, w=None):
+    params = comb.FrobeniusParams(n, q, r)
+    head = fl.UAtom(tuple(u))
+    gens = tuple(fl.IndexedGenerator(f"x{t}", idx) for t, idx in enumerate(tail))
+    if kind == "odin":
+        result = fl.odin_rewrite(head, gens, c, params)
+    else:
+        result = fl.dva_rewrite(head, gens, c, params, w)
+    identity = result.verify()
+    dset = comb.d_set(tuple(u), params)
+    in_dset = all(
+        fl.tree_index_sum(elem) % n in dset
+        for term in result.kept_terms
+        for elem in term.elems
+    )
+    witness = {
+        "kept_terms": len(result.kept_terms),
+        "dropped_terms": len(result.dropped_terms),
+        "drop_reasons": sorted(
+            {t.reason for t in result.dropped_terms if t.reason}
+        ),
+        "identity": identity,
+        "kept_indices_in_dset": in_dset,
+    }
+    return verdict(identity and in_dset, witness, "rewrite guarantees fail")
 
 
 def report_odin(name, u, tail, c, n, q, r):
@@ -226,84 +226,68 @@ def _razresh_data(rez: fl.RazreshReport) -> dict:
     }
 
 
-def report_razresh(name, c, q, n, r, indices, member) -> VerificationReport:
-    def body():
-        rez = fl.razresh_membership(c, q, comb.FrobeniusParams(n, q, r), indices)
-        witness = _razresh_data(rez)
-        if rez.member == member:
-            return PASS, witness, None
-        return VIOLATION, witness, "membership answer differs from the expected one"
-
-    return report_check(name, body)
+@_adapter
+def report_razresh(name, c, q, n, r, indices, member):
+    rez = fl.razresh_membership(c, q, comb.FrobeniusParams(n, q, r), indices)
+    return verdict(rez.member == member, _razresh_data(rez),
+                   "membership answer differs from the expected one")
 
 
-def report_lie_validate(name: str, data) -> VerificationReport:
-    def body():
-        L = gl.GradedLieRing.from_json(data)
-        rep = gl.validate(L)
-        if rep.valid:
-            return PASS, {"rank": L.rank}, None
-        issues = [[iss.kind, list(iss.indices)] for iss in rep.issues]
-        return VIOLATION, {"issues": issues}, "bracket laws fail"
-
-    return report_check(name, body)
+@_adapter
+def report_lie_validate(name: str, data):
+    L = gl.GradedLieRing.from_json(data)
+    rep = gl.validate(L)
+    if rep.valid:
+        return PASS, {"rank": L.rank}, None
+    issues = [[iss.kind, list(iss.indices)] for iss in rep.issues]
+    return VIOLATION, {"issues": issues}, "bracket laws fail"
 
 
-def report_selective(name, data, c, n, q, r) -> VerificationReport:
-    def body():
-        L = gl.GradedLieRing.from_json(data)
-        holds, witness = gl.check_selective_nilpotency(L, c, comb.FrobeniusParams(n, q, r))
-        if holds:
-            return PASS, {"c": c}, None
-        return VIOLATION, {
-            "grades": list(witness.grades),
-            "basis_chain": list(witness.basis_chain),
-        }, "an r-independent bracket survives"
-
-    return report_check(name, body)
+@_adapter
+def report_selective(name, data, c, n, q, r):
+    L = gl.GradedLieRing.from_json(data)
+    holds, witness = gl.check_selective_nilpotency(L, c, comb.FrobeniusParams(n, q, r))
+    if holds:
+        return PASS, {"c": c}, None
+    return VIOLATION, {
+        "grades": list(witness.grades),
+        "basis_chain": list(witness.basis_chain),
+    }, "an r-independent bracket survives"
 
 
-def report_simple3(name: str, ring) -> VerificationReport:
-    def body():
-        ex = gl.example_simple3(ring_from_json(ring))
-        L = ex.lie
-        fixed_f = gl.fixed_subring(L, ex.f)
-        fixed_h = gl.fixed_subring(L, (ex.h,))
-        full = L.span([L.basis_vector(i) for i in range(L.rank)])
-        gamma2 = gl.lower_central_series(L).member(2)
-        witness = {
-            "fixed_f_dim": fixed_f.rank(),
-            "fixed_h_dim": fixed_h.rank(),
-            "gamma2_full": gamma2 == full,
-        }
-        ok = fixed_f.is_zero() and fixed_h.rank() == 1 and gamma2 == full
-        if ok:
-            return PASS, witness, None
-        return VIOLATION, witness, "example invariants fail"
-
-    return report_check(name, body)
+@_adapter
+def report_simple3(name: str, ring):
+    ex = gl.example_simple3(ring_from_json(ring))
+    L = ex.lie
+    fixed_f = gl.fixed_subring(L, ex.f)
+    fixed_h = gl.fixed_subring(L, (ex.h,))
+    full = L.span([L.basis_vector(i) for i in range(L.rank)])
+    gamma2 = gl.lower_central_series(L).member(2)
+    witness = {
+        "fixed_f_dim": fixed_f.rank(),
+        "fixed_h_dim": fixed_h.rank(),
+        "gamma2_full": gamma2 == full,
+    }
+    return verdict(fixed_f.is_zero() and fixed_h.rank() == 1 and gamma2 == full,
+                   witness, "example invariants fail")
 
 
-def report_pm(name: str, p: int, m: int) -> VerificationReport:
-    def body():
-        ex = gl.example_pm(p, m)
-        L = ex.lie
-        R = L.ring
-        fixed_f = gl.fixed_subring(L, ex.f)
-        fixed_h = gl.fixed_subring(L, (ex.h,))
-        diagonal = L.span([[R.one(), R.one(), R.one()]])
-        cls = gl.lower_central_series(L).nilpotency_class()
-        witness = {
-            "fixed_f_dim": fixed_f.rank(),
-            "fixed_h_is_diagonal": fixed_h == diagonal,
-            "class": cls,
-        }
-        ok = fixed_f.is_zero() and fixed_h == diagonal and cls == m
-        if ok:
-            return PASS, witness, None
-        return VIOLATION, witness, "example invariants fail"
-
-    return report_check(name, body)
+@_adapter
+def report_pm(name: str, p: int, m: int):
+    ex = gl.example_pm(p, m)
+    L = ex.lie
+    R = L.ring
+    fixed_f = gl.fixed_subring(L, ex.f)
+    fixed_h = gl.fixed_subring(L, (ex.h,))
+    diagonal = L.span([[R.one(), R.one(), R.one()]])
+    cls = gl.lower_central_series(L).nilpotency_class()
+    witness = {
+        "fixed_f_dim": fixed_f.rank(),
+        "fixed_h_is_diagonal": fixed_h == diagonal,
+        "class": cls,
+    }
+    return verdict(fixed_f.is_zero() and fixed_h == diagonal and cls == m,
+                   witness, "example invariants fail")
 
 
 _FIELD_CHECKS = {
@@ -316,52 +300,52 @@ _FIELD_CHECKS = {
 }
 
 
-def report_field_verify(name: str, p: int, k: int, check: str) -> VerificationReport:
-    def body():
-        if check not in _FIELD_CHECKS:
-            raise InputError(f"unknown check {check!r}")
-        res = ge.build_field_action(p, k)
-        rep = _FIELD_CHECKS[check](res.group, res.action)
-        return rep.status, rep.witness, rep.reason
-
-    return report_check(name, body)
+def _field_check(check: str, group, action) -> tuple:
+    """The outcome of a _FIELD_CHECKS entry: the CLI's one path to them."""
+    if check not in _FIELD_CHECKS:
+        raise InputError(f"unknown check {check!r}")
+    return _FIELD_CHECKS[check].body(group, action)
 
 
-def report_free_module_field(name: str, p: int, k: int) -> VerificationReport:
+@_adapter
+def report_field_verify(name: str, p: int, k: int, check: str):
     res = ge.build_field_action(p, k)
-    return dataclasses.replace(ge.free_module_check(res.group, res.action.h, k), name=name)
+    return _field_check(check, res.group, res.action)
 
 
-def report_free_module_trivial(name: str, p: int, dim: int, q: int) -> VerificationReport:
+@_adapter
+def report_free_module_field(name: str, p: int, k: int):
+    res = ge.build_field_action(p, k)
+    return ge.free_module_check.body(res.group, res.action.h, k)
+
+
+@_adapter
+def report_free_module_trivial(name: str, p: int, dim: int, q: int):
     group = ge.elementary_abelian_group(p, dim)
-    rep = ge.free_module_check(group, ge.perm_identity(group.order), q)
-    return dataclasses.replace(rep, name=name)
+    return ge.free_module_check.body(group, ge.perm_identity(group.order), q)
 
 
-def report_jz_dims(name: str, group: str, p: int, dims) -> VerificationReport:
-    def body():
-        found = list(ge.jz_filtration(ge.named_group(group), p).dims())
-        if found == list(dims):
-            return PASS, {"dims": found}, None
-        return VIOLATION, {"dims": found, "expected": list(dims)}, \
-            "filtration dimensions differ"
-
-    return report_check(name, body)
+@_adapter
+def report_jz_dims(name: str, group: str, p: int, dims):
+    found = list(ge.jz_filtration(ge.named_group(group), p).dims())
+    if found == list(dims):
+        return PASS, {"dims": found}, None
+    return VIOLATION, {"dims": found, "expected": list(dims)}, \
+        "filtration dimensions differ"
 
 
-def report_lazard_lemma(name: str, group: str, p: int) -> VerificationReport:
-    return dataclasses.replace(ge.lazard_lemma_check(ge.named_group(group), p), name=name)
+@_adapter
+def report_lazard_lemma(name: str, group: str, p: int):
+    return ge.lazard_lemma_check.body(ge.named_group(group), p)
 
 
-def report_powerful(name: str, group: str, p: int, expected: bool) -> VerificationReport:
-    def body():
-        answer = ge.is_powerful(ge.named_group(group), p)
-        if answer == bool(expected):
-            return PASS, {"powerful": answer}, None
-        return VIOLATION, {"powerful": answer, "expected": bool(expected)}, \
-            "powerfulness answer differs from the expected one"
-
-    return report_check(name, body)
+@_adapter
+def report_powerful(name: str, group: str, p: int, expected: bool):
+    answer = ge.is_powerful(ge.named_group(group), p)
+    if answer == bool(expected):
+        return PASS, {"powerful": answer}, None
+    return VIOLATION, {"powerful": answer, "expected": bool(expected)}, \
+        "powerfulness answer differs from the expected one"
 
 
 def _lazard_data(lz: ge.LazardGroup) -> dict:
@@ -391,17 +375,13 @@ def _bch_data(p: int, m: int, sweep: bool) -> dict:
     return out
 
 
-def report_bch_pm(name: str, p: int, m: int, sweep: bool = True) -> VerificationReport:
-    def body():
-        data = _bch_data(p, m, sweep)
-        ok = data["group_class"] == data["lie_class"]
-        if sweep:
-            ok = ok and data["fixed_f"] == 1 and data["fixed_h_cyclic"]
-        if ok:
-            return PASS, data, None
-        return VIOLATION, data, "transported group invariants fail"
-
-    return report_check(name, body)
+@_adapter
+def report_bch_pm(name: str, p: int, m: int, sweep: bool = True):
+    data = _bch_data(p, m, sweep)
+    ok = data["group_class"] == data["lie_class"]
+    if sweep:
+        ok = ok and data["fixed_f"] == 1 and data["fixed_h_cyclic"]
+    return verdict(ok, data, "transported group invariants fail")
 
 
 # --- query command handlers: return ("data", dict) ---
@@ -525,27 +505,27 @@ def cmd_group_bch(args):
     return "data", _lazard_data(ge.lazard_group_from_lie(L))
 
 
-# --- check command handlers: return ("reports", [VerificationReport]) ---
+# --- check command handlers: return ("reports", [...]) named by their label ---
 
 
 def cmd_prim(args):
-    return "reports", [report_prim("prim", args.n, args.q, args.r)]
+    return "reports", [report_prim(args.label, args.n, args.q, args.r)]
 
 
 def cmd_charp(args):
     return "reports", [
-        report_charp("charp", _int_list(args.g1), _int_list(args.g2), args.limit)
+        report_charp(args.label, _int_list(args.g1), _int_list(args.g2), args.limit)
     ]
 
 
 def cmd_lie_validate(args):
-    return "reports", [report_lie_validate("lie-validate", _load_json(args.file))]
+    return "reports", [report_lie_validate(args.label, _load_json(args.file))]
 
 
 def cmd_lie_select(args):
     return "reports", [
         report_selective(
-            "selective-nilpotency", _load_json(args.file),
+            args.label, _load_json(args.file),
             args.c, args.n, args.q, args.r,
         )
     ]
@@ -563,14 +543,14 @@ def cmd_lie_examples(args):
 
 def cmd_free_odin(args):
     return "reports", [
-        report_odin("odin", _int_list(args.u), _int_list(args.tail),
+        report_odin(args.label, _int_list(args.u), _int_list(args.tail),
                     args.c, args.n, args.q, args.r)
     ]
 
 
 def cmd_free_dva(args):
     return "reports", [
-        report_dva("dva", _int_list(args.u), _int_list(args.tail),
+        report_dva(args.label, _int_list(args.u), _int_list(args.tail),
                    args.c, args.n, args.q, args.r, args.w)
     ]
 
@@ -589,33 +569,27 @@ def cmd_group_verify(args):
     else:
         raise InputError("provide --field or --file")
     names = list(_FIELD_CHECKS) if args.check == "all" else [args.check]
-
-    def check(name):  # a refused check is its own report, the others still run
-        def body():
-            rep = _FIELD_CHECKS[name](group, action)
-            return rep.status, rep.witness, rep.reason
-
-        return report_check(name, body)
-
-    return "reports", [check(name) for name in names]
+    # a refused check is its own report, the others still run
+    return "reports", [report_check(name, functools.partial(_field_check, name, group, action))
+                       for name in names]
 
 
 def cmd_group_lazard(args):
     G = _load_group(args)
     p = _infer_prime(G, args.p)
-    t0 = time.perf_counter()
-    dl = ge.lazard_algebra(G, p)
-    rep = ge._lazard_lemma_report(dl, t0)
-    if rep.status == PASS:
-        witness = dict(rep.witness)
-        witness.update({
-            "dims": list(dl.filtration.dims()),
-            "degrees": list(dl.degrees),
-            "lp_rank": dl.lp.rank(),
-            "lp_spans": dl.lp.rank() == dl.lie.rank,
-        })
-        rep = dataclasses.replace(rep, witness=witness)
-    return "reports", [rep]
+
+    def body():
+        dl = ge.lazard_algebra(G, p)
+        status, witness, reason = ge.lazard_lemma(dl)
+        if status == PASS:
+            witness = {**witness,
+                       "dims": list(dl.filtration.dims()),
+                       "degrees": list(dl.degrees),
+                       "lp_rank": dl.lp.rank(),
+                       "lp_spans": dl.lp.rank() == dl.lie.rank}
+        return status, witness, reason
+
+    return "reports", [report_check(args.label, body)]
 
 
 # --- the bundled fixture suite ---

@@ -38,13 +38,16 @@ The layer coordinates of a filtration live in one order x rank matrix,
 DLAlgebra.coords, built by _layer_coordinates with the ids' depths; the
 algebra's brackets and images, the Lazard lemma and the free-module check
 all read its rows.
+
+Every check here is a body returning (status, witness, reason) under
+reports.reported, which names, times and builds its report; lazard_lemma
+is the Lazard lemma's body on an algebra already built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +62,7 @@ from .graded_lie import (
     validate,
 )
 from .linalg import Subspace, field_kernel
-from .reports import INAPPLICABLE, PASS, VIOLATION, VerificationReport
+from .reports import INAPPLICABLE, PASS, VIOLATION, reported, verdict
 from .rings import (
     PrimeFieldRing,
     factorize,
@@ -245,11 +248,14 @@ class FiniteGroup(_GroupLaws):
     `table` property; scalar products read it through a memoryview of the
     same buffer, so they return Python ints.  The group laws are checked
     exactly at every order up to TABLE_CAP, in passes over row blocks:
-    rows that permute the ids, a two-sided identity, associativity by
-    Light's test, and inverses.  The first three make a group, whose
-    columns permute the ids, so the columns are checked only once a later
-    law fails, and a refusal names the first law broken in the order rows,
-    columns, identity, associativity, inverse.
+    rows that permute the ids, a two-sided identity and associativity by
+    Light's test.  These make a group: row a holds the identity once, at a
+    right inverse b of a, and with an identity and associativity a right
+    inverse is also a left inverse (b*c = e gives a = a(bc) = (ab)c = c).
+    So no inverse law is checked, and inv reads each b off its row.  A
+    group's columns permute the ids, so the columns are checked only once
+    a later law fails, and a refusal names the first law broken in the
+    order rows, columns, identity, associativity.
     BCHGroup shares conjugate and commutator (_GroupLaws) but has no table.
     """
 
@@ -280,14 +286,12 @@ class FiniteGroup(_GroupLaws):
             if not (np.array_equal(t[ident], ids) and np.array_equal(t[:, ident], ids)):
                 raise InputError("table has no two-sided identity")
             _check_associativity(t, ident)
-            inv = np.concatenate([(t[i:i + block] == ident).argmax(axis=1)
-                                  for i in range(0, n, block)])
-            if not (t[inv, ids] == ident).all():
-                raise InputError("inverse law fails")
         except InputError:
             if not _rows_permute(t.T):
                 raise InputError("each table column must permute the element ids") from None
             raise
+        inv = np.concatenate([(t[i:i + block] == ident).argmax(axis=1)
+                              for i in range(0, n, block)])
         self._table = t
         self._rows = memoryview(t)
         self._inv = tuple(inv.tolist())
@@ -988,14 +992,13 @@ def fixed_points(G, automorphisms) -> frozenset:
 class FieldActionResult:
     """Additive group of GF(p^k) with multiplication-by-generator f and
     the p-power map h; prim_ok records whether (p^k - 1, k, p) passes
-    check_prim.  frobenius_ok, that no nontrivial power of h centralizes
-    one of f, equals it: for maps with the checked orders and twist, that
-    condition is check_prim on the triple (see action_issues)."""
+    check_prim.  For maps with the checked orders and twist, that is also
+    the Frobenius condition that no nontrivial power of h centralizes one
+    of f (see action_issues)."""
 
     group: FiniteGroup
     action: FrobeniusAction
     prim_ok: bool
-    frobenius_ok: bool
     poly: tuple[int, ...]
     generator: int
 
@@ -1012,7 +1015,7 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
     k, and h f h^-1 = f^p.
     With h[1] == 1 these pin h exactly: the twist gives h(gen*y) =
     gen^p * h(y), so by induction h(gen^i) = gen^(p*i) * h(1) = (gen^i)^p
-    on every nonzero id, and h(0) = 0 by additivity.  Both flags are then
+    on every nonzero id, and h(0) = 0 by additivity.  prim_ok is then
     action_issues' Frobenius condition, which is check_prim on
     (p^k - 1, k, p)."""
     if not is_prime(p):
@@ -1054,12 +1057,10 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
         raise RuntimeError("; ".join(issues))
     if h[1] != 1:
         raise RuntimeError("the p-power map must fix 1")
-    prim_ok = not issues
     return FieldActionResult(
         group=group,
         action=FrobeniusAction(f, h, params),
-        prim_ok=prim_ok,
-        frobenius_ok=prim_ok,
+        prim_ok=not issues,
         poly=g,
         generator=gen,
     )
@@ -1068,33 +1069,27 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
 # --- fixed-point verification ---
 
 
-def _report(name, t0, status, witness=None, reason=None) -> VerificationReport:
-    return VerificationReport(name, status, witness, reason, time.perf_counter() - t0)
-
-
-def _unless_fixed_free(G, action, name, t0) -> VerificationReport | None:
-    """INAPPLICABLE when C_G(F) is not trivial, None when the hypothesis holds."""
+def _unless_fixed_free(G, action) -> tuple | None:
+    """The INAPPLICABLE outcome when C_G(F) is not trivial, else None."""
     fixed = fixed_points(G, (action.f,))
     if fixed == frozenset({G.identity}):
         return None
-    return _report(name, t0, INAPPLICABLE, {"fixed_by_f": len(fixed)},
-                   "C_G(F) is not trivial")
+    return INAPPLICABLE, {"fixed_by_f": len(fixed)}, "C_G(F) is not trivial"
 
 
-def verify_order_formula(G, action) -> VerificationReport:
+@reported("order-formula")
+def verify_order_formula(G, action):
     """|G| must equal |C_G(H)|^q when C_G(F) is trivial."""
-    t0 = time.perf_counter()
-    if (refused := _unless_fixed_free(G, action, "order-formula", t0)) is not None:
+    if (refused := _unless_fixed_free(G, action)) is not None:
         return refused
     ch = fixed_points(G, (action.h,))
     witness = {"order": G.order, "fixed_by_h": len(ch), "q": action.params.q}
-    if G.order == len(ch) ** action.params.q:
-        return _report("order-formula", t0, PASS, witness)
-    return _report("order-formula", t0, VIOLATION, witness,
+    return verdict(G.order == len(ch) ** action.params.q, witness,
                    "group order is not the q-th power of the fixed-subgroup order")
 
 
-def verify_coverage(G, action) -> VerificationReport:
+@reported("coverage")
+def verify_coverage(G, action):
     """Fixed points of every qualifying quotient equal the projected fixed
     points; quantifies over all invariant normal N with trivial C_N(F).
 
@@ -1102,7 +1097,6 @@ def verify_coverage(G, action) -> VerificationReport:
     subgroups invariant under f, h and conjugation, never the rest of the
     lattice: on GF(p^k) that is the trivial group and the whole field.
     Groups above EXHAUSTIVE_CAP are refused."""
-    t0 = time.perf_counter()
     f, h = action.f, action.h
     ch = fixed_points(G, (h,))
     checked = 0
@@ -1114,35 +1108,32 @@ def verify_coverage(G, action) -> VerificationReport:
         quotient_fixed = fixed_points(Q, (hbar,))
         projected = frozenset(coset_of[x] for x in ch)
         if quotient_fixed != projected:
-            return _report(
-                "coverage", t0, VIOLATION,
-                {"subgroup": sorted(N),
-                 "quotient_fixed": sorted(quotient_fixed),
-                 "projected_fixed": sorted(projected)},
-                "quotient fixed points differ from the projected fixed points")
+            return (VIOLATION,
+                    {"subgroup": sorted(N),
+                     "quotient_fixed": sorted(quotient_fixed),
+                     "projected_fixed": sorted(projected)},
+                    "quotient fixed points differ from the projected fixed points")
         checked += 1
-    return _report("coverage", t0, PASS, {"quotients_checked": checked})
+    return PASS, {"quotients_checked": checked}, None
 
 
-def verify_generation(G, action) -> VerificationReport:
+@reported("generation")
+def verify_generation(G, action):
     """The f-translates of C_G(H) must generate G."""
-    t0 = time.perf_counter()
-    if (refused := _unless_fixed_free(G, action, "generation", t0)) is not None:
+    if (refused := _unless_fixed_free(G, action)) is not None:
         return refused
     orbit_of = _orbits(G.order, (action.f,))  # x's translates under <f>
     gens = {y for x in fixed_points(G, (action.h,)) for y in orbit_of[x]}
     generated = subgroup_closure(G, gens)
     witness = {"generated_order": len(generated), "order": G.order}
-    if len(generated) == G.order:
-        return _report("generation", t0, PASS, witness)
-    return _report("generation", t0, VIOLATION, witness,
+    return verdict(len(generated) == G.order, witness,
                    "translates of the fixed subgroup do not generate the group")
 
 
-def verify_invariant_sylow(G, action) -> VerificationReport:
+@reported("invariant-sylow")
+def verify_invariant_sylow(G, action):
     """Exactly one Sylow p-subgroup per prime is invariant under f and h."""
-    t0 = time.perf_counter()
-    if (refused := _unless_fixed_free(G, action, "invariant-sylow", t0)) is not None:
+    if (refused := _unless_fixed_free(G, action)) is not None:
         return refused
     f, h = action.f, action.h
     counts = {}
@@ -1154,43 +1145,38 @@ def verify_invariant_sylow(G, action) -> VerificationReport:
         ]
         counts[str(p)] = len(invariant)
         if len(invariant) != 1:
-            return _report(
-                "invariant-sylow", t0, VIOLATION,
-                {"prime": p, "invariant_count": len(invariant),
-                 "sylow_count": len(sylows)},
-                "the invariant Sylow subgroup is not unique")
-    return _report("invariant-sylow", t0, PASS, {"invariant_counts": counts})
+            return (VIOLATION,
+                    {"prime": p, "invariant_count": len(invariant),
+                     "sylow_count": len(sylows)},
+                    "the invariant Sylow subgroup is not unique")
+    return PASS, {"invariant_counts": counts}, None
 
 
-def verify_nilpotency_transfer(G, action) -> VerificationReport:
+@reported("nilpotency-transfer")
+def verify_nilpotency_transfer(G, action):
     """Nilpotency of C_G(H) must force nilpotency of G."""
-    t0 = time.perf_counter()
-    if (refused := _unless_fixed_free(G, action, "nilpotency-transfer", t0)) is not None:
+    if (refused := _unless_fixed_free(G, action)) is not None:
         return refused
     ch = fixed_points(G, (action.h,))
     H, _ = subgroup_as_group(G, ch)
     fixed_class = nilpotency_class(H)
     if fixed_class is None:
-        return _report("nilpotency-transfer", t0, PASS,
-                       {"fixed_nilpotent": False})
+        return PASS, {"fixed_nilpotent": False}, None
     group_class = nilpotency_class(G)
     witness = {"fixed_class": fixed_class, "group_class": group_class}
-    if group_class is None:
-        return _report("nilpotency-transfer", t0, VIOLATION, witness,
-                       "the fixed subgroup is nilpotent but the group is not")
-    return _report("nilpotency-transfer", t0, PASS, witness)
+    return verdict(group_class is not None, witness,
+                   "the fixed subgroup is nilpotent but the group is not")
 
 
-def exponent_relation_report(G, action) -> VerificationReport:
+@reported("exponent-relation")
+def exponent_relation_report(G, action):
     """Empirical record: exponents of C_G(H) and of G side by side."""
-    t0 = time.perf_counter()
-    if (refused := _unless_fixed_free(G, action, "exponent-relation", t0)) is not None:
+    if (refused := _unless_fixed_free(G, action)) is not None:
         return refused
     _require_table(G)
     ch = fixed_points(G, (action.h,))
-    return _report("exponent-relation", t0, PASS,
-                   {"fixed_exponent": exponent_of_subset(G, ch),
-                    "group_exponent": G.exponent()})
+    return PASS, {"fixed_exponent": exponent_of_subset(G, ch),
+                  "group_exponent": G.exponent()}, None
 
 
 # --- free-module criterion over F_p[x] ---
@@ -1239,16 +1225,15 @@ def _poly_invariant_factors(mat, p: int) -> list[tuple[int, ...]]:
     return [f for f in out if len(f) > 1]
 
 
-def free_module_check(group, h, q: int) -> VerificationReport:
+@reported("free-module")
+def free_module_check(group, h, q: int):
     """Invariant-factor test: the module is free for a cyclic order-q
     action iff every nonunit invariant factor of h equals x^q - 1."""
-    t0 = time.perf_counter()
     _require_table(group)
     if q < 1:
         raise InputError("q must be positive")
     if group.order == 1:
-        return _report("free-module", t0, PASS,
-                       {"dim": 0, "free": True, "rank": 0, "invariant_factors": []})
+        return PASS, {"dim": 0, "free": True, "rank": 0, "invariant_factors": []}, None
     fac = factorize(group.order)
     if len(fac) != 1:
         raise InputError("the module must be an elementary abelian p-group")
@@ -1285,9 +1270,8 @@ def free_module_check(group, h, q: int) -> VerificationReport:
         fixed_dim = len(field_kernel(ring, shifted, dim))
         witness["fixed_dim"] = fixed_dim
         if fixed_dim * q != dim:
-            return _report("free-module", t0, VIOLATION, witness,
-                           "free module with the wrong fixed-space dimension")
-    return _report("free-module", t0, PASS, witness)
+            return VIOLATION, witness, "free module with the wrong fixed-space dimension"
+    return PASS, witness, None
 
 
 # --- dimension-subgroup filtration ---
@@ -1492,17 +1476,17 @@ def lazard_algebra(G, p: int) -> DLAlgebra:
                      generated_subring(lie, first_block))
 
 
-def lazard_lemma_check(G, p: int) -> VerificationReport:
+@reported("lazard-lemma")
+def lazard_lemma_check(G, p: int):
     """(ad x)^p = ad(x^p) on the graded algebra, for every group element,
     plus ad-nilpotency within each element's order (Lazard 1954; Dixon, du
     Sautoy, Mann and Segal, Analytic Pro-p Groups, ch. 11); exhaustive, on
-    whole id arrays (_lazard_lemma_report)."""
-    t0 = time.perf_counter()
-    return _lazard_lemma_report(lazard_algebra(G, p), t0)
+    whole id arrays (lazard_lemma)."""
+    return lazard_lemma(lazard_algebra(G, p))
 
 
-def _lazard_lemma_report(dl: DLAlgebra, t0: float) -> VerificationReport:
-    """The Lazard lemma report on a built algebra, timed from t0.
+def lazard_lemma(dl: DLAlgebra) -> tuple:
+    """The Lazard lemma on a built algebra, as (status, witness, reason).
 
     Every id's depth and its leading-coset coordinates, one row of V (zero
     for the identity), are the algebra's depths and coords.  All ad
@@ -1515,7 +1499,7 @@ def _lazard_lemma_report(dl: DLAlgebra, t0: float) -> VerificationReport:
     read off the j-th successive p-th power of the stack, taken in step
     with the iterated p-map.
 
-    The report is the one a walk of the ids in order gives: the least
+    The outcome is the one a walk of the ids in order gives: the least
     offending id is the witness, at one id a refused depth comes before a
     lemma failure and a lemma failure before a nilpotency failure.
 
@@ -1553,13 +1537,11 @@ def _lazard_lemma_report(dl: DLAlgebra, t0: float) -> VerificationReport:
     if first[0] < n and first[0] <= min(first[1:]):
         raise RuntimeError("power depths must respect the filtration")
     if first[1] < n and first[1] <= first[2]:
-        return _report("lazard-lemma", t0, VIOLATION, {"element": first[1]},
-                       "(ad x)^p differs from ad(x^p)")
+        return VIOLATION, {"element": first[1]}, "(ad x)^p differs from ad(x^p)"
     if first[2] < n:
-        return _report("lazard-lemma", t0, VIOLATION,
-                       {"element": first[2], "order": int(nil_order[first[2]])},
-                       "ad-nilpotency index exceeds the element order")
-    return _report("lazard-lemma", t0, PASS, {"elements": n})
+        return (VIOLATION, {"element": first[2], "order": int(nil_order[first[2]])},
+                "ad-nilpotency index exceeds the element order")
+    return PASS, {"elements": n}, None
 
 
 def is_powerful(G, p: int) -> bool:

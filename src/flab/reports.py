@@ -3,10 +3,16 @@
 Every check reports through VerificationReport so the CLI can stream
 results as newline-delimited JSON and fixtures can diff them.  Timing is
 carried but excluded from golden comparisons.
+
+A check is a body returning (status, witness, reason).  Only this module
+reads the clock: _timed_report times a body and builds its report, for
+`reported` checks, which let raised errors pass, and for report_check, the
+one place where an input or capacity error becomes a report.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -82,12 +88,40 @@ def error_report(name: str, exc, seconds: float = 0.0) -> VerificationReport:
     return VerificationReport(name, INPUT_ERROR, None, str(exc) or "invalid input", seconds)
 
 
+def verdict(ok: bool, witness, reason: str) -> tuple:
+    """(PASS, witness, None) when ok, else (VIOLATION, witness, reason)."""
+    return (PASS, witness, None) if ok else (VIOLATION, witness, reason)
+
+
+def _timed_report(name: str, body) -> VerificationReport:
+    """The report of body() -> (status, witness, reason), timed over the
+    call; a raised error passes through."""
+    t0 = time.perf_counter()
+    status, witness, reason = body()
+    return VerificationReport(name, status, witness, reason, time.perf_counter() - t0)
+
+
 def report_check(name: str, fn) -> VerificationReport:
-    """Run fn() -> (status, witness, reason), timing it; raised input or
-    capacity errors become the matching report statuses."""
+    """The timed report of fn() -> (status, witness, reason); raised input
+    or capacity errors become the matching report statuses."""
     t0 = time.perf_counter()
     try:
-        status, witness, reason = fn()
+        return _timed_report(name, fn)
     except (InputError, CapacityError) as exc:
         return error_report(name, exc, time.perf_counter() - t0)
-    return VerificationReport(name, status, witness, reason, time.perf_counter() - t0)
+
+
+def reported(name: str):
+    """Decorator: the check body(*args) -> (status, witness, reason)
+    becomes a function returning its timed report under `name`.  Raised
+    errors pass through, and the body stays reachable as the function's
+    `body`, for a caller that times it inside a larger step."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs):
+            return _timed_report(name, lambda: body(*args, **kwargs))
+
+        check.body = body
+        return check
+
+    return decorate

@@ -117,6 +117,10 @@ def test_charp(capsys):
     assert code == 0
     assert recs[0]["status"] == "pass"
     assert recs[0]["witness"]["moduli"] == [5]
+    # a vanishing resultant at the default limit is refused, not scanned
+    code, recs = run_json(capsys, "charp", "--g1", "1,0,1", "--g2", "1,0,1", "--format", "json")
+    assert code == 2
+    assert recs[0]["status"] == "capacity-error" and "ROOT_SCAN_CAP" in recs[0]["reason"]
 
 
 def test_json_lines_have_sorted_keys(capsys):

@@ -558,6 +558,18 @@ def test_common_root_moduli_frozen():
     assert common_root_moduli((0, 1), (2, 1), 100) == set()
 
 
+def test_a_vanishing_resultant_scans_up_to_the_cap_and_refuses_past_it():
+    # x + 1 with itself: the scan meets the root -1 last, at every modulus
+    cap = comb.ROOT_SCAN_CAP
+    assert common_root_moduli((1, 1), (1, 1), cap) == set(range(2, cap + 1))
+    with pytest.raises(CapacityError, match=rf"limit {cap + 1} .* ROOT_SCAN_CAP = {cap}$"):
+        common_root_moduli((1, 1), (1, 1), cap + 1)
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="limit 10000 "):
+        common_root_moduli((1, 0, 1), (1, 0, 1), 10_000)
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_common_root_moduli_brute_agreement():
     rng = random.Random(19)
     for _ in range(30):

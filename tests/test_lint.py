@@ -2,11 +2,13 @@
 would drop, and no import of random, so no check can be a sampled one;
 one home for the loops and arithmetic every module shares: the one
 square-and-multiply loop, the one orbit walk and the polynomial helpers
-live in rings; and no public function that no code refers to, unless README
-lists it as public API."""
+live in rings; one clock, in reports; no public function that no code
+refers to, unless README lists it as public API; and every flab name the
+crosscheck scripts use exists."""
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -93,6 +95,40 @@ def test_the_arithmetic_lint_catches_a_second_copy(tmp_path):
         "bad.py:7: polynomial helper _poly_gcd",
         "bad.py:9: polynomial helper _irreducible_poly",
     ]
+
+
+# Reports are timed in one place, reports._timed_report, so no other
+# module reads the clock.
+def _clock_reads(path: Path) -> list[str]:
+    """Every import of time and every perf_counter reference in the file."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import) and any(a.name == "time" for a in node.names):
+            out.append(f"{path.name}:{node.lineno}: imports time")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "time":
+            out.append(f"{path.name}:{node.lineno}: imports from time")
+        elif (isinstance(node, ast.Attribute) and node.attr == "perf_counter"
+              or isinstance(node, ast.Name) and node.id == "perf_counter"):
+            out.append(f"{path.name}:{node.lineno}: reads perf_counter")
+    return out
+
+
+def test_reports_holds_the_one_clock():
+    reads = [r for path in SOURCES for r in _clock_reads(path)]
+    assert reads and all(r.startswith("reports.py:") for r in reads)
+
+
+def test_the_clock_lint_catches_a_second_copy(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import time as clock\n"
+        "from time import perf_counter\n"
+        "t0 = clock.perf_counter()\n"
+        "t1 = perf_counter()\n"
+        "sleep = clock.sleep\n")
+    assert _clock_reads(bad) == [
+        "bad.py:1: imports time", "bad.py:2: imports from time",
+        "bad.py:3: reads perf_counter", "bad.py:4: reads perf_counter"]
 
 
 # A walk of a list that grows while it is walked is the orbit algorithm,
@@ -274,3 +310,59 @@ def test_the_caller_lint_catches_an_unnamed_function(tmp_path):
         "from a import used, caller\n\n\ndef unused(x):\n    return x\n")
     assert _unnamed_public_functions(sorted(tmp_path.glob("*.py"))) == [
         "a.in_a_docstring", "a.in_a_string", "a.recursive", "a.unused", "b.unused"]
+
+
+# The crosscheck scripts are not run by the suite, so a renamed flab name
+# would break one silently; their flab names are checked without running them.
+SCRIPTS = sorted((Path(flab.__file__).resolve().parents[2] / "scripts").glob("crosscheck_*.py"))
+
+
+def _flab_object(name: str):
+    """The flab module or attribute at a dotted name under flab, or None."""
+    try:
+        return importlib.import_module(name)
+    except ImportError:
+        parent, _, attr = name.rpartition(".")
+        return getattr(importlib.import_module(parent), attr, None)
+
+
+def _missing_flab_names(path: Path) -> list[str]:
+    """Every name taken by `from flab[.<mod>] import ...`, or read as an
+    attribute of a module bound by `from flab import <mod> [as alias]`,
+    that does not exist."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    missing, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "flab":
+            for alias in node.names:
+                obj = _flab_object(f"{node.module}.{alias.name}")
+                if obj is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                elif type(obj) is type(flab):
+                    aliases[alias.asname or alias.name] = obj
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases and not hasattr(aliases[node.value.id], node.attr):
+            missing.append(f"{aliases[node.value.id].__name__}.{node.attr}")
+    return sorted(missing)
+
+
+def test_every_flab_name_the_crosscheck_scripts_use_exists():
+    assert len(SCRIPTS) >= 8
+    assert [m for path in SCRIPTS for m in _missing_flab_names(path)] == []
+
+
+def test_the_crosscheck_name_lint_catches_a_missing_name(tmp_path):
+    bad = tmp_path / "crosscheck_bad.py"
+    bad.write_text(
+        "from flab import group_engine as ge, reports\n"
+        "from flab.rings import power, no_such_helper\n"
+        "from flab.reports import PASS\n"
+        "ge.lazard_lemma(ge._lazard_lemma_report(None, 0.0))\n"
+        "reports.report_check, reports.no_such_report\n")
+    assert _missing_flab_names(bad) == [
+        "flab.group_engine._lazard_lemma_report",
+        "flab.reports.no_such_report",
+        "flab.rings.no_such_helper",
+    ]
