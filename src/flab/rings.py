@@ -493,7 +493,6 @@ class IntegersRing(Ring):
         if isinstance(a, Fraction):
             if a.denominator != 1:
                 raise InputError("not an integer")
-            return int(a)
         return int(a)
 
     def add(self, a, b):
@@ -531,8 +530,6 @@ class RationalsRing(Ring):
         return Fraction(1)
 
     def canon(self, a):
-        if isinstance(a, str):
-            return Fraction(a)
         return Fraction(a)
 
     def add(self, a, b):

@@ -32,7 +32,7 @@ from flab.combinatorics import (
     prim_failure,
 )
 from flab.errors import CapacityError, InputError
-from flab.rings import PrimeFieldRing, multiplicative_order
+from flab.rings import PrimeFieldRing, multiplicative_order, sylvester_resultant
 
 
 def params(n, q, r):
@@ -587,6 +587,52 @@ def test_common_root_moduli_brute_agreement():
                     brute.add(m)
                     break
         assert got == brute
+
+
+def test_lifted_roots_match_the_direct_scan():
+    rng = random.Random(2026)
+    pairs = [((4, 4), (8, 4)), ((0, 0, 1), (64, 0, 1)), ((8, 8, 8), (16, 8)),
+             ((1, 0, 1), (-2, 1)), ((27, 0, 9), (9, 9))]
+    while len(pairs) < 120:
+        g1 = [rng.randint(-12, 12) for _ in range(rng.randint(2, 4))]
+        g2 = [rng.randint(-12, 12) for _ in range(rng.randint(2, 4))]
+        if any(g1[1:]) and any(g2[1:]) and sylvester_resultant(g1, g2):
+            pairs.append((g1, g2))
+    for g1, g2 in pairs:
+        assert common_root_moduli(g1, g2, 100) == comb._common_root_moduli_scan(g1, g2, 100), (g1, g2)
+
+
+def test_lifting_reads_two_residues_per_power_of_two(monkeypatch):
+    # x + 1 and x + 1 + 2^k share the root -1 modulo 2^e for e <= k alone;
+    # reading every residue below each power of 2 took about 2^(k+1) reads
+    calls = []
+    evaluate = comb.poly_eval_mod
+    monkeypatch.setattr(comb, "poly_eval_mod",
+                        lambda p, x, mod: calls.append(1) or evaluate(p, x, mod))
+    for k in (10, 20):
+        calls.clear()
+        assert common_root_moduli((1, 1), (1 + 2**k, 1), 2**k) == {2**e for e in range(1, k + 1)}
+        assert len(calls) <= 4 * k
+
+
+def test_root_reads_are_refused_past_the_cap(monkeypatch):
+    cap = comb.ROOT_LIFT_CAP
+    with pytest.raises(CapacityError, match=rf"limit 2000000000 need at least 1000000007 "
+                                            rf"residue reads, over ROOT_LIFT_CAP = {cap}$"):
+        common_root_moduli((0, 1), (1_000_000_007, 1), 2 * 10**9)
+    # the reads of the first levels are the sum of the candidate primes;
+    # modulo 97^2 the root 0 of x and x + 97 lifts to 97 more
+    monkeypatch.setattr(comb, "ROOT_LIFT_CAP", 100)
+    assert common_root_moduli((0, 1), (97, 1), 97**2 - 1) == set()
+    with pytest.raises(CapacityError, match="need at least 194 residue reads"):
+        common_root_moduli((0, 1), (97, 1), 97**2)
+    with pytest.raises(CapacityError, match="need at least 101 residue reads"):
+        common_root_moduli((0, 1), (101, 1), 101)
+    # the lifts count too: 128 (x + 1) and 128 (x + 2) vanish at every residue
+    # modulo 2^e for e <= 7, which takes 2 + 4 + ... + 2^e reads
+    assert common_root_moduli((128, 128), (256, 128), 32) == {2, 4, 8, 16, 32}
+    with pytest.raises(CapacityError, match="limit 64 need at least 126 residue reads"):
+        common_root_moduli((128, 128), (256, 128), 64)
 
 
 # --- characteristic-zero exhaustion ---

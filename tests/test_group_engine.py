@@ -3,6 +3,8 @@ actions, filtrations, and the Hausdorff-product groups."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import re
 import subprocess
 import sys
 import time
@@ -667,6 +669,126 @@ def _corrupted_filtrations():
 def test_filtration_laws_refuse_a_corrupted_filtration(G, p, terms, message):
     with pytest.raises(RuntimeError, match=message):
         ge._check_filtration_laws(G, ge.Filtration(p, terms))
+
+
+def filtration_laws_by_pairs(G, filt) -> None:
+    """Oracle: the laws at every index pair (i, j) of the chain, not only
+    at the ends of runs of equal terms.  A normal D_(i+j) is tested on the
+    commutators of generating sets of D_i and D_j, which commute modulo
+    it; another target is tested on the whole commutator subgroup."""
+    terms, p = filt.terms, filt.prime
+    m = len(terms)
+    trivial = frozenset({G.identity})
+
+    def term(i):
+        return terms[i - 1] if i <= m else trivial
+
+    for i in range(1, m):
+        if not term(i) >= term(i + 1):
+            raise RuntimeError("filtration is not descending")
+    Y = ge._generating_set(G)
+    gens = [ge._generating_set(G, D, f"D_{i}") for i, D in enumerate(terms, start=1)]
+    normal = [all(G.conjugate(g, x) in D for g in Y for x in X) for D, X in zip(terms, gens)]
+    for i in range(1, m + 1):
+        for j in range(i, m + 1):
+            target = term(i + j)
+            if i + j > m or normal[i + j - 1]:
+                holds = all(G.commutator(x, y) in target for x in gens[i - 1] for y in gens[j - 1])
+            else:
+                holds = ge.commutator_subgroup(G, term(i), term(j)) <= target
+            if not holds:
+                raise RuntimeError(f"[D_{i}, D_{j}] escapes D_{i + j}")
+        if not ge.power_subgroup(G, term(i), p) <= term(p * i):
+            raise RuntimeError(f"D_{i}^{p} escapes D_{p * i}")
+
+
+def _law_refusal(check, G, filt) -> str | None:
+    try:
+        check(G, filt)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def _named_law_fails(G, filt, message: str) -> bool:
+    """Whether the law a refusal names fails, rechecked from the elements."""
+    terms = filt.terms
+
+    def term(i):
+        return terms[i - 1] if i <= len(terms) else frozenset({G.identity})
+
+    if message == "filtration is not descending":
+        return any(not a >= b for a, b in zip(terms, terms[1:]))
+    if m := re.fullmatch(r"\[D_(\d+), D_(\d+)\] escapes D_(\d+)", message):
+        i, j, k = map(int, m.groups())
+        return k == i + j and not commutator_subgroup_by_pairs(G, term(i), term(j)) <= term(k)
+    m = re.fullmatch(r"D_(\d+)\^(\d+) escapes D_(\d+)", message)
+    i, p, k = map(int, m.groups())
+    powers = {G.power(x, p) for x in term(i)}
+    return p == filt.prime and k == p * i and not ge.subgroup_closure(G, powers) <= term(k)
+
+
+def _agrees_with_the_oracle(G, filt) -> str | None:
+    refusal = _law_refusal(ge._check_filtration_laws, G, filt)
+    assert (refusal is None) == (_law_refusal(filtration_laws_by_pairs, G, filt) is None)
+    assert refusal is None or _named_law_fails(G, filt, refusal), refusal
+    return refusal
+
+
+def test_filtration_laws_agree_with_every_pair_on_each_one_term_replacement():
+    refusals = []
+    for name, build in jennings_groups().items():
+        G = build()
+        if G.order > 64:
+            continue
+        (p,) = ge.factorize(G.order)
+        terms = ge.jz_filtration(G, p).terms
+        for i, H in itertools.product(range(len(terms)), ge.all_subgroups(G)):
+            filt = ge.Filtration(p, terms[:i] + (H,) + terms[i + 1:])
+            refusals.append(_agrees_with_the_oracle(G, filt))
+    laws = [r for r in refusals if r not in (None, "filtration is not descending")]
+    assert len(refusals) == 4429 and refusals.count(None) == 1087 and len(laws) == 322
+    assert any(r.startswith("[") for r in laws) and any("^" in r for r in laws)
+
+
+def test_filtration_laws_see_one_term_changed_inside_a_long_run():
+    G = ge.cyclic_group(256)
+    terms = ge.jz_filtration(G, 2).terms
+    # D_65, ..., D_128 are the subgroup of order 2, D_129 the trivial one
+    assert {len(terms[i - 1]) for i in range(65, 129)} == {2} and len(terms[128]) == 1
+    outcomes = {}
+    for i, H in itertools.product((65, 96, 128, 129), ge.all_subgroups(G)):
+        filt = ge.Filtration(2, terms[:i - 1] + (H,) + terms[i:])
+        outcomes[i, len(H)] = _agrees_with_the_oracle(G, filt)
+    assert outcomes[96, 1] == outcomes[96, 4] == "filtration is not descending"
+    assert outcomes[65, 4] == "D_65^2 escapes D_130"
+    assert outcomes[128, 1] == "D_64^2 escapes D_128"
+    assert outcomes[129, 2] is None  # the run grows by one and every law still holds
+
+
+def test_filtration_laws_name_a_term_that_is_not_a_subgroup_by_its_run():
+    D8 = ge.dihedral_group(4)
+    rotation = frozenset({0, 1})  # 1 has order 4
+    assert len(ge.subgroup_closure(D8, rotation)) == 4
+    filt = ge.Filtration(2, (frozenset(range(8)), rotation, rotation, frozenset({0})))
+    with pytest.raises(InputError, match=r"^D_2 is not a subgroup: its 2 ids generate 4$"):
+        ge._check_filtration_laws(D8, filt)
+
+
+def test_filtration_laws_make_commutators_per_pair_of_distinct_terms(monkeypatch):
+    G = ge.cyclic_group(1024)
+    filt = ge.jz_filtration(G, 2)
+    distinct = set(filt.terms) - {frozenset({G.identity})}
+    assert len(filt.terms) == 513 and len(distinct) == 10
+    # each distinct term of a cyclic group has one greedy generator, so each
+    # pair of distinct terms costs one commutator
+    assert {len(ge._generating_set(G, D)) for D in distinct} == {1}
+    calls = []
+    commutator = ge.FiniteGroup.commutator
+    monkeypatch.setattr(ge.FiniteGroup, "commutator",
+                        lambda self, x, y: calls.append(1) or commutator(self, x, y))
+    ge._check_filtration_laws(G, filt)
+    assert len(calls) <= len(distinct) * (len(distinct) + 1) // 2
 
 
 def test_layer_coordinates_name_the_coset():
