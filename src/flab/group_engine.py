@@ -105,7 +105,7 @@ def perm_identity(n: int) -> tuple[int, ...]:
 
 def perm_compose(a, b) -> tuple[int, ...]:
     """a after b: x -> a[b[x]]."""
-    return tuple(a[x] for x in b)
+    return tuple(map(a.__getitem__, b))
 
 
 def perm_inverse(a) -> tuple[int, ...]:
@@ -623,22 +623,25 @@ def _lower_central_terms(G) -> list[frozenset]:
     """gamma_2(G), gamma_3(G), ... from a generating set Y of G, up to the
     trivial group or the first repeated order, without building G as a set.
 
-    A closure under conjugation by Y is normal in <Y> = G.  gamma_2 is the
-    normal closure of the [y, y'] with y, y' in Y: G over it is generated
-    by commuting images of Y, so abelian.  gamma_(i+1) = [gamma_i, G] is
-    the normal closure N of the [x, y] with x in gamma_i, y in Y: with
-    a^b = b^-1 a b, [x, y y'] = [x, y'] [x, y]^y' puts every [x, w] in N by
-    induction on w as a word in Y (inverses are positive powers).  gamma_i
-    is normal, so [x, y] = x^-1 x^y lies in it: the terms descend, and a
+    A closure under conjugation by Y is normal in <Y> = G.  gamma_i is the
+    normal closure of seeds S_i: S_1 = Y, and S_(i+1) holds the [s, y]
+    with s in S_i and y in Y.  By induction, let K be the normal closure
+    of S_(i+1).  K lies in [gamma_i, G], as S_i lies in gamma_i.  Modulo K
+    each s in S_i commutes with each generator, so is central; then
+    gamma_i K / K, generated by the conjugates of those central images, is
+    central, and [gamma_i, G] lies in K.  So S_(i+1) has at most |Y|^(i+1)
+    commutators, never more than the [x, y] with x in gamma_i.  gamma_i is
+    normal, so [s, y] = s^-1 s^y lies in it: the terms descend, and a
     repeated order means a repeated term."""
     Y = _generating_set(G)
-    terms, size, xs = [], G.order, Y
+    terms, size, seeds = [], G.order, Y
     while size > 1:
-        gamma = normal_closure(G, {G.commutator(x, y) for x in xs for y in Y})
+        seeds = {G.commutator(s, y) for s in seeds for y in Y}
+        gamma = normal_closure(G, seeds)
         if len(gamma) == size:
             break
         terms.append(gamma)
-        size, xs = len(gamma), gamma
+        size = len(gamma)
     return terms
 
 
@@ -760,10 +763,13 @@ def _generating_set(G, S=None, name="S") -> list[int]:
     <S>, so an S that is not a subgroup is refused by name.  The walk is
     deterministic and G immutable, so G's own set is kept on G; a BCHGroup
     records its coordinate basis there when it is built."""
-    ids = range(G.order) if S is None else sorted(set(S))
-    whole = S is None or ids == list(range(G.order))
+    whole = S is None
+    if not whole:
+        S = frozenset(S)  # a frozenset is not copied
+        whole = len(S) == G.order and S.issuperset(range(G.order))
     if whole and "_own_generators" in vars(G):
         return list(G._own_generators)
+    ids = range(G.order) if whole else sorted(S)
     gens: list[int] = []
     span = frozenset({G.identity})
     for x in ids:
@@ -1341,6 +1347,10 @@ def jz_filtration(G, p: int) -> Filtration:
     i > j*exp(gamma_j)/p for every j with gamma_j nontrivial; as
     |G| >= p^(j-1) |gamma_j| >= p^(j-1) exp(gamma_j), that is at most
     j |G| / p^j <= |G| / 2, so the guard at index |G| never fires.
+
+    Inside runs the recursion copies: when D_(i-1) = D_(i-2) and
+    D_ceil(i/p) = D_ceil((i-1)/p), both factors of D_i are those of D_(i-1),
+    so D_i = D_(i-1).
     """
     _require_table(G)
     if not is_prime(p):
@@ -1355,6 +1365,10 @@ def jz_filtration(G, p: int) -> Filtration:
         i = len(terms) + 1
         if i > G.order:
             raise RuntimeError("filtration failed to terminate")
+        if (i > 2 and terms[-1] == terms[-2]
+                and terms[-(-i // p) - 1] == terms[-(-(i - 1) // p) - 1]):
+            terms.append(terms[-1])
+            continue
         terms.append(subgroup_closure(
             G, commutator_subgroup(G, terms[-1], whole)
             | power_subgroup(G, terms[-(-i // p) - 1], p)))

@@ -295,6 +295,40 @@ def test_commutator_subgroups_and_sylow_classes_match_the_all_element_definition
     assert (pairs, classes) == (17_535, 83)  # 59 groups
 
 
+def lower_central_series_by_pairs(G) -> list[frozenset]:
+    """Oracle: G, then gamma_(i+1) = [gamma_i, G] from every pair of an
+    element of gamma_i and one of G, up to the trivial group or a repeat."""
+    whole = frozenset(range(G.order))
+    terms = [whole]
+    while len(terms[-1]) > 1:
+        nxt = commutator_subgroup_by_pairs(G, terms[-1], whole)
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return terms
+
+
+def test_lower_central_series_matches_the_all_element_definition():
+    groups = {name: build() for name, build in builder_groups(64).items()}
+    groups["BCH(5,1)"] = ge.BCHGroup(gl.example_pm(5, 1).lie)
+    for name, G in groups.items():
+        terms = lower_central_series_by_pairs(G)
+        assert ge.lower_central_series_sets(G) == terms, name
+        assert ge.nilpotency_class(G) == (len(terms) - 1 if len(terms[-1]) == 1 else None), name
+
+
+def test_nilpotency_class_commutes_seeds_with_generators_only(monkeypatch):
+    G = ge.BCHGroup(gl.example_pm(5, 2).lie)
+    Y = ge._generating_set(G)
+    calls = []
+    commutator = ge.BCHGroup.commutator
+    monkeypatch.setattr(ge.BCHGroup, "commutator",
+                        lambda self, x, y: calls.append(1) or commutator(self, x, y))
+    assert ge.nilpotency_class(G) == 2
+    # the seeds of gamma_2 and gamma_3; the all-element step makes 384
+    assert len(calls) <= len(Y) ** 2 + len(Y) ** 3 == 36
+
+
 def test_a_groups_own_generating_set_is_walked_once(monkeypatch):
     for G in (ge.heisenberg_group(3), ge.BCHGroup(gl.example_pm(5, 1).lie)):
         fresh = ge._generating_set(G)
@@ -789,6 +823,20 @@ def test_filtration_laws_make_commutators_per_pair_of_distinct_terms(monkeypatch
                         lambda self, x, y: calls.append(1) or commutator(self, x, y))
     ge._check_filtration_laws(G, filt)
     assert len(calls) <= len(distinct) * (len(distinct) + 1) // 2
+
+
+def test_jz_recursion_copies_the_last_term_inside_its_runs(monkeypatch):
+    G = ge.cyclic_group(1024)
+    calls, at_laws = [], []
+    commutator_subgroup, check = ge.commutator_subgroup, ge._check_filtration_laws
+    monkeypatch.setattr(ge, "commutator_subgroup",
+                        lambda *args: calls.append(1) or commutator_subgroup(*args))
+    monkeypatch.setattr(ge, "_check_filtration_laws",
+                        lambda G, filt: at_laws.append(len(calls)) or check(G, filt))
+    d = len(set(ge.jz_filtration(G, 2).terms))
+    assert d == 11
+    # about two per run of equal terms; one per index (512) without the copy
+    assert at_laws[0] <= 2 * (d + 1)
 
 
 def test_layer_coordinates_name_the_coset():
