@@ -25,9 +25,10 @@ coordinate columns; transports of Lie automorphisms are one matmul on
 those columns and are rechecked as homomorphisms exactly, against the
 coordinate generators.  Its orders cap at BCH_CAP.
 
-Polynomial arithmetic over F_p (the field actions, the free-module check)
-and every power come from rings: its polynomial helpers and its one
-square-and-multiply loop, power.  Power maps of whole id arrays
+Polynomial arithmetic over F_p (the field actions' modulus, the
+free-module check) and every power come from rings: its polynomial helpers
+and its one square-and-multiply loop, power.  The field actions multiply
+on digit arrays, from the multiplication by x.  Power maps of whole id arrays
 (exponents, Sylow subgroups, the Lazard lemma) run that loop once over
 mul_many, which both kinds have, and the Lazard lemma's stack of ad
 matrices runs it over matmul mod p.
@@ -74,9 +75,7 @@ from .rings import (
     poly_add,
     poly_divmod,
     poly_mul,
-    poly_mulmod,
     poly_neg,
-    poly_powmod,
     poly_trim,
     power,
 )
@@ -603,8 +602,12 @@ def commutator_subgroup(G, A, B) -> frozenset:
     group the inverses are positive powers).  Refuses an A or B that is not
     a subgroup, which the walk for X or Y sees.
     """
-    X = _generating_set(G, A, "A")
-    Y = _generating_set(G, B, "B")
+    return _commutator_of_generated(
+        G, _generating_set(G, A, "A"), _generating_set(G, B, "B"))
+
+
+def _commutator_of_generated(G, X, Y) -> frozenset:
+    """[<X>, <Y>] from generating sets X and Y (see commutator_subgroup)."""
     seed = {G.commutator(x, y) for x in X for y in Y}
     return _normal_closure_by_generators(G, seed, X + Y)
 
@@ -806,12 +809,13 @@ def invariant_normal_subgroups(G, automorphisms) -> list[frozenset]:
     """Invariant subgroups that are also normal: those invariant under the
     listed automorphisms and under conjugation by a generating set of G.
     Refused above EXHAUSTIVE_CAP, before any automorphism is checked or
-    conjugation permutation built."""
+    conjugation permutation built.  Each conjugation x -> g x g^-1 is two
+    products of whole id arrays (mul_many)."""
     _check_lattice_cap(G)
     autos = _automorphism_list(G, automorphisms)
-    inner = [
-        tuple(G.conjugate(g, x) for x in range(G.order)) for g in _generating_set(G)
-    ]
+    ids = np.arange(G.order)
+    inner = [tuple(G.mul_many(G.mul_many(g, ids), G.inv(g)).tolist())
+             for g in _generating_set(G)]
     return _lattice(G, autos + inner)
 
 
@@ -986,11 +990,15 @@ def action_from_json(G, data) -> FrobeniusAction:
 
 
 def fixed_points(G, automorphisms) -> frozenset:
-    """Element ids fixed by every listed automorphism."""
-    autos = [tuple(a) for a in automorphisms]
-    return frozenset(
-        x for x in range(G.order) if all(a[x] == x for a in autos)
-    )
+    """Element ids fixed by every listed automorphism: one boolean mask
+    over the ids, cleared where a map moves an id, one array comparison
+    per map.  An empty list fixes every id; a map shorter than G.order
+    raises IndexError."""
+    ids = np.arange(G.order)
+    fixed = np.ones(G.order, dtype=bool)
+    for a in automorphisms:
+        fixed &= np.asarray(a)[ids] == ids
+    return frozenset(np.flatnonzero(fixed).tolist())
 
 
 # --- the field-based action family ---
@@ -1016,9 +1024,21 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
     polynomials mod the first irreducible g, with f the multiplication by
     the first primitive element and h the p-power map.
 
-    Both maps are F_p-linear, so each is built from the images of the k
-    basis ids p^i (the monomials x^i), combined digit by digit for all p^k
-    ids.  Every hypothesis is then rechecked on the permutations by
+    Every map is built on the digit arrays of all p^k ids at once.  The
+    multiplication by x shifts the digits up one place and reduces the top
+    digit by g, as x^k = -(g_0 + ... + g_(k-1) x^(k-1)); applying it again
+    gives the digits of x^i y for each i < k, and the multiplication by c
+    is their sum weighted by c's digits c_i, one pass over the array.  The
+    candidates c = 1, 2, ... are walked in turn: the orbit of 1 under
+    multiplication by c (rings.orbit) is c^0, c^1, ..., and the first c
+    whose orbit is a cycle of p^k - 1 members, c^(p^k - 1) = 1, is the
+    generator gen.  In a field that is the first primitive element; a c
+    with such a cycle is a unit of order p^k - 1, so only a field has one,
+    and a g with none is refused by name.  f is gen's multiplication map,
+    and h is read off the same walk: h(gen^i) = gen^(i p mod (p^k - 1))
+    and h(0) = 0.
+
+    Every hypothesis is then rechecked on the permutations by
     action_issues: both are automorphisms, f and h have orders p^k - 1 and
     k, and h f h^-1 = f^p.
     With h[1] == 1 these pin h exactly: the twist gives h(gen*y) =
@@ -1035,28 +1055,26 @@ def build_field_action(p: int, k: int) -> FieldActionResult:
         raise CapacityError(f"field size {size} exceeds the table cap {TABLE_CAP}")
     g = irreducible_poly(p, k)
     group = elementary_abelian_group(p, k)  # ids are coefficient digits mod g
-
-    def fmul(a, b):
-        return _from_digits(poly_mulmod(_digits(a, p, k), _digits(b, p, k), g, p), p)
-
-    def fpow(a, e):
-        return _from_digits(poly_powmod(_digits(a, p, k), e, g, p), p)
-
+    low = np.array(g[:k])[:, None]
+    times_x = [np.array(_digits(np.arange(size), p, k))]  # [i]: digit rows of x^i y
+    for _ in range(1, k):
+        d = times_x[-1]  # shifted up one place, the top digit reduced by g
+        times_x.append((np.vstack([np.zeros_like(d[:1]), d[:-1]]) - d[-1] * low) % p)
+    times_x = np.stack(times_x)
     n = size - 1
-    gen = next(  # id 1 is the constant polynomial 1
-        cand for cand in range(1, size)
-        if all(fpow(cand, n // ell) != 1 for ell in sorted(factorize(n)))
-    )
-    digits = _digits(np.arange(size), p, k)
-
-    def linear(image) -> tuple[int, ...]:
-        # digit j of image(x) is the sum over i of x_i * (digit j of image(x^i))
-        cols = [_digits(image(p**i), p, k) for i in range(k)]
-        return tuple(_from_digits(
-            [sum(d * c[j] for d, c in zip(digits, cols)) for j in range(k)], p).tolist())
-
-    f = linear(lambda y: fmul(gen, y))
-    h = linear(lambda y: fpow(y, p))
+    for cand in range(1, size):  # id 1 is the constant polynomial 1
+        # c y = sum of c_i x^i y, c's digits c_i being column cand of times_x[0]
+        times_c = _from_digits(np.tensordot(times_x[0][:, cand], times_x, 1), p).tolist()
+        powers = list(orbit([1], lambda y: (times_c[y],)))
+        if len(powers) == n and times_c[powers[-1]] == 1:
+            break
+    else:
+        raise RuntimeError(f"no id in 1..{n} generates the units mod {g}")
+    gen, f = cand, tuple(times_c)
+    powers = np.array(powers)
+    h = np.zeros(size, dtype=np.intp)
+    h[powers] = powers[np.arange(n) * p % n]
+    h = tuple(h.tolist())
     params = FrobeniusParams(n, k, p)
     # multiplication and the p-power map are additive; orders and the
     # twist relation hold by field arithmetic
@@ -1316,7 +1334,9 @@ def _check_filtration_laws(G, filt: Filtration) -> None:
     for i and j in those runs D_i = D_a and D_j = D_b, and the descending
     chain puts D_(a+b) in D_(i+j) and D_(p a) in D_(p i).  So (a, b)
     implies every instance of its runs, and fails only when broken itself.
-    Past the chain D_i is trivial, and so are its laws."""
+    Past the chain D_i is trivial, and so are its laws.  Each distinct
+    term's generating set is walked once, and every commutator subgroup
+    is formed from the sets kept."""
     terms, p = filt.terms, filt.prime
     trivial = frozenset({G.identity})
 
@@ -1326,11 +1346,11 @@ def _check_filtration_laws(G, filt: Filtration) -> None:
     if not all(a >= b for a, b in zip(terms, terms[1:])):
         raise RuntimeError("filtration is not descending")
     ends = [i for i in range(1, len(terms) + 1) if term(i) != term(i + 1)]
-    for start, a in zip([1] + [b + 1 for b in ends], ends):
-        _generating_set(G, term(a), f"D_{start}")
+    gens = {a: _generating_set(G, term(a), f"D_{start}")
+            for start, a in zip([1] + [b + 1 for b in ends], ends)}
     for k, a in enumerate(ends):
         for b in ends[k:]:
-            if not commutator_subgroup(G, term(a), term(b)) <= term(a + b):
+            if not _commutator_of_generated(G, gens[a], gens[b]) <= term(a + b):
                 raise RuntimeError(f"[D_{a}, D_{b}] escapes D_{a + b}")
         if not power_subgroup(G, term(a), p) <= term(p * a):
             raise RuntimeError(f"D_{a}^{p} escapes D_{p * a}")

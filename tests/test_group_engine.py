@@ -15,9 +15,10 @@ import pytest
 
 from flab import group_engine as ge
 from flab import graded_lie as gl
-from flab.combinatorics import FrobeniusParams
+from flab.combinatorics import FrobeniusParams, prim_failure
 from flab.errors import CapacityError, InputError
 from flab.linalg import mat_power
+from flab.rings import irreducible_poly, poly_mulmod, poly_powmod
 
 
 # --- permutation helpers ---
@@ -422,6 +423,104 @@ def test_field_action_rejects_bad_input():
         ge.build_field_action(3, 4)
     with pytest.raises(CapacityError):
         ge.build_field_action(2, 13)
+
+
+def field_action_by_polynomials(p: int, k: int):
+    """Oracle: (g, generator, f, h, prim_ok) by polynomial arithmetic over
+    F_p mod g: the first candidate whose (p^k - 1)/ell-th powers are not 1
+    for any prime ell, and each map built from its k basis images."""
+    g = irreducible_poly(p, k)
+    size, n = p**k, p**k - 1
+
+    def fmul(a, b):
+        return ge._from_digits(poly_mulmod(ge._digits(a, p, k), ge._digits(b, p, k), g, p), p)
+
+    def fpow(a, e):
+        return ge._from_digits(poly_powmod(ge._digits(a, p, k), e, g, p), p)
+
+    gen = next(cand for cand in range(1, size)
+               if all(fpow(cand, n // ell) != 1 for ell in ge.factorize(n)))
+    digits = ge._digits(np.arange(size), p, k)
+
+    def linear(image) -> tuple[int, ...]:
+        # digit j of image(x) is the sum over i of x_i * (digit j of image(x^i))
+        cols = [ge._digits(image(p**i), p, k) for i in range(k)]
+        return tuple(ge._from_digits(
+            [sum(d * c[j] for d, c in zip(digits, cols)) for j in range(k)], p).tolist())
+
+    f = linear(lambda y: fmul(gen, y))
+    h = linear(lambda y: fpow(y, p))
+    return g, gen, f, h, prim_failure(n, k, p) is None
+
+
+EXHAUSTIVE_FIELDS = [(p, k) for k in (2, 3, 5, 7) for p in range(2, 23)
+                     if ge.is_prime(p) and p**k <= ge.EXHAUSTIVE_CAP]
+
+
+def test_field_action_matches_the_polynomial_construction():
+    assert len(EXHAUSTIVE_FIELDS) == 15
+    for p, k in EXHAUSTIVE_FIELDS:
+        res = ge.build_field_action(p, k)
+        got = (res.poly, res.generator, res.action.f, res.action.h, res.prim_ok)
+        assert got == field_action_by_polynomials(p, k), (p, k)
+
+
+@pytest.mark.parametrize("p, k, g", [
+    pytest.param(2, 2, (0, 0, 1), id="x^2"),  # x's orbit of 1 is 1, x, 0
+    pytest.param(2, 2, (1, 0, 1), id="(x+1)^2"),
+    pytest.param(3, 2, (2, 0, 1), id="(x-1)(x+1)"),
+    pytest.param(2, 3, (1, 0, 0, 1), id="(x+1)(x^2+x+1)"),
+])
+def test_field_action_refuses_a_reducible_modulus_by_name(monkeypatch, p, k, g):
+    monkeypatch.setattr(ge, "irreducible_poly", lambda p_, k_: g)
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"no id in 1..{p**k - 1} generates the units mod {g}")):
+        ge.build_field_action(p, k)
+
+
+def fixed_points_by_ids(G, maps) -> frozenset:
+    """Oracle: the ids x with a[x] == x for every listed map a."""
+    return frozenset(x for x in range(G.order) if all(a[x] == x for a in maps))
+
+
+def test_fixed_points_match_the_per_id_definition():
+    cases = []
+    for G in (ge.named_group("D8"), ge.quaternion_group(), ge.heisenberg_group(3),
+              ge.build_field_action(3, 3).group):
+        inner = [tuple(G.conjugate(g, x) for x in range(G.order)) for g in range(G.order)]
+        cases.append((G, inner))
+    field = ge.build_field_action(2, 5)
+    cases.append((field.group, [field.action.f, field.action.h,
+                                ge.perm_power(field.action.h, 5), ge.perm_identity(32)]))
+    ex = gl.example_pm(5, 1)
+    lz = ge.lazard_group_from_lie(ex.lie, list(ex.f) + [ex.h])
+    P = lz.group
+    cases.append((P, list(lz.transported) + [
+        tuple(P.conjugate(g, x) for x in range(P.order)) for g in (1, 5, 31)]))
+    for G, maps in cases:
+        assert ge.fixed_points(G, []) == frozenset(range(G.order))
+        for i in range(len(maps)):
+            for chosen in ([maps[i]], maps[i:i + 2], maps[:i + 1]):
+                assert ge.fixed_points(G, chosen) == fixed_points_by_ids(G, chosen)
+        with pytest.raises(IndexError):
+            ge.fixed_points(G, [maps[0], maps[0][:-1]])
+
+
+def test_invariant_normal_subgroups_conjugate_by_whole_arrays(monkeypatch):
+    groups = [ge.named_group(name) for name, _ in ge.P_GROUP_CORPUS]
+    groups += [ge.named_group("D8"), ge.quaternion_group(),
+               ge.BCHGroup(gl.example_pm(5, 1).lie)]
+    seen = []
+    lattice = ge._lattice
+    monkeypatch.setattr(ge, "_lattice", lambda G, perms: seen.append(perms) or lattice(G, perms))
+    for G in groups:
+        subs = ge.invariant_normal_subgroups(G, [])
+        inner = [tuple(G.conjugate(g, x) for x in range(G.order))
+                 for g in ge._generating_set(G)]
+        assert seen.pop() == inner
+        assert all(isinstance(y, int) for perm in inner for y in perm)
+        assert subs == sorted((S for S in ge.all_subgroups(G) if ge.is_normal(G, S)),
+                              key=lambda S: (len(S), sorted(S)))
 
 
 def test_frobenius_condition():
@@ -837,6 +936,20 @@ def test_jz_recursion_copies_the_last_term_inside_its_runs(monkeypatch):
     assert d == 11
     # about two per run of equal terms; one per index (512) without the copy
     assert at_laws[0] <= 2 * (d + 1)
+
+
+def test_filtration_laws_walk_each_distinct_terms_generators_once(monkeypatch):
+    G = ge.cyclic_group(4096)
+    filt = ge.jz_filtration(G, 2)
+    calls = []
+    generating_set = ge._generating_set
+    monkeypatch.setattr(ge, "_generating_set",
+                        lambda *args: calls.append(args[1:]) or generating_set(*args))
+    ge._check_filtration_laws(G, filt)
+    # one walk per pair of run ends (168 here) without the kept sets
+    assert len(set(filt.terms)) == 13
+    assert len(calls) <= 13
+    assert len({frozenset(S) for S, _ in calls}) == len(calls)
 
 
 def test_layer_coordinates_name_the_coset():
