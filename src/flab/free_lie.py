@@ -44,11 +44,13 @@ class IndexedGenerator:
     index: int = 0
 
 
-# intern tables: the one HallWord per generator, and per (left, right) pair;
-# one int key packed from dense per-word serials was measured no faster on
-# lie-rewrite than the pair tuple (BENCH_25.json), so the pair stays the key
+# intern tables: the one HallWord per generator, and one row per left word
+# that maps each right word to the node [left, right], so no (left, right)
+# pair tuple is kept per word or built per lookup (BENCH_31.json); one int
+# key packed from dense per-word serials was measured no faster on
+# lie-rewrite than the pair tuple (BENCH_25.json)
 _LEAVES: dict[IndexedGenerator, "HallWord"] = {}
-_NODES: dict[tuple["HallWord", "HallWord"], "HallWord"] = {}
+_NODES: dict["HallWord", dict["HallWord", "HallWord"]] = {}
 
 
 class HallWord:
@@ -58,6 +60,9 @@ class HallWord:
     tree, so equality and hashing are by identity, and equal subtrees share
     their keys (ordering compares keys, and tuple comparison skips shared
     parts).  Copies and unpickled words go back through leaf() and node().
+    The key is (1, (name, index)) for a leaf and (weight, left.key,
+    right.key) for a node; only leaves have weight 1, so two keys of one
+    weight are both leaf keys or both node keys.
     """
 
     __slots__ = ("gen", "left", "right", "weight", "index_sum", "key")
@@ -75,17 +80,19 @@ class HallWord:
         word = _LEAVES.get(gen)
         if word is None:
             word = _LEAVES[gen] = cls(gen, None, None, 1, gen.index,
-                                      (1, 0, (gen.name, gen.index)))
+                                      (1, (gen.name, gen.index)))
         return word
 
     @classmethod
     def node(cls, left: "HallWord", right: "HallWord") -> "HallWord":
-        pair = (left, right)
-        word = _NODES.get(pair)
+        row = _NODES.get(left)
+        if row is None:
+            row = _NODES[left] = {}
+        word = row.get(right)
         if word is None:
             w = left.weight + right.weight
-            word = _NODES[pair] = cls(None, left, right, w, left.index_sum + right.index_sum,
-                                      (w, 1, left.key, right.key))
+            word = row[right] = cls(None, left, right, w, left.index_sum + right.index_sum,
+                                    (w, left.key, right.key))
         return word
 
     def __reduce__(self):
@@ -133,6 +140,19 @@ def is_hall(word: HallWord) -> bool:
     return u.gen is not None or u.right.key <= v.key
 
 
+def _add_into(acc: dict[HallWord, int],
+              pairs: Collection[tuple[HallWord, int]]) -> dict[HallWord, int]:
+    """acc after adding the (word, coefficient) pairs into it in place; a
+    word whose coefficient cancels leaves acc."""
+    for w, c in pairs:
+        c += acc.get(w, 0)
+        if c:
+            acc[w] = c
+        else:
+            acc.pop(w, None)
+    return acc
+
+
 class FreeLieElement:
     """Integer combination of Hall words; immutable by convention."""
 
@@ -157,10 +177,7 @@ class FreeLieElement:
         return not self.terms
 
     def __add__(self, other: "FreeLieElement") -> "FreeLieElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return FreeLieElement(out)
+        return FreeLieElement._of(_add_into(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "FreeLieElement":
         return FreeLieElement({w: -c for w, c in self.terms.items()})
@@ -184,37 +201,45 @@ class FreeLieElement:
 # --- Hall rewriting ---
 
 # results of [u, v] that needed the Hall rewrite; a bracket already in Hall
-# form is its interned node, so it is never stored here.  Each row is the
-# rewrite's accumulator without its zero coefficients, kept as one dict (no
-# pair tuple per term for the garbage collector to track), and callers get
-# only row.items(): normalize and bracket copy it into the element they build.
+# form is its interned node, so it is never stored here, and [v, u] reuses
+# the row of [u, v] with sign -1.  Each row is the rewrite's accumulator
+# without its zero coefficients, kept as one dict (no pair tuple per term for
+# the garbage collector to track), and callers get only row.items():
+# normalize and bracket copy it into the element they build.
 _BRACKET_MEMO: dict[tuple[HallWord, HallWord], dict[HallWord, int]] = {}
 
 
-def _hall_bracket(u: HallWord, v: HallWord) -> Collection[tuple[HallWord, int]]:
-    """[u, v] for Hall words u, v, expanded into the Hall basis as
-    (word, coefficient) pairs."""
+def _hall_bracket(u: HallWord, v: HallWord) -> tuple[Collection[tuple[HallWord, int]], int]:
+    """[u, v] for Hall words u, v, expanded into the Hall basis: (row, sign)
+    with [u, v] = sign * the sum of the row's (word, coefficient) pairs."""
     if u is v:
-        return ()
+        return (), 1
     if u.key < v.key:
-        return tuple((w, -c) for w, c in _hall_bracket(v, u))
+        row, sign = _hall_bracket(v, u)
+        return row, -sign
     if u.gen is not None or u.right.key <= v.key:
-        return ((HallWord.node(u, v), 1),)
+        return ((HallWord.node(u, v), 1),), 1
     pair = (u, v)
     got = _BRACKET_MEMO.get(pair)
     if got is not None:
-        return got.items()
+        return got.items(), 1
     # u = [u1, u2] with u2 > v: [[u1,u2],v] = [[u1,v],u2] + [u1,[u2,v]]
     u1, u2 = u.left, u.right
     acc: dict[HallWord, int] = {}
-    for w, c in _hall_bracket(u1, v):
-        for x, d in _hall_bracket(w, u2):
+    row, sign = _hall_bracket(u1, v)
+    for w, c in row:
+        inner, s = _hall_bracket(w, u2)
+        c *= sign * s
+        for x, d in inner:
             acc[x] = acc.get(x, 0) + c * d
-    for w, c in _hall_bracket(u2, v):
-        for x, d in _hall_bracket(u1, w):
+    row, sign = _hall_bracket(u2, v)
+    for w, c in row:
+        inner, s = _hall_bracket(u1, w)
+        c *= sign * s
+        for x, d in inner:
             acc[x] = acc.get(x, 0) + c * d
     row = _BRACKET_MEMO[pair] = {w: c for w, c in acc.items() if c}
-    return row.items()
+    return row.items(), 1
 
 
 def _dict_bracket(a: Collection[tuple[HallWord, int]],
@@ -223,8 +248,9 @@ def _dict_bracket(a: Collection[tuple[HallWord, int]],
     out: dict[HallWord, int] = {}
     for u, cu in a:
         for v, cv in b:
-            cuv = cu * cv
-            for w, c in _hall_bracket(u, v):
+            row, sign = _hall_bracket(u, v)
+            cuv = cu * cv * sign
+            for w, c in row:
                 out[w] = out.get(w, 0) + cuv * c
     return {w: c for w, c in out.items() if c}
 
@@ -254,9 +280,9 @@ def _normal_pairs(expr) -> Collection[tuple[HallWord, int]]:
         if len(a) != 1 or len(b) != 1:
             return _dict_bracket(a, b).items()
         ((u, cu),), ((v, cv),) = a, b
-        got = _hall_bracket(u, v)
-        c = cu * cv
-        return got if c == 1 else tuple((w, c * k) for w, k in got)
+        row, sign = _hall_bracket(u, v)
+        c = cu * cv * sign
+        return row if c == 1 else tuple((w, c * k) for w, k in row)
     if isinstance(expr, IndexedGenerator):
         return ((HallWord.leaf(expr), 1),)
     if isinstance(expr, HallWord):
@@ -456,10 +482,10 @@ class RewriteResult:
 
     def verify(self) -> bool:
         """Exact identity: input = kept + sum of dropped."""
-        total = self.kept
+        total = dict(self.kept.terms)
         for elem, _ in self.dropped:
-            total = total + elem
-        return total == self.input_element
+            _add_into(total, elem.terms.items())
+        return total == self.input_element.terms
 
 
 def _term_element(u_leaf: IndexedGenerator, coeff: int, elems: Sequence) -> FreeLieElement:
@@ -513,16 +539,20 @@ def _scan_bad(elems: tuple, dset: set[int], n: int):
     return None, None
 
 
+def _sum_terms(u_leaf: IndexedGenerator, terms) -> FreeLieElement:
+    """The sum of the (coeff, elems) terms, added into one dict."""
+    acc: dict[HallWord, int] = {}
+    for coeff, elems in terms:
+        _add_into(acc, _term_element(u_leaf, coeff, elems).terms.items())
+    return FreeLieElement._of(acc)
+
+
 def _finish(u_leaf, kept, dropped, start_terms) -> RewriteResult:
-    kept_elem = FreeLieElement.zero()
-    for t in kept:
-        kept_elem = kept_elem + _term_element(u_leaf, t.coeff, t.elems)
+    kept_elem = _sum_terms(u_leaf, ((t.coeff, t.elems) for t in kept))
     dropped_pairs = tuple(
         (_term_element(u_leaf, t.coeff, t.elems), t.reason) for t in dropped
     )
-    input_elem = FreeLieElement.zero()
-    for coeff, elems in start_terms:
-        input_elem = input_elem + _term_element(u_leaf, coeff, elems)
+    input_elem = _sum_terms(u_leaf, start_terms)
     return RewriteResult(u_leaf, kept_elem, dropped_pairs,
                          tuple(kept), tuple(dropped), input_elem)
 

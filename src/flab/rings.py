@@ -157,10 +157,10 @@ def poly_gcd(a, b, mod: int):
 def irreducible_poly(p: int, k: int) -> tuple[int, ...]:
     """The first monic irreducible of prime degree k over F_p, its lower
     coefficients the base-p digits of 0, 1, 2, ... in turn.  For prime k, g
-    is irreducible iff x^(p^k) = x mod g and gcd(x^p - x, g) = 1.  The gcd
-    is 1 exactly when g has no root in F_p, so a candidate with a root,
+    is irreducible iff x^(p^k) = x mod g, which leaves only factors of
+    degree 1 and k, and g has no root in F_p.  A candidate with a root,
     found by evaluating g at 0, ..., p - 1, is refused before x^(p^k) is
-    powered; the conjunction, and so the first g returned, is unchanged.
+    powered.
 
     >>> irreducible_poly(2, 3)
     (1, 1, 0, 1)
@@ -170,9 +170,7 @@ def irreducible_poly(p: int, k: int) -> tuple[int, ...]:
         g = tuple(counter // p**i % p for i in range(k)) + (1,)
         if any(poly_eval_mod(g, a, p) == 0 for a in range(p)):
             continue
-        if poly_powmod(x, p**k, g, p) != x:
-            continue
-        if len(poly_gcd(poly_add(poly_powmod(x, p, g, p), poly_neg(x), p), g, p)) == 1:
+        if poly_powmod(x, p**k, g, p) == x:
             return g
     raise RuntimeError("no irreducible polynomial found")
 

@@ -3,6 +3,7 @@ procedures, and span membership."""
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import os
 import pickle
@@ -10,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -291,6 +293,33 @@ def test_changing_returned_terms_leaves_later_results_intact():
         assert got.terms == reference_normalize((left, right), memo), (left, right)
 
 
+def test_sums_and_verify_leave_their_operands_intact():
+    a = fl.normalize(((X, Y), Z)) + fl.normalize((X, (Y, Z))).scale(2)
+    b = fl.normalize(((Y, Z), X)) - fl.normalize((X, (Y, Z))).scale(2)
+    a_terms, b_terms = dict(a.terms), dict(b.terms)
+    want = {w: a_terms.get(w, 0) + b_terms.get(w, 0) for w in {**a_terms, **b_terms}}
+    assert 0 in want.values() and any(want.values())
+    assert (a + b).terms == {w: c for w, c in want.items() if c}
+    assert a.terms == a_terms and b.terms == b_terms
+    assert (a + (-a)).terms == {} and (a + (-a)).is_zero()
+    assert (a - a).terms == {}
+    assert ((a + b) - b).terms == a_terms
+    assert a.terms == a_terms and b.terms == b_terms
+    # [u, t0@4, t1@2, t2@3] at (7,3,2): two kept words and three dropped
+    # elements, which cancel against the kept words down to the one input word
+    out = fl.odin_rewrite((1,), tail(4, 2, 3), 1, P732)
+    assert len(out.kept.terms) == 2 and len(out.dropped) == 3
+    assert len(out.input_element.terms) == 1
+    kept = dict(out.kept.terms)
+    dropped = [dict(elem.terms) for elem, _ in out.dropped]
+    given = dict(out.input_element.terms)
+    assert out.verify() is True
+    assert out.verify() is True
+    assert out.kept.terms == kept
+    assert [elem.terms for elem, _ in out.dropped] == dropped
+    assert out.input_element.terms == given
+
+
 # --- interned Hall words ---
 
 
@@ -300,6 +329,60 @@ def test_node_returns_the_one_instance_per_tree():
     assert fl.HallWord.node(fl.HallWord.node(b, a), a) is fl.HallWord.node(
         fl.HallWord.node(b, a), a)
     assert fl.HallWord.node(b, a) is not fl.HallWord.node(a, b)
+
+
+def flagged_key(word, cache):
+    """The earlier key of a word: (1, 0, (name, index)) for a leaf and
+    (weight, 1, left's key, right's key) for a node."""
+    got = cache.get(word)
+    if got is None:
+        got = cache[word] = ((1, 0, (word.gen.name, word.gen.index)) if word.is_leaf else
+                             (word.weight, 1, flagged_key(word.left, cache),
+                              flagged_key(word.right, cache)))
+    return got
+
+
+def test_word_keys_order_words_as_the_flagged_keys_did():
+    assert fl.HallWord.leaf(fl.IndexedGenerator("x", 2)).key == (1, ("x", 2))
+    cache = {}
+    basis = fl.hall_basis(FOUR_GENERATORS, 6)
+    terms = {w for tree in oracle_trees("key-order", 280) for w in fl.normalize(tree).terms}
+    assert len(basis) == 964 and len(terms) > 500
+    for words in (basis, list(terms), basis + list(terms - set(basis))):
+        by_key = sorted(words, key=lambda w: w.key)
+        assert by_key == sorted(words, key=lambda w: flagged_key(w, cache))
+        assert all(u.key < v.key for u, v in zip(by_key, by_key[1:]))
+
+
+def hall_word_count():
+    return sum(type(obj) is fl.HallWord for obj in gc.get_objects())
+
+
+def test_interned_words_cost_fewer_bytes(monkeypatch):
+    # one dict row per left word and three-part keys: 382 traced bytes per
+    # new word on CPython 3.11, against 424 with a (left, right) pair tuple
+    # per word and four-part keys (371-382 and 415-424 over four tree
+    # seeds); the bytes of the memo rows that the normalizations add are
+    # spread over the words too
+    for table in ("_LEAVES", "_NODES", "_BRACKET_MEMO"):
+        monkeypatch.setattr(fl, table, {})
+    gens = [fl.IndexedGenerator(f"mem{i}", i) for i in range(4)]
+    rng = random.Random("interned-bytes")
+    trees = [gen_tree(rng, gens, 7) for _ in range(1000)]
+    gc.collect()
+    old_words = hall_word_count()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for tree in trees:
+            fl.normalize(tree)
+        gc.collect()
+        added = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    words = hall_word_count() - old_words
+    assert added / words < 400, (added, words)
+    assert words == len(fl._LEAVES) + sum(len(row) for row in fl._NODES.values())
 
 
 def test_equal_generators_give_the_same_leaf():

@@ -227,6 +227,7 @@ PUBLIC_API = {
     "combinatorics.char0_exhaust",
     "combinatorics.find_independent_subseq",
     "free_lie.is_hall",
+    "rings.poly_gcd",
 }
 
 
