@@ -108,7 +108,6 @@ def _canon_seq(seq: Sequence[int], n: int) -> tuple[int, ...]:
     return out
 
 
-@lru_cache(maxsize=4096)
 def prim_failure(n: int, q: int, r: int) -> tuple[int, int | None] | None:
     """The least divisor d > 1 of n modulo which r lacks multiplicative
     order q, with r's order there (None when r is not a unit mod d); None

@@ -32,8 +32,8 @@ on digit arrays, from the multiplication by x.  Power maps of whole id arrays
 (exponents, Sylow subgroups, the Lazard lemma) run that loop once over
 mul_many, which both kinds have, and the Lazard lemma's stack of ad
 matrices runs it over matmul mod p.
-Every closed set is walked by rings.orbit, except in subgroup_closure and
-Light's associativity test, whose generating sets grow mid-walk.
+Every closed set is walked by rings.orbit, except in _dimino and Light's
+associativity test, whose generating sets grow mid-walk.
 
 jz_filtration checks its laws exactly, on whole commutator and power
 subgroups, once per pair of its at most log_p|G| distinct terms.
@@ -529,11 +529,16 @@ def named_group(name: str) -> FiniteGroup:
 
 
 def subgroup_closure(G, gens) -> frozenset:
-    """The subgroup generated by gens, by Dimino's algorithm (Butler,
+    """The subgroup generated by gens (see _dimino)."""
+    return _dimino(G, gens)[0]
+
+
+def _dimino(G, gens) -> tuple[frozenset, list]:
+    """(<gens>, the gens adjoined), by Dimino's algorithm (Butler,
     Fundamental Algorithms for Permutation Groups, 1991).
 
-    Generators are adjoined one at a time; one that is already a member
-    costs a lookup.  Otherwise the group H built so far grows by whole right
+    Generators are adjoined one at a time; one in <the earlier ones> costs
+    a lookup.  Otherwise the group H built so far grows by whole right
     cosets H*r, whose representatives r are found by right multiplication
     with every generator adjoined so far, starting from the identity.
     Only G.mul and G.identity are used, so tables and BCHGroup both work.
@@ -556,7 +561,7 @@ def subgroup_closure(G, gens) -> frozenset:
                     elements.extend(coset)
                     members.update(coset)
                     reps.append(x)
-    return frozenset(members)
+    return frozenset(members), adjoined
 
 
 def is_subgroup(G, S) -> bool:
@@ -662,7 +667,8 @@ def nilpotency_class(G) -> int | None:
 def derived_series_sets(G) -> list[frozenset]:
     terms = [frozenset(range(G.order))]
     while len(terms[-1]) > 1:
-        nxt = commutator_subgroup(G, terms[-1], terms[-1])
+        X = _generating_set(G, terms[-1])
+        nxt = _commutator_of_generated(G, X, X)
         if nxt == terms[-1]:
             break
         terms.append(nxt)
@@ -675,22 +681,23 @@ def derived_length(G) -> int | None:
 
 
 def sylow_subgroup(G, p: int) -> frozenset:
-    """One Sylow p-subgroup, grown by closure extensions.  Element and
-    subgroup orders divide |G|, so one is a power of p exactly when it
-    divides the p-part of |G|; the p-elements x, those with x^part the
-    identity, are read off one power map of every id."""
+    """One Sylow p-subgroup, grown by closure extensions <P, x>: one Dimino
+    walk of x, then the generators adjoined for P, which generate P.
+    Element and subgroup orders divide |G|, so one is a power of p exactly
+    when it divides the p-part of |G|; the p-elements x, those with x^part
+    the identity, are read off one power map of every id."""
     if not is_prime(p):
         raise InputError("p must be prime")
     part = p ** factorize(G.order).get(p, 0)
     p_elements = np.flatnonzero(_power_map(G, np.arange(G.order), part) == G.identity).tolist()
-    P = frozenset({G.identity})
+    P, gens = frozenset({G.identity}), []
     while len(P) < part:
         for x in p_elements:
             if x in P:
                 continue
-            K = subgroup_closure(G, set(P) | {x})
-            if len(K) > len(P) and not part % len(K):
-                P = K
+            K, adjoined = _dimino(G, [x] + gens)
+            if not part % len(K):
+                P, gens = K, adjoined
                 break
         else:
             raise RuntimeError("sylow extension failed")
@@ -722,7 +729,7 @@ def _lattice(G, perms) -> list[frozenset]:
     <H, O(y)> = K, so all of H*O(x) is marked tried after one closure.  The
     subgroups found are the orbit (rings.orbit) of the trivial subgroup
     under the map from H to its extensions.  Each subgroup keeps, in known,
-    the generators it was first reached by, so its own extensions start
+    the generators adjoined to reach it first, and its extensions start
     from those.  With no perms every orbit is one id, and the lattice is
     whole.  Callers run _check_lattice_cap before building perms."""
     orbit_of = _orbits(G.order, perms)
@@ -737,9 +744,8 @@ def _lattice(G, perms) -> list[frozenset]:
                 continue
             orb = orbit_of[x]
             tried.update(mul(h, y) for h in H for y in orb)
-            gens = known[H] + orb
-            K = subgroup_closure(G, gens)
-            known.setdefault(K, gens)
+            K, adjoined = _dimino(G, known[H] + orb)
+            known.setdefault(K, tuple(adjoined))
             yield K
 
     return sorted(orbit([trivial], extensions), key=lambda s: (len(s), sorted(s)))
@@ -760,10 +766,10 @@ def _orbits(n: int, perms) -> list[tuple[int, ...]]:
 
 
 def _generating_set(G, S=None, name="S") -> list[int]:
-    """Greedy generators of the subgroup S, all of G by default, walking
-    sorted(S): each id outside the closure so far joins and at least
-    doubles it, so there are at most log2|S| of them.  The closure ends as
-    <S>, so an S that is not a subgroup is refused by name.  The walk is
+    """Greedy generators of the subgroup S, all of G by default: the ids
+    that one Dimino walk of sorted(S) adjoins, each the least id outside the
+    closure of the ones before, so at most log2|S| of them.  The walk ends
+    at <S>, so an S that is not a subgroup is refused by name.  The walk is
     deterministic and G immutable, so G's own set is kept on G; a BCHGroup
     records its coordinate basis there when it is built."""
     whole = S is None
@@ -773,12 +779,7 @@ def _generating_set(G, S=None, name="S") -> list[int]:
     if whole and "_own_generators" in vars(G):
         return list(G._own_generators)
     ids = range(G.order) if whole else sorted(S)
-    gens: list[int] = []
-    span = frozenset({G.identity})
-    for x in ids:
-        if x not in span:
-            gens.append(x)
-            span = subgroup_closure(G, gens)
+    span, gens = _dimino(G, ids)
     if len(span) != len(ids):  # ids lie in span, so only a larger span differs
         raise InputError(f"{name} is not a subgroup: its {len(ids)} ids generate {len(span)}")
     if whole:
@@ -1356,6 +1357,14 @@ def _check_filtration_laws(G, filt: Filtration) -> None:
             raise RuntimeError(f"D_{a}^{p} escapes D_{p * a}")
 
 
+def _require_p_group(G, p: int) -> None:
+    """Refuse a p that is not prime, then a G that is not a p-group."""
+    if not is_prime(p):
+        raise InputError("p must be prime")
+    if G.order > 1 and set(factorize(G.order)) != {p}:
+        raise InputError(f"the group is not a {p}-group")
+
+
 def jz_filtration(G, p: int) -> Filtration:
     """The Jennings series of a p-group G by Lazard's recursion D_1 = G,
     D_i = [D_(i-1), G] D_ceil(i/p)^p (Lazard 1954; Dixon, du Sautoy, Mann
@@ -1373,10 +1382,7 @@ def jz_filtration(G, p: int) -> Filtration:
     so D_i = D_(i-1).
     """
     _require_table(G)
-    if not is_prime(p):
-        raise InputError("p must be prime")
-    if G.order > 1 and set(factorize(G.order)) != {p}:
-        raise InputError(f"the group is not a {p}-group")
+    _require_p_group(G, p)
     if G.order == 1:
         return Filtration(p, ())
     whole = frozenset(range(G.order))
@@ -1409,23 +1415,24 @@ def _layer_coordinates(G, terms, p: int) -> tuple:
     only in the block of x's depth, where it holds x's leading-coset
     coordinates.
 
-    A layer's basis b_1, ..., b_k adjoins the least id outside the span so
-    far.  The layer is elementary abelian iff every b_i^p and [b_i, b_j]
-    lies in D_(d+1); then the images of the b_i commute and have order p,
-    and the p^k |D_(d+1)| ids b_1^c_1 ... b_k^c_k t, c in range(p)^k and t
-    in D_(d+1), reach each id of D_d once: p^k |D_(d+1)| = |D_d| = the
-    number reached.  The id gets c in the layer's block, in one assignment.
+    Layer d's basis b_1, ..., b_k is the ids of depth d adjoined by one
+    Dimino walk of the distinct terms, each sorted, bottom first: a term's
+    walk starts at the term below, so b_i is the least id outside the span
+    of D_(d+1) and the b_j before.  The layer is elementary abelian iff
+    every b_i^p and [b_i, b_j] lies in D_(d+1); then the images of the b_i
+    commute and have order p, and the p^k |D_(d+1)| ids b_1^c_1 ... b_k^c_k t,
+    c in range(p)^k and t in D_(d+1), reach each id of D_d once, as
+    p^k |D_(d+1)| = |D_d| = the number reached.  The id gets c in its block.
     """
+    depths = np.zeros(G.order, dtype=np.int64)
+    for D in terms:  # descending, so this counts up to the depth
+        depths[np.fromiter(D, dtype=np.intp, count=len(D))] += 1
+    adjoined = _dimino(G, [x for D in reversed(dict.fromkeys(terms)) for x in sorted(D)])[1]
     degrees: list[int] = []
     basis: list[int] = []
     blocks = [np.zeros((G.order, 0), dtype=np.int64)]
     for d, (D, Dn) in enumerate(zip(terms, terms[1:]), start=1):
-        gens = []
-        span = frozenset(Dn)
-        for x in sorted(D):
-            if x not in span:
-                gens.append(x)
-                span = subgroup_closure(G, set(gens) | set(Dn))
+        gens = [x for x in adjoined if depths[x] == d]
         if not (all(G.power(b, p) in Dn for b in gens)
                 and all(G.commutator(b, c) in Dn for b, c in itertools.combinations(gens, 2))):
             raise RuntimeError("filtration quotient is not elementary abelian")
@@ -1442,9 +1449,6 @@ def _layer_coordinates(G, terms, p: int) -> tuple:
         blocks.append(block)
         degrees += [d] * k
         basis += gens
-    depths = np.zeros(G.order, dtype=np.int64)
-    for D in terms:  # descending, so this counts up to the depth
-        depths[np.fromiter(D, dtype=np.intp, count=len(D))] += 1
     coords = np.hstack(blocks)
     depths.flags.writeable = coords.flags.writeable = False
     return tuple(degrees), tuple(basis), depths, coords
@@ -1578,13 +1582,9 @@ def lazard_lemma(dl: DLAlgebra) -> tuple:
 
 def is_powerful(G, p: int) -> bool:
     """[G,G] inside G^p, with G^4 in place of G^p at p = 2."""
-    if not is_prime(p):
-        raise InputError("p must be prime")
-    if G.order > 1 and set(factorize(G.order)) != {p}:
-        raise InputError(f"the group is not a {p}-group")
+    _require_p_group(G, p)
     full = frozenset(range(G.order))
-    derived = commutator_subgroup(G, full, full)
-    return derived <= power_subgroup(G, full, 4 if p == 2 else p)
+    return commutator_subgroup(G, full, full) <= power_subgroup(G, full, 4 if p == 2 else p)
 
 
 # --- Hausdorff-product groups ---

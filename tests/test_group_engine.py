@@ -3,6 +3,7 @@ actions, filtrations, and the Hausdorff-product groups."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import re
 import subprocess
@@ -341,7 +342,7 @@ def test_a_groups_own_generating_set_is_walked_once(monkeypatch):
             raise AssertionError("walked G again")
 
         with monkeypatch.context() as patch:
-            patch.setattr(ge, "subgroup_closure", no_walk)
+            patch.setattr(ge, "_dimino", no_walk)
             assert ge._generating_set(G) == fresh
             assert ge._generating_set(G, frozenset(range(G.order))) == fresh
             ge._generating_set(G).append(G.identity)  # the caller's copy only
@@ -351,6 +352,60 @@ def test_a_groups_own_generating_set_is_walked_once(monkeypatch):
     # a fresh walk of the same group gives the same ids in the same order
     G = ge.heisenberg_group(3)
     assert ge._generating_set(G) == ge._generating_set(ge.heisenberg_group(3))
+
+
+def generating_set_by_reclosure(G, S) -> list[int]:
+    """Oracle: the least id of sorted(S) outside the closure so far joins,
+    and the closure is rebuilt from scratch after each one."""
+    gens, span = [], frozenset({G.identity})
+    for x in sorted(S):
+        if x not in span:
+            gens.append(x)
+            span = ge.subgroup_closure(G, gens)
+    return gens
+
+
+def test_generating_sets_match_the_reclosure_walk():
+    walked = 0
+    for name, build in builder_groups(24).items():
+        G = build()
+        for S in ge.all_subgroups(G):
+            assert ge._generating_set(G, S) == generating_set_by_reclosure(G, S), (name, sorted(S))
+            walked += 1
+    for name, build in jennings_groups().items():
+        G = build()
+        (p,) = ge.factorize(G.order)
+        # terms from a copy of G, so G's own set is walked here, not read from G
+        for D in set(ge.jz_filtration(build(), p).terms):
+            assert ge._generating_set(G, D) == generating_set_by_reclosure(G, D), (name, sorted(D))
+            walked += 1
+    assert walked == 790  # subgroups of 59 groups and distinct terms of 37
+
+
+def test_generating_sets_and_layer_bases_are_one_dimino_walk_each(monkeypatch):
+    G = ge.heisenberg_group(3)
+    terms = ge.jz_filtration(ge.heisenberg_group(3), 3).terms
+    calls = []
+    dimino = ge._dimino
+    monkeypatch.setattr(ge, "_dimino", lambda *args: calls.append(1) or dimino(*args))
+    ge._generating_set(G)
+    ge._generating_set(G)  # kept on G
+    ge._generating_set(G, terms[1])
+    assert len(calls) == 2
+    ge._layer_coordinates(G, terms, 3)
+    assert len(calls) == 3
+
+
+def test_derived_series_walks_each_terms_generators_once(monkeypatch):
+    G = builder_groups(24)["S4"]()
+    calls = []
+    generating_set = ge._generating_set
+    monkeypatch.setattr(ge, "_generating_set",
+                        lambda *args: calls.append(1) or generating_set(*args))
+    terms = ge.derived_series_sets(G)
+    assert [len(T) for T in terms] == [24, 12, 4, 1]
+    assert len(calls) == 3  # two per term when each step walks T as A and as B
+    assert all(T == commutator_subgroup_by_pairs(G, S, S) for S, T in zip(terms, terms[1:]))
 
 
 def test_commutator_subgroup_refuses_sets_that_are_not_subgroups():
@@ -967,6 +1022,50 @@ def test_layer_coordinates_name_the_coset():
                 assert G.mul(G.inv(e), x) in Dn
             # a row is nonzero only in the block of its depth
             assert not coords[[x for x in D if depths[x] != d]][:, block].any()
+
+
+def layer_coordinates_by_reclosure(G, terms, p: int) -> tuple:
+    """Oracle: each layer's basis walks sorted(D_d) and re-closes the ids
+    so far with all of D_(d+1) after each one that joins; every id of
+    b_1^c_1 ... b_k^c_k D_(d+1) gets c in the layer's block."""
+    bases = []
+    for D, Dn in zip(terms, terms[1:]):
+        gens, span = [], frozenset(Dn)
+        for x in sorted(D):
+            if x not in span:
+                gens.append(x)
+                span = ge.subgroup_closure(G, set(gens) | set(Dn))
+        bases.append(gens)
+    degrees = tuple(d for d, gens in enumerate(bases, start=1) for _ in gens)
+    coords = np.zeros((G.order, len(degrees)), dtype=np.int64)
+    start = 0
+    for gens, Dn in zip(bases, terms[1:]):
+        for c in itertools.product(range(p), repeat=len(gens)):
+            rep = functools.reduce(G.mul, map(G.power, gens, c), G.identity)
+            for t in Dn:
+                coords[G.mul(rep, t), start:start + len(gens)] = c
+        start += len(gens)
+    depths = np.array([sum(x in D for D in terms) for x in range(G.order)])
+    return degrees, tuple(x for gens in bases for x in gens), depths, coords
+
+
+def test_layer_coordinates_match_the_reclosure_walk():
+    chains = []
+    for build in jennings_groups().values():
+        G = build()
+        (p,) = ge.factorize(G.order)
+        chains.append((G, p, ge.jz_filtration(G, p).terms))
+    # D24 > <r^2> > <r^4>, which stalls at order 3; then with a repeated term
+    D24 = ge.dihedral_group(12)
+    lower = ge.lower_central_series_sets(D24)
+    assert [len(D) for D in lower] == [24, 6, 3]
+    chains += [(D24, 2, lower), (D24, 2, lower[:2] + lower[1:])]
+    for G, p, terms in chains:
+        degrees, basis, depths, coords = ge._layer_coordinates(G, terms, p)
+        oracle = layer_coordinates_by_reclosure(G, terms, p)
+        assert (degrees, basis) == oracle[:2], (G.order, p)
+        assert np.array_equal(depths, oracle[2]) and np.array_equal(coords, oracle[3])
+    assert ge._layer_coordinates(D24, lower, 2)[:2] == ((1, 1, 2), (1, 12, 2))
 
 
 def test_lazard_algebra_d8():

@@ -137,7 +137,7 @@ def test_the_clock_lint_catches_a_second_copy(tmp_path):
 # grows its generating set, and the rewrite worklist keeps duplicate terms.
 WALK_EXCEPTIONS = {
     "rings.orbit",
-    "group_engine.subgroup_closure",
+    "group_engine._dimino",
     "group_engine._check_associativity",
     "free_lie._rewrite",
 }
