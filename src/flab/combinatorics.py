@@ -22,9 +22,14 @@ bits that includes every length-1 sequence.  Both routes, and the choice
 between them, count only the exponents up to the first repeated power of r
 (at most n + 1 of them), so no call's work grows with q past r's order.
 The distinct powers are capped at POWERS_CAP and a search's cost, in
-odometer steps, at SEARCH_STEP_CAP, each checked before the work it counts.
+odometer steps, at SEARCH_STEP_CAP, each checked before the work it counts;
+for q past TABLE_CACHE_MAX_Q, a unit r and n <= BITSET_MAX_N the powers
+table's length is read off r's order, so an over-cap search is refused
+before its table is built.
 A D-set holds nonzero residues only, so the formula route stops at the
-first sum that brings it to n - 1 of them.
+first sum that brings it to n - 1 of them.  A length-1 sequence (a,) has
+the D-set a * D((1,)), so for q <= TABLE_CACHE_MAX_Q D((1,)) is built once
+per triple, kept with the powers and inverses, and scaled by a per call.
 
 All searches are exhaustive.  Requests past the configured caps raise
 CapacityError rather than sampling.
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -168,7 +174,10 @@ def _kept_if_small(build):
     """Keep build(n, q, r) in a 64-entry LRU while q <= TABLE_CACHE_MAX_Q;
     larger tables die with the call that needed them.  The LRU pays for
     itself: on a 2-core Xeon, two 6 s perfbench runs of dset-sweep (seed 1)
-    read wall_s 0.541 and 0.529 s without it, 0.459 and 0.470 s with it."""
+    read wall_s 0.566 and 0.553 s without it, 0.399 and 0.395 s with it.
+    A triple keeps at most 256 powers, 255 inverses and 255**2 4-byte ids
+    of _d_set_of_one, 254 KiB: 272 KB in all at n = 1,000,003, where a test
+    holds it, so about 18 MB for the 64 triples."""
     cached = lru_cache(maxsize=64)(build)
 
     def table(n: int, q: int, r: int):
@@ -228,6 +237,38 @@ def _inverses(n: int, q: int, r: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
+@_kept_if_small
+def _d_set_of_one(n: int, q: int, r: int) -> array | None:
+    """d_set((1,)) when the inverses exist, by d_set's formula on the sums
+    of (1,), the powers: the residues (p - 1) * u mod n for p in the powers
+    past the first and u in the inverses, in an array of 4-byte ids; None
+    when the inverses do not exist or n > 2**32.
+
+    The D-set of (a,) is a times this set: its sums are p * a, its plain
+    sum is a, and p * a - a = a * (p - 1).  Every p - 1 is a unit here, so
+    each entry is a unit and no length-1 sequence is dependent.  The build
+    makes at most (len(powers) - 1)**2 products.  A cached array holds at
+    most min(n - 1, 255**2) ids, 254 KiB, as q <= TABLE_CACHE_MAX_Q.
+    """
+    inverses = _inverses(n, q, r)
+    if inverses is None or n > 1 << 32:
+        return None
+    return array("I", _solve(_powers(n, q, r), 1, n, inverses))
+
+
+def _solve(sums, plain: int, n: int, inverses) -> set[int]:
+    """d_set's formula: (s - plain) * u mod n for the sums s != plain and
+    the inverses u, up to the first sum that brings the set to n - 1."""
+    found = set()
+    for s in sums:
+        if s != plain:
+            d = s - plain
+            found.update([d * u % n for u in inverses])
+            if len(found) == n - 1:
+                break
+    return found
+
+
 # Reach sets: bit s of an n-bit int is set when residue s is reached.  A node
 # (reach, nonzero, tail) holds the twisted sums of one suffix of a sequence,
 # over all exponent tuples and over those with a nonzero exponent, and the
@@ -248,12 +289,13 @@ def _reach(entries: tuple[int, ...], n: int, powers, node: tuple = _EMPTY_REACH)
     """Reach node of entries followed by the suffix whose node is given,
     one level per entry, last entry first."""
     mask = (1 << n) - 1
+    later = powers[1:]
     for a in reversed(entries):
         reach, nonzero, _ = node
         # rotating x left by v is (x | x << n) >> (n - v), masked
         doubled = reach | reach << n
         twisted = 0
-        for p in powers[1:]:
+        for p in later:
             twisted |= doubled >> (n - p * a % n)
         nonzero |= nonzero << n
         node = ((twisted | doubled >> (n - a)) & mask,
@@ -318,23 +360,40 @@ def _over_step_cap(steps: int, n: int, q: int, r: int) -> CapacityError:
                          f"over SEARCH_STEP_CAP = {SEARCH_STEP_CAP}")
 
 
-def _first_dependence(entries: tuple[int, ...], n: int, q: int, r: int, powers):
+def _first_dependence(entries: tuple[int, ...], n: int, q: int, r: int, powers=None):
     """(first witness exponents or None, the sequence's reach node or None on
-    the odometer route)."""
-    target = sum(entries) % n
-    k, size = len(entries), len(powers)
-    # the cheaper route, size**k tuples against k*size rotations of n //
-    # ROTATION_BITS_PER_STEP steps each; the odometer's memory does not grow
-    # with n.  Below that many bits, k*size steps stay far under the cap.
+    the odometer route, the powers table).
+
+    The route is the cheaper one, size**k tuples against k*size rotations
+    of n // ROTATION_BITS_PER_STEP steps each; the odometer's memory does
+    not grow with n.  Below that many bits the reach sets cost no steps, and
+    no search is refused.  Without a given table the search builds it, and
+    where its length is cheap to know it checks SEARCH_STEP_CAP first: for
+    q past TABLE_CACHE_MAX_Q, a unit r and ROTATION_BITS_PER_STEP <= n <=
+    BITSET_MAX_N the length is 1 + min(q - 1, ord r), at most POWERS_CAP,
+    and factorize finds ord r by trial division alone.
+    """
+    if powers is not None:
+        size = len(powers)
+    elif (q > TABLE_CACHE_MAX_Q and ROTATION_BITS_PER_STEP <= n <= BITSET_MAX_N
+          and math.gcd(r, n) == 1):
+        size = min(q, multiplicative_order(r, n) + 1)
+    else:
+        powers = _powers(n, q, r)
+        size = len(powers)
+    k = len(entries)
     tuples, rotations = size**k, k * size * (n // ROTATION_BITS_PER_STEP)
-    if n > BITSET_MAX_N or tuples <= rotations:
-        if tuples > SEARCH_STEP_CAP:
-            raise _over_step_cap(tuples, n, q, r)
-        return _odometer(entries, n, powers, target), None
-    if rotations > SEARCH_STEP_CAP:
-        raise _over_step_cap(rotations, n, q, r)
+    odometer = n > BITSET_MAX_N or tuples <= rotations
+    steps = tuples if odometer else rotations
+    if steps > SEARCH_STEP_CAP:
+        raise _over_step_cap(steps, n, q, r)
+    if powers is None:
+        powers = _powers(n, q, r)
+    target = sum(entries) % n
+    if odometer:
+        return _odometer(entries, n, powers, target), None, powers
     node = _reach(entries, n, powers)
-    return _descend(node, entries, n, powers, target), node
+    return _descend(node, entries, n, powers, target), node, powers
 
 
 def is_r_dependent(
@@ -364,7 +423,7 @@ def is_r_dependent(
         raise InputError("sequence must be nonempty")
     if len(entries) > EXPONENT_CAP:
         raise CapacityError(f"sequence length {len(entries)} exceeds cap {EXPONENT_CAP}")
-    exps = _first_dependence(entries, n, q, r, _powers(n, q, r))[0]
+    exps = _first_dependence(entries, n, q, r)[0]
     return (False, None) if exps is None else (True, DependenceWitness(exps))
 
 
@@ -391,7 +450,10 @@ def d_set(
     Sums times inverses, or n - 1 searches on brute, are capped at
     SEARCH_STEP_CAP; the formula cap is checked while the sums are gathered,
     before the inverses exist, and counts every sum whether or not the set
-    fills first.
+    fills first.  On a length-1 sequence (a,) the sums are p * a and the
+    formula gives a * D((1,)), which is read off the cached _d_set_of_one
+    table while q <= TABLE_CACHE_MAX_Q (at most 255**2 products, far under
+    the cap); an uncached table would cost more than the sums loop.
 
     >>> sorted(d_set((1,), FrobeniusParams(7, 3, 2)))
     [2, 4, 6]
@@ -402,8 +464,12 @@ def d_set(
         raise CapacityError(f"extension length {len(entries) + 1} exceeds cap {EXPONENT_CAP}")
     if not entries:
         raise InputError("sequence must be nonempty")
-    powers = _powers(n, q, r)
-    exps, node = _first_dependence(entries, n, q, r, powers)
+    if len(entries) == 1 and q <= TABLE_CACHE_MAX_Q and method in ("auto", "formula"):
+        units = _d_set_of_one(n, q, r)
+        if units is not None:
+            a = entries[0]
+            return {a * v % n for v in units}
+    exps, node, powers = _first_dependence(entries, n, q, r)
     if exps is not None:
         raise InputError("d_set requires an r-independent sequence")
     if method not in ("auto", "brute", "formula"):
@@ -428,14 +494,7 @@ def d_set(
             sums = _residues(node[0])
         inverses = _inverses(n, q, r)
         if inverses is not None:
-            found = set()
-            for s in sums:
-                if s != plain:
-                    d = s - plain
-                    found.update([d * inv % n for inv in inverses])
-                    if len(found) == n - 1:
-                        break
-            return found
+            return _solve(sums, plain, n, inverses)
         if method == "formula":
             raise InputError("formula route needs 1 - r**i invertible")
     # each search costs at most its odometer tuples, on either route

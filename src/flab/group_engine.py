@@ -533,7 +533,7 @@ def subgroup_closure(G, gens) -> frozenset:
     return _dimino(G, gens)[0]
 
 
-def _dimino(G, gens) -> tuple[frozenset, list]:
+def _dimino(G, gens, limit=math.inf) -> tuple[frozenset, list]:
     """(<gens>, the gens adjoined), by Dimino's algorithm (Butler,
     Fundamental Algorithms for Permutation Groups, 1991).
 
@@ -542,6 +542,8 @@ def _dimino(G, gens) -> tuple[frozenset, list]:
     cosets H*r, whose representatives r are found by right multiplication
     with every generator adjoined so far, starting from the identity.
     Only G.mul and G.identity are used, so tables and BCHGroup both work.
+    The walk stops at the first coset that takes it past limit ids, and
+    returns the ids found by then.
     """
     mul = G.mul
     elements = [G.identity]
@@ -560,6 +562,8 @@ def _dimino(G, gens) -> tuple[frozenset, list]:
                     coset = [mul(h, x) for h in base]
                     elements.extend(coset)
                     members.update(coset)
+                    if len(elements) > limit:
+                        return frozenset(members), adjoined
                     reps.append(x)
     return frozenset(members), adjoined
 
@@ -685,7 +689,8 @@ def sylow_subgroup(G, p: int) -> frozenset:
     walk of x, then the generators adjoined for P, which generate P.
     Element and subgroup orders divide |G|, so one is a power of p exactly
     when it divides the p-part of |G|; the p-elements x, those with x^part
-    the identity, are read off one power map of every id."""
+    the identity, are read off one power map of every id.  A walk that
+    passes part ids is not a p-group, so it stops there and is rejected."""
     if not is_prime(p):
         raise InputError("p must be prime")
     part = p ** factorize(G.order).get(p, 0)
@@ -695,7 +700,7 @@ def sylow_subgroup(G, p: int) -> frozenset:
         for x in p_elements:
             if x in P:
                 continue
-            K, adjoined = _dimino(G, [x] + gens)
+            K, adjoined = _dimino(G, [x] + gens, part)
             if not part % len(K):
                 P, gens = K, adjoined
                 break
@@ -1326,7 +1331,7 @@ class Filtration:
         return tuple(out)
 
 
-def _check_filtration_laws(G, filt: Filtration) -> None:
+def _check_filtration_laws(G, filt: Filtration, walked=None) -> None:
     """Refuse a chain that is not descending, has a term that is not a
     subgroup (named by the first index of its run of equal terms), or
     breaks [D_i, D_j] <= D_(i+j) or D_i^p <= D_(p i), naming a broken law.
@@ -1336,8 +1341,9 @@ def _check_filtration_laws(G, filt: Filtration) -> None:
     chain puts D_(a+b) in D_(i+j) and D_(p a) in D_(p i).  So (a, b)
     implies every instance of its runs, and fails only when broken itself.
     Past the chain D_i is trivial, and so are its laws.  Each distinct
-    term's generating set is walked once, and every commutator subgroup
-    is formed from the sets kept."""
+    term's generating set is walked once, unless walked (a dict from
+    terms to generating sets of them) holds it, and every commutator
+    subgroup is formed from the sets kept."""
     terms, p = filt.terms, filt.prime
     trivial = frozenset({G.identity})
 
@@ -1347,7 +1353,9 @@ def _check_filtration_laws(G, filt: Filtration) -> None:
     if not all(a >= b for a, b in zip(terms, terms[1:])):
         raise RuntimeError("filtration is not descending")
     ends = [i for i in range(1, len(terms) + 1) if term(i) != term(i + 1)]
-    gens = {a: _generating_set(G, term(a), f"D_{start}")
+    walked = walked or {}
+    gens = {a: walked[term(a)] if term(a) in walked
+            else _generating_set(G, term(a), f"D_{start}")
             for start, a in zip([1] + [b + 1 for b in ends], ends)}
     for k, a in enumerate(ends):
         for b in ends[k:]:
@@ -1379,14 +1387,16 @@ def jz_filtration(G, p: int) -> Filtration:
 
     Inside runs the recursion copies: when D_(i-1) = D_(i-2) and
     D_ceil(i/p) = D_ceil((i-1)/p), both factors of D_i are those of D_(i-1),
-    so D_i = D_(i-1).
+    so D_i = D_(i-1).  Every distinct nontrivial term is walked for its
+    generating set once, as A in [A, G], and the law check reuses the sets.
     """
     _require_table(G)
     _require_p_group(G, p)
     if G.order == 1:
         return Filtration(p, ())
     whole = frozenset(range(G.order))
-    terms = [whole]
+    Y = _generating_set(G)
+    terms, walked = [whole], {whole: Y}
     while len(terms[-1]) > 1:
         i = len(terms) + 1
         if i > G.order:
@@ -1395,11 +1405,14 @@ def jz_filtration(G, p: int) -> Filtration:
                 and terms[-(-i // p) - 1] == terms[-(-(i - 1) // p) - 1]):
             terms.append(terms[-1])
             continue
+        A = terms[-1]
+        if A not in walked:
+            walked[A] = _generating_set(G, A, "A")
         terms.append(subgroup_closure(
-            G, commutator_subgroup(G, terms[-1], whole)
+            G, _commutator_of_generated(G, walked[A], Y)
             | power_subgroup(G, terms[-(-i // p) - 1], p)))
     filt = Filtration(p, tuple(terms))
-    _check_filtration_laws(G, filt)
+    _check_filtration_laws(G, filt, walked)
     return filt
 
 

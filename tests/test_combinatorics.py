@@ -425,8 +425,8 @@ def test_d_set_routes_agree_on_reach_sets_too_large_to_cache():
 
 
 @pytest.mark.parametrize("n, q, r, seq, size, passes", [
-    # 27 twisted sums 3 * 2**e off the plain sum; the second fills D
-    (29, 28, 2, (3,), 28, 2),
+    # 27 twisted sums off the plain sum; the eleventh fills D
+    (29, 7, 7, (1, 2), 28, 11),
     # composite n, D short of full: every sum off the plain one is used
     (65, 4, 8, (2, 5), 33, 15),
 ])
@@ -449,6 +449,121 @@ def test_the_formula_stops_once_every_nonzero_residue_is_in(monkeypatch, n, q, r
     assert len(counted) == passes
     assert (size == n - 1) == (passes < len(sums))
     assert ds == d_set(seq, params(n, q, r), method="brute")
+
+
+def _bits(residues):
+    return sum(1 << s for s in residues)
+
+
+def length_1_d_sets_by_definition(n, q, r):
+    """Oracle: a -> D((a,)) for every r-independent a.  (j, a) is dependent
+    when s*j + t*a = 0 mod n for s, t in {r**e - 1 : 0 <= e < q}, not both
+    from e = 0 (which gives 0, bit 0 below); a alone is independent when no
+    t from e > 0 has t*a = 0."""
+    steps = {pow(r, e, n) - 1 for e in range(1, q)}
+    hit = [_bits({s * x % n for s in steps}) for x in range(n)]
+    back = [_bits({-s * x % n for s in steps}) for x in range(n)]
+    return {a: {j for j in range(1, n) if hit[j] & (back[a] | 1)}
+            for a in range(1, n) if not back[a] & 1}
+
+
+def length_1_d_set_by_sums(a, n, q, r):
+    """Oracle: d_set's formula loop on the sums p * a of (a,)."""
+    inverses, found = comb._inverses(n, q, r), set()
+    for s in {p * a % n for p in comb._powers(n, q, r)} - {a}:
+        found.update([(s - a) * u % n for u in inverses])
+        if len(found) == n - 1:
+            break
+    return found
+
+
+def test_length_1_d_sets_are_scaled_copies_of_one_table():
+    # n < 64, every r, and q one short of, at and one past the count of
+    # distinct powers r**e, e >= 1 (r's order for a unit), every a
+    triples = sequences = 0
+    for n in range(2, 64):
+        for r in range(1, n):
+            distinct = _distinct_powers(n, r)
+            for q in sorted({max(1, distinct - 1), distinct, distinct + 1}):
+                if comb._inverses(n, q, r) is None:
+                    continue
+                p = params(n, q, r)
+                want = length_1_d_sets_by_definition(n, q, r)
+                assert len(want) == n - 1  # invertible 1 - r**i: every a is independent
+                assert {a: d_set((a,), p) for a in want} == want, (n, q, r)
+                assert all(length_1_d_set_by_sums(a, n, q, r) == want[a] for a in want)
+                a = 1 + triples % (n - 1)  # units and non-units in turn
+                assert d_set((a,), p, method="brute") == want[a], (n, q, r, a)
+                triples += 1
+                sequences += len(want)
+    assert (triples, sequences) == (2210, 88893)
+
+
+def test_cached_length_1_tables_stay_under_their_stated_size():
+    # a prime n far past 255**2: the table cannot fill Z/n - 0 and holds
+    # nearly 255**2 ids
+    p = params(1_000_003, comb.TABLE_CACHE_MAX_Q, 2)
+    tracemalloc.start()
+    try:
+        assert len(d_set((5,), p)) <= 255**2
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    table = comb._d_set_of_one(p.n, p.q, p.r)
+    assert table.itemsize == 4 and 60_000 < len(table) <= 255**2
+    # 4 bytes per id, plus the powers and inverses tables of 256 ints each
+    assert kept < 255**2 * 4 + (1 << 15)
+
+
+@pytest.mark.parametrize("q", [300, 1030])
+def test_uncached_length_1_d_sets_keep_the_formula_loop(monkeypatch, q):
+    # 14 is a primitive root mod 1,031: past TABLE_CACHE_MAX_Q the table
+    # would be rebuilt on every call, which costs more than the sums loop
+    def table(*args):
+        pytest.fail("a length-1 table was built for an uncached triple")
+
+    want = length_1_d_sets_by_definition(1031, q, 14)
+    monkeypatch.setattr(comb, "_d_set_of_one", table)
+    for a in (1, 5, 1030):
+        assert d_set((a,), params(1031, q, 14)) == want[a]
+
+
+def test_the_length_1_table_stops_once_every_nonzero_residue_is_in(monkeypatch):
+    # q past TABLE_CACHE_MAX_Q, so the table is built afresh: 1,029 ids per
+    # power, and the second power fills Z/1031 - 0
+    passes = []
+
+    class Inverses(tuple):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    inverses = Inverses(comb._inverses(1031, 1030, 14))
+    monkeypatch.setattr(comb, "_inverses", lambda *args: inverses)
+    assert sorted(comb._d_set_of_one(1031, 1030, 14)) == list(range(1, 1031))
+    assert len(passes) == 2
+
+
+@pytest.mark.parametrize("n, q, r, k", [
+    (1_000_003, 1_000_002, 2, 2),  # 2 has order 1,000,002
+    (1_000_003, 10**9, 2, 2),  # the table ends at 2**1,000,002 = 1
+    (1_000_003, 50_000, 2, 3),
+    (1 << 20, 10**9, 3, 2),  # 3 has order 2**18 mod 2**20
+])
+def test_over_cap_searches_refuse_before_building_the_powers(monkeypatch, n, q, r, k):
+    table = comb._powers(n, q, r)
+    with pytest.raises(CapacityError) as built:
+        comb._first_dependence((1,) * k, n, q, r, table)  # the cap on the built table
+
+    def powers(*args):
+        pytest.fail("the powers were built before the step cap was checked")
+
+    monkeypatch.setattr(comb, "_powers", powers)
+    for search in (is_r_dependent, d_set):
+        with pytest.raises(CapacityError) as early:
+            search((1,) * (k - 1) + (2,), params(n, q, r))
+        assert str(early.value) == str(built.value)
+    assert "SEARCH_STEP_CAP = 16777216" in str(built.value)
 
 
 def test_d_set_requires_independent_input():

@@ -982,11 +982,12 @@ def test_filtration_laws_make_commutators_per_pair_of_distinct_terms(monkeypatch
 def test_jz_recursion_copies_the_last_term_inside_its_runs(monkeypatch):
     G = ge.cyclic_group(1024)
     calls, at_laws = [], []
-    commutator_subgroup, check = ge.commutator_subgroup, ge._check_filtration_laws
-    monkeypatch.setattr(ge, "commutator_subgroup",
-                        lambda *args: calls.append(1) or commutator_subgroup(*args))
+    commutators, check = ge._commutator_of_generated, ge._check_filtration_laws
+    monkeypatch.setattr(ge, "_commutator_of_generated",
+                        lambda *args: calls.append(1) or commutators(*args))
     monkeypatch.setattr(ge, "_check_filtration_laws",
-                        lambda G, filt: at_laws.append(len(calls)) or check(G, filt))
+                        lambda G, filt, *walked:
+                        at_laws.append(len(calls)) or check(G, filt, *walked))
     d = len(set(ge.jz_filtration(G, 2).terms))
     assert d == 11
     # about two per run of equal terms; one per index (512) without the copy
@@ -1333,6 +1334,57 @@ def test_sylow_subgroup_matches_the_element_order_walk():
     for G in groups:
         for p in (2, 3, 5, 7):
             assert ge.sylow_subgroup(G, p) == sylow_by_element_orders(G, p)
+
+
+def sylow_by_unbounded_walks(G, p):
+    """Oracle: sylow_subgroup with every candidate's walk run to the end."""
+    part = p ** ge.factorize(G.order).get(p, 0)
+    p_elements = [x for x in range(G.order) if not part % G.element_order(x)]
+    P, gens = frozenset({G.identity}), []
+    while len(P) < part:
+        for x in p_elements:
+            if x in P:
+                continue
+            K, adjoined = ge._dimino(G, [x] + gens)
+            if not part % len(K):
+                P, gens = K, adjoined
+                break
+    return P
+
+
+def _s6():
+    return ge.group_from_permutations(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
+
+
+def test_sylow_walks_stop_past_the_p_part(monkeypatch):
+    groups = {name: build() for name, build in builder_groups(24).items()}
+    groups["S6"] = _s6()
+    for name, G in groups.items():
+        for p in (2, 3, 5, 7):
+            assert ge.sylow_subgroup(G, p) == sylow_by_unbounded_walks(G, p), (name, p)
+    calls = []
+    mul = ge.FiniteGroup.mul
+    monkeypatch.setattr(ge.FiniteGroup, "mul",
+                        lambda self, x, y: calls.append(1) or mul(self, x, y))
+    S6 = _s6()
+    assert [len(ge.sylow_subgroup(S6, p)) for p in (2, 3, 5)] == [16, 9, 5]
+    assert len(calls) <= 5000  # 74,329 with every rejected walk finished
+
+
+def test_jz_filtration_walks_each_distinct_term_once(monkeypatch):
+    calls = []
+    generating_set = ge._generating_set
+    monkeypatch.setattr(ge, "_generating_set",
+                        lambda *args: calls.append(args[1:]) or generating_set(*args))
+    groups = jennings_groups()
+    for name, p, walks in (("Syl2(S8)", 2, 4), ("Heis7", 7, 2)):
+        G = groups[name]()
+        calls.clear()
+        filt = ge.jz_filtration(G, p)
+        # G's own set, then each distinct nontrivial proper term as A; the
+        # law check reuses them
+        assert len(calls) == walks == len(set(filt.terms)) - 1, name
+        assert filt.terms == _lazard_product_terms(G, p)
 
 
 def test_is_powerful():
