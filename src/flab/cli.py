@@ -148,6 +148,14 @@ def _adapter(body):
     return adapter
 
 
+def _as_expected(key: str, found, expected, reason: str) -> tuple:
+    """PASS with {key: found} when found == expected, else VIOLATION with
+    the expected value beside it."""
+    if found == expected:
+        return PASS, {key: found}, None
+    return VIOLATION, {key: found, "expected": expected}, reason
+
+
 @_adapter
 def report_prim(name: str, n: int, q: int, r: int):
     failure = comb.prim_failure(n, q, r)
@@ -161,10 +169,8 @@ def report_prim(name: str, n: int, q: int, r: int):
 @_adapter
 def report_dset(name, seq, n, q, r, expected):
     found = sorted(comb.d_set(seq, comb.FrobeniusParams(n, q, r)))
-    if found == sorted(expected):
-        return PASS, {"d_set": found}, None
-    return VIOLATION, {"d_set": found, "expected": sorted(expected)}, \
-        "computed D-set differs from the expected one"
+    return _as_expected("d_set", found, sorted(expected),
+                        "computed D-set differs from the expected one")
 
 
 @_adapter
@@ -183,11 +189,12 @@ def report_charp(name: str, g1, g2, limit: int):
 
 
 @_adapter
-def _rewrite_report(name, kind, u, tail, c, n, q, r, w=None):
+def report_rewrite(name, u, tail, c, n, q, r, w=None):
+    """The guarantees of odin_rewrite when w is None, else of dva_rewrite."""
     params = comb.FrobeniusParams(n, q, r)
     head = fl.UAtom(tuple(u))
     gens = tuple(fl.IndexedGenerator(f"x{t}", idx) for t, idx in enumerate(tail))
-    if kind == "odin":
+    if w is None:
         result = fl.odin_rewrite(head, gens, c, params)
     else:
         result = fl.dva_rewrite(head, gens, c, params, w)
@@ -208,14 +215,6 @@ def _rewrite_report(name, kind, u, tail, c, n, q, r, w=None):
         "kept_indices_in_dset": in_dset,
     }
     return verdict(identity and in_dset, witness, "rewrite guarantees fail")
-
-
-def report_odin(name, u, tail, c, n, q, r):
-    return _rewrite_report(name, "odin", u, tail, c, n, q, r)
-
-
-def report_dva(name, u, tail, c, n, q, r, w):
-    return _rewrite_report(name, "dva", u, tail, c, n, q, r, w)
 
 
 def _razresh_data(rez: fl.RazreshReport) -> dict:
@@ -290,14 +289,15 @@ def report_pm(name: str, p: int, m: int):
                    witness, "example invariants fail")
 
 
-_FIELD_CHECKS = {
-    "order-formula": ge.verify_order_formula,
-    "coverage": ge.verify_coverage,
-    "generation": ge.verify_generation,
-    "invariant-sylow": ge.verify_invariant_sylow,
-    "nilpotency-transfer": ge.verify_nilpotency_transfer,
-    "exponent-relation": ge.exponent_relation_report,
-}
+# this order is the report order of `group verify all` and of its choices
+_FIELD_CHECKS = {check.name: check for check in (
+    ge.verify_order_formula,
+    ge.verify_coverage,
+    ge.verify_generation,
+    ge.verify_invariant_sylow,
+    ge.verify_nilpotency_transfer,
+    ge.exponent_relation_report,
+)}
 
 
 def _field_check(check: str, group, action) -> tuple:
@@ -328,10 +328,7 @@ def report_free_module_trivial(name: str, p: int, dim: int, q: int):
 @_adapter
 def report_jz_dims(name: str, group: str, p: int, dims):
     found = list(ge.jz_filtration(ge.named_group(group), p).dims())
-    if found == list(dims):
-        return PASS, {"dims": found}, None
-    return VIOLATION, {"dims": found, "expected": list(dims)}, \
-        "filtration dimensions differ"
+    return _as_expected("dims", found, list(dims), "filtration dimensions differ")
 
 
 @_adapter
@@ -341,11 +338,8 @@ def report_lazard_lemma(name: str, group: str, p: int):
 
 @_adapter
 def report_powerful(name: str, group: str, p: int, expected: bool):
-    answer = ge.is_powerful(ge.named_group(group), p)
-    if answer == bool(expected):
-        return PASS, {"powerful": answer}, None
-    return VIOLATION, {"powerful": answer, "expected": bool(expected)}, \
-        "powerfulness answer differs from the expected one"
+    return _as_expected("powerful", ge.is_powerful(ge.named_group(group), p), bool(expected),
+                        "powerfulness answer differs from the expected one")
 
 
 def _lazard_data(lz: ge.LazardGroup) -> dict:
@@ -541,17 +535,10 @@ def cmd_lie_examples(args):
     return "reports", reports
 
 
-def cmd_free_odin(args):
+def cmd_free_rewrite(args):
     return "reports", [
-        report_odin(args.label, _int_list(args.u), _int_list(args.tail),
-                    args.c, args.n, args.q, args.r)
-    ]
-
-
-def cmd_free_dva(args):
-    return "reports", [
-        report_dva(args.label, _int_list(args.u), _int_list(args.tail),
-                   args.c, args.n, args.q, args.r, args.w)
+        report_rewrite(args.label, _int_list(args.u), _int_list(args.tail),
+                       args.c, args.n, args.q, args.r, getattr(args, "w", None))
     ]
 
 
@@ -597,8 +584,8 @@ def cmd_group_lazard(args):
 TASK_KINDS = {
     "prim": report_prim,
     "dset": report_dset,
-    "odin": report_odin,
-    "dva": report_dva,
+    "odin": report_rewrite,
+    "dva": report_rewrite,
     "razresh": report_razresh,
     "example-simple3": report_simple3,
     "example-pm": report_pm,
@@ -661,20 +648,34 @@ def cmd_suite(args):
 # --- parser wiring ---
 
 
-def _add_params(sub) -> None:
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--r", type=int, required=True)
+def _required_int(flag: str) -> tuple:
+    return flag, {"type": int, "required": True}
 
 
-def _add_format(sub) -> None:
-    sub.add_argument("--format", choices=("json", "table"), default="table")
+_FORMAT = ("--format", {"choices": ("json", "table"), "default": "table"})
+_PARAMS = tuple(_required_int(flag) for flag in ("--n", "--q", "--r"))
+_SEQ = ("--seq", {"required": True, "help": "comma-separated residues"})
+_HEAD = (("--u", {"required": True, "help": "head index tuple"}),
+         ("--tail", {"required": True, "help": "tail indices"}),
+         _required_int("--c"))
+_GROUP_SOURCE = (("--name", {"help": "bundled group name, e.g. D8"}),
+                 ("--file", {"help": "JSON group file"}),
+                 ("--p", {"type": int, "help": "prime (inferred for p-groups)"}))
+_FILE = ("file", {})
 
 
-def _add_group_source(sub) -> None:
-    sub.add_argument("--name", help="bundled group name, e.g. D8")
-    sub.add_argument("--file", help="JSON group file")
-    sub.add_argument("--p", type=int, help="prime (inferred for p-groups)")
+def _command(group, name: str, help: str, func, label: str, *arguments) -> None:
+    """Add the leaf subcommand `name` to the subparsers `group`: its
+    (flag, argparse keywords) arguments in order, then --format, with func
+    and label as its defaults."""
+    sub = group.add_parser(name, help=help)
+    for flag, keywords in arguments + (_FORMAT,):
+        sub.add_argument(flag, **keywords)
+    sub.set_defaults(func=func, label=label)
+
+
+def _subcommands(top, name: str, help: str):
+    return top.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -684,159 +685,70 @@ def build_parser() -> argparse.ArgumentParser:
                     "rewriting, and finite group actions.",
     )
     top = parser.add_subparsers(dest="command", required=True)
+    _command(top, "prim", "test the order condition on (n, q, r)", cmd_prim, "prim", *_PARAMS)
+    _command(top, "rdep", "exhaustive r-dependence test", cmd_rdep, "rdep", _SEQ, *_PARAMS)
+    _command(top, "dset", "residues whose adjunction breaks independence", cmd_dset, "dset",
+             _SEQ, ("--method", {"choices": ("auto", "brute", "formula"), "default": "auto"}),
+             *_PARAMS)
+    _command(top, "nbound", "capacity and Engel-width bounds", cmd_nbound, "nbound",
+             _required_int("--c"), _required_int("--q"))
+    _command(top, "charp", "common-root moduli against the bound", cmd_charp, "charp",
+             ("--g1", {"required": True, "help": "ascending coefficients"}),
+             ("--g2", {"required": True, "help": "ascending coefficients"}),
+             ("--limit", {"type": int, "default": 10000}))
 
-    sub = top.add_parser("prim", help="test the order condition on (n, q, r)")
-    _add_params(sub)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_prim, label="prim")
+    lie = _subcommands(top, "lie", "graded Lie ring tools")
+    _command(lie, "validate", "check the bracket laws of a JSON ring", cmd_lie_validate,
+             "lie-validate", _FILE)
+    _command(lie, "series", "lower central or derived series", cmd_lie_series, "lie-series",
+             _FILE, ("--kind", {"choices": ("lower", "derived"), "default": "lower"}))
+    _command(lie, "select", "selective nilpotency check", cmd_lie_select,
+             "selective-nilpotency", _FILE, _required_int("--c"), *_PARAMS)
+    _command(lie, "eigen", "eigenspace decomposition of a JSON action", cmd_lie_eigen,
+             "lie-eigen", _FILE)
+    _command(lie, "examples", "recheck the bundled ring examples", cmd_lie_examples,
+             "lie-examples")
 
-    sub = top.add_parser("rdep", help="exhaustive r-dependence test")
-    sub.add_argument("--seq", required=True, help="comma-separated residues")
-    _add_params(sub)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_rdep, label="rdep")
+    free = _subcommands(top, "free", "free Lie ring tools")
+    _command(free, "basis", "Hall basis up to a weight", cmd_free_basis, "free-basis",
+             ("--gens", {"required": True, "help": "name or name@index list"}),
+             _required_int("--max-weight"))
+    _command(free, "normalize", "rewrite an expression in the Hall basis", cmd_free_normalize,
+             "free-normalize", ("expression", {}))
+    _command(free, "delta", "balanced bracket on 2**k generators", cmd_free_delta,
+             "free-delta", _required_int("--k"),
+             ("--args", {"required": True, "help": "name@index list"}))
+    _command(free, "odin", "head rewrite keeping D-set indices", cmd_free_rewrite, "odin",
+             *_HEAD, *_PARAMS)
+    _command(free, "dva", "head rewrite with reordered long terms", cmd_free_rewrite, "dva",
+             *_HEAD, _required_int("--w"), *_PARAMS)
+    _command(free, "razresh", "span membership for delta commutators", cmd_free_razresh,
+             "razresh", _required_int("--c"), ("--indices", {"required": True}),
+             ("--weight-cap", {"type": int, "default": None}), *_PARAMS)
 
-    sub = top.add_parser("dset", help="residues whose adjunction breaks independence")
-    sub.add_argument("--seq", required=True, help="comma-separated residues")
-    sub.add_argument("--method", choices=("auto", "brute", "formula"),
-                     default="auto")
-    _add_params(sub)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_dset, label="dset")
+    group = _subcommands(top, "group", "finite group tools")
+    _command(group, "build", "order, exponent, class of a group", cmd_group_build,
+             "group-build", *_GROUP_SOURCE)
+    _command(group, "verify", "fixed-point theorems on an action", cmd_group_verify,
+             "group-verify", ("check", {"choices": tuple(_FIELD_CHECKS) + ("all",)}),
+             ("--field", {"type": _int_pair, "default": None,
+                          "help": "p,k for the bundled field action"}),
+             ("--file", {"help": "JSON file with 'group' and 'action'"}))
+    _command(group, "jz", "dimension-subgroup filtration", cmd_group_jz, "group-jz",
+             *_GROUP_SOURCE)
+    _command(group, "lazard", "graded algebra and the power lemma", cmd_group_lazard,
+             "lazard-lemma", *_GROUP_SOURCE)
+    _command(group, "powerful", "commutators inside the power subgroup", cmd_group_powerful,
+             "group-powerful", *_GROUP_SOURCE)
+    _command(group, "bch", "Hausdorff-product group of a Lie ring", cmd_group_bch,
+             "group-bch",
+             ("--pm", {"type": _int_pair, "default": None,
+                       "help": "p,m for the bundled cyclic-bracket ring"}),
+             ("--file", {"help": "JSON Lie ring file"}),
+             ("--no-sweep", {"action": "store_true", "help": "skip the fixed-point sweeps"}))
 
-    sub = top.add_parser("nbound", help="capacity and Engel-width bounds")
-    sub.add_argument("--c", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_nbound, label="nbound")
-
-    sub = top.add_parser("charp", help="common-root moduli against the bound")
-    sub.add_argument("--g1", required=True, help="ascending coefficients")
-    sub.add_argument("--g2", required=True, help="ascending coefficients")
-    sub.add_argument("--limit", type=int, default=10000)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_charp, label="charp")
-
-    lie = top.add_parser("lie", help="graded Lie ring tools").add_subparsers(
-        dest="subcommand", required=True)
-
-    sub = lie.add_parser("validate", help="check the bracket laws of a JSON ring")
-    sub.add_argument("file")
-    _add_format(sub)
-    sub.set_defaults(func=cmd_lie_validate, label="lie-validate")
-
-    sub = lie.add_parser("series", help="lower central or derived series")
-    sub.add_argument("file")
-    sub.add_argument("--kind", choices=("lower", "derived"), default="lower")
-    _add_format(sub)
-    sub.set_defaults(func=cmd_lie_series, label="lie-series")
-
-    sub = lie.add_parser("select", help="selective nilpotency check")
-    sub.add_argument("file")
-    sub.add_argument("--c", type=int, required=True)
-    _add_params(sub)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_lie_select, label="selective-nilpotency")
-
-    sub = lie.add_parser("eigen", help="eigenspace decomposition of a JSON action")
-    sub.add_argument("file")
-    _add_format(sub)
-    sub.set_defaults(func=cmd_lie_eigen, label="lie-eigen")
-
-    sub = lie.add_parser("examples", help="recheck the bundled ring examples")
-    _add_format(sub)
-    sub.set_defaults(func=cmd_lie_examples, label="lie-examples")
-
-    free = top.add_parser("free", help="free Lie ring tools").add_subparsers(
-        dest="subcommand", required=True)
-
-    sub = free.add_parser("basis", help="Hall basis up to a weight")
-    sub.add_argument("--gens", required=True, help="name or name@index list")
-    sub.add_argument("--max-weight", type=int, required=True)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_free_basis, label="free-basis")
-
-    sub = free.add_parser("normalize", help="rewrite an expression in the Hall basis")
-    sub.add_argument("expression")
-    _add_format(sub)
-    sub.set_defaults(func=cmd_free_normalize, label="free-normalize")
-
-    sub = free.add_parser("delta", help="balanced bracket on 2**k generators")
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--args", required=True, help="name@index list")
-    _add_format(sub)
-    sub.set_defaults(func=cmd_free_delta, label="free-delta")
-
-    sub = free.add_parser("odin", help="head rewrite keeping D-set indices")
-    sub.add_argument("--u", required=True, help="head index tuple")
-    sub.add_argument("--tail", required=True, help="tail indices")
-    sub.add_argument("--c", type=int, required=True)
-    _add_params(sub)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_free_odin, label="odin")
-
-    sub = free.add_parser("dva", help="head rewrite with reordered long terms")
-    sub.add_argument("--u", required=True, help="head index tuple")
-    sub.add_argument("--tail", required=True, help="tail indices")
-    sub.add_argument("--c", type=int, required=True)
-    sub.add_argument("--w", type=int, required=True)
-    _add_params(sub)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_free_dva, label="dva")
-
-    sub = free.add_parser("razresh", help="span membership for delta commutators")
-    sub.add_argument("--c", type=int, required=True)
-    sub.add_argument("--indices", required=True)
-    sub.add_argument("--weight-cap", type=int, default=None)
-    _add_params(sub)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_free_razresh, label="razresh")
-
-    group = top.add_parser("group", help="finite group tools").add_subparsers(
-        dest="subcommand", required=True)
-
-    sub = group.add_parser("build", help="order, exponent, class of a group")
-    _add_group_source(sub)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_group_build, label="group-build")
-
-    sub = group.add_parser("verify", help="fixed-point theorems on an action")
-    sub.add_argument("check", choices=tuple(_FIELD_CHECKS) + ("all",))
-    sub.add_argument("--field", type=_int_pair, default=None,
-                     help="p,k for the bundled field action")
-    sub.add_argument("--file", help="JSON file with 'group' and 'action'")
-    _add_format(sub)
-    sub.set_defaults(func=cmd_group_verify, label="group-verify")
-
-    sub = group.add_parser("jz", help="dimension-subgroup filtration")
-    _add_group_source(sub)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_group_jz, label="group-jz")
-
-    sub = group.add_parser("lazard", help="graded algebra and the power lemma")
-    _add_group_source(sub)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_group_lazard, label="lazard-lemma")
-
-    sub = group.add_parser("powerful", help="commutators inside the power subgroup")
-    _add_group_source(sub)
-    _add_format(sub)
-    sub.set_defaults(func=cmd_group_powerful, label="group-powerful")
-
-    sub = group.add_parser("bch", help="Hausdorff-product group of a Lie ring")
-    sub.add_argument("--pm", type=_int_pair, default=None,
-                     help="p,m for the bundled cyclic-bracket ring")
-    sub.add_argument("--file", help="JSON Lie ring file")
-    sub.add_argument("--no-sweep", action="store_true",
-                     help="skip the fixed-point sweeps")
-    _add_format(sub)
-    sub.set_defaults(func=cmd_group_bch, label="group-bch")
-
-    sub = top.add_parser("suite", help="run the bundled fixture corpus")
-    sub.add_argument("target", choices=("paper",))
-    _add_format(sub)
-    sub.set_defaults(func=cmd_suite, label="suite")
-
+    _command(top, "suite", "run the bundled fixture corpus", cmd_suite, "suite",
+             ("target", {"choices": ("paper",)}))
     return parser
 
 

@@ -413,6 +413,9 @@ def is_r_dependent(
     walk than k*q rotations of the sets, or the sets would pass BITSET_MAX_N
     bits, the exponent odometer walks the tuples in lexicographic order
     instead.  Past POWERS_CAP or SEARCH_STEP_CAP it raises CapacityError.
+    A length-1 sequence (a,) with q <= TABLE_CACHE_MAX_Q is not searched
+    when the cached inverses exist: each r**e * a - a = a * (r**e - 1) is
+    then a nonzero multiple of a unit.
 
     >>> is_r_dependent((1, 2), FrobeniusParams(7, 3, 2))
     (True, DependenceWitness(exponents=(1, 2)))
@@ -423,6 +426,8 @@ def is_r_dependent(
         raise InputError("sequence must be nonempty")
     if len(entries) > EXPONENT_CAP:
         raise CapacityError(f"sequence length {len(entries)} exceeds cap {EXPONENT_CAP}")
+    if len(entries) == 1 and q <= TABLE_CACHE_MAX_Q and _inverses(n, q, r) is not None:
+        return False, None
     exps = _first_dependence(entries, n, q, r)[0]
     return (False, None) if exps is None else (True, DependenceWitness(exps))
 

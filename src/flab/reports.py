@@ -113,14 +113,16 @@ def report_check(name: str, fn) -> VerificationReport:
 
 def reported(name: str):
     """Decorator: the check body(*args) -> (status, witness, reason)
-    becomes a function returning its timed report under `name`.  Raised
-    errors pass through, and the body stays reachable as the function's
-    `body`, for a caller that times it inside a larger step."""
+    becomes a function returning its timed report under `name`, which it
+    records as the function's `name`.  Raised errors pass through, and the
+    body stays reachable as the function's `body`, for a caller that times
+    it inside a larger step."""
     def decorate(body):
         @functools.wraps(body)
         def check(*args, **kwargs):
             return _timed_report(name, lambda: body(*args, **kwargs))
 
+        check.name = name
         check.body = body
         return check
 

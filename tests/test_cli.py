@@ -2,6 +2,7 @@
 bundled fixture suite."""
 from __future__ import annotations
 
+import argparse
 import inspect
 import json
 import random
@@ -76,6 +77,32 @@ def test_unknown_subcommand(capsys):
 def test_help_exits_zero(capsys):
     assert cli.run(["-h"]) == 0
     capsys.readouterr()
+
+
+def _leaf_parsers(parser, path=()):
+    """(argv prefix, parser) for every leaf subcommand under parser."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+def test_every_leaf_subcommand_ends_in_format_and_sets_func_and_label():
+    leaves = list(_leaf_parsers(cli.build_parser()))
+    for path, sub in leaves:
+        last = sub._actions[-1]
+        assert last.option_strings == ["--format"], path
+        assert (tuple(last.choices), last.default) == (("json", "table"), "table"), path
+        assert callable(sub.get_default("func")), path
+    assert [sub.get_default("label") for _, sub in leaves] == [
+        "prim", "rdep", "dset", "nbound", "charp",
+        "lie-validate", "lie-series", "selective-nilpotency", "lie-eigen", "lie-examples",
+        "free-basis", "free-normalize", "free-delta", "odin", "dva", "razresh",
+        "group-build", "group-verify", "group-jz", "lazard-lemma", "group-powerful",
+        "group-bch", "suite",
+    ]
 
 
 # --- data commands ---

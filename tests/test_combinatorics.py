@@ -477,26 +477,66 @@ def length_1_d_set_by_sums(a, n, q, r):
     return found
 
 
-def test_length_1_d_sets_are_scaled_copies_of_one_table():
-    # n < 64, every r, and q one short of, at and one past the count of
-    # distinct powers r**e, e >= 1 (r's order for a unit), every a
-    triples = sequences = 0
+def _triples_with_inverses():
+    """n < 64, every r, and q one short of, at and one past the count of
+    distinct powers r**e, e >= 1 (r's order for a unit), where every
+    1 - r**i is a unit: 2,210 triples."""
     for n in range(2, 64):
         for r in range(1, n):
             distinct = _distinct_powers(n, r)
             for q in sorted({max(1, distinct - 1), distinct, distinct + 1}):
-                if comb._inverses(n, q, r) is None:
-                    continue
-                p = params(n, q, r)
-                want = length_1_d_sets_by_definition(n, q, r)
-                assert len(want) == n - 1  # invertible 1 - r**i: every a is independent
-                assert {a: d_set((a,), p) for a in want} == want, (n, q, r)
-                assert all(length_1_d_set_by_sums(a, n, q, r) == want[a] for a in want)
-                a = 1 + triples % (n - 1)  # units and non-units in turn
-                assert d_set((a,), p, method="brute") == want[a], (n, q, r, a)
-                triples += 1
-                sequences += len(want)
+                if comb._inverses(n, q, r) is not None:
+                    yield n, q, r
+
+
+def test_length_1_d_sets_are_scaled_copies_of_one_table():
+    triples = sequences = 0
+    for n, q, r in _triples_with_inverses():
+        p = params(n, q, r)
+        want = length_1_d_sets_by_definition(n, q, r)
+        assert len(want) == n - 1  # invertible 1 - r**i: every a is independent
+        assert {a: d_set((a,), p) for a in want} == want, (n, q, r)
+        assert all(length_1_d_set_by_sums(a, n, q, r) == want[a] for a in want)
+        a = 1 + triples % (n - 1)  # units and non-units in turn
+        assert d_set((a,), p, method="brute") == want[a], (n, q, r, a)
+        triples += 1
+        sequences += len(want)
     assert (triples, sequences) == (2210, 88893)
+
+
+def test_length_1_sequences_with_the_inverses_are_independent_without_a_search(monkeypatch):
+    # every r**e * a - a = a * (r**e - 1) is a nonzero multiple of a unit
+    def search(*args):
+        pytest.fail("a length-1 sequence was searched though the inverses exist")
+
+    monkeypatch.setattr(comb, "_first_dependence", search)
+    triples = 0
+    for n, q, r in _triples_with_inverses():
+        p = params(n, q, r)
+        for a in range(1, n):
+            assert _first_solution([a], n, q, r) is None, (n, q, r, a)
+            assert is_r_dependent((a,), p) == (False, None)
+        triples += 1
+    assert triples == 2210
+
+
+@pytest.mark.parametrize("n, q, r, a, want", [
+    (15, 4, 2, 5, (2,)),  # 1 - 4 is not a unit mod 15: no inverses
+    (1031, 300, 14, 5, None),  # q past TABLE_CACHE_MAX_Q
+])
+def test_length_1_sequences_without_the_cached_inverses_are_searched(monkeypatch, n, q, r, a,
+                                                                      want):
+    calls = []
+    search = comb._first_dependence
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(comb, "_first_dependence", counted)
+    dep, wit = is_r_dependent((a,), params(n, q, r))
+    assert (wit.exponents if dep else None) == want == _first_solution([a], n, q, r)
+    assert len(calls) == 1
 
 
 def test_cached_length_1_tables_stay_under_their_stated_size():

@@ -72,3 +72,17 @@ def test_error_report_names_the_error_or_falls_back():
     assert rp.error_report("demo", InputError()).reason == "invalid input"
     r = rp.error_report("demo", CapacityError())
     assert (r.status, r.reason, r.seconds) == (rp.CAPACITY_ERROR, "capacity exceeded", 0.0)
+
+
+def test_reported_checks_carry_their_name_and_body():
+    @rp.reported("demo-check")
+    def check(x):
+        if x < 0:
+            raise InputError("negative")
+        return rp.verdict(x > 0, {"x": x}, "not positive")
+
+    assert check.name == "demo-check" and check.body(0)[0] == rp.VIOLATION
+    rep = check(2)
+    assert (rep.name, rep.status, rep.witness) == ("demo-check", rp.PASS, {"x": 2})
+    with pytest.raises(InputError):
+        check(-1)
