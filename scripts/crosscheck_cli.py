@@ -158,6 +158,7 @@ def corpus(tmp: Path) -> list[list[str]]:
         ["group", "powerful"],
         ["group", "bch", "--pm", "5,1"], ["group", "bch", "--pm", "5,2", "--no-sweep"],
         ["group", "bch", "--file", f["ring.json"]], ["group", "bch"],
+        ["group", "bch", "--pm", "5"],
     ]
     commands += [["dset", "--seq", seq, "--method", method, *params]
                  for seq, params in (("1", nqr(7, 3, 2)), ("1,3", nqr(7, 3, 2)),

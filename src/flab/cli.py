@@ -490,8 +490,8 @@ def cmd_group_powerful(args):
 
 
 def cmd_group_bch(args):
-    if args.pm:
-        p, m = args.pm
+    if args.pm is not None:
+        p, m = _int_pair(args.pm)
         return "data", _bch_data(p, m, sweep=not args.no_sweep)
     if not args.file:
         raise InputError("provide --pm or --file")
@@ -543,8 +543,8 @@ def cmd_free_rewrite(args):
 
 
 def cmd_group_verify(args):
-    if args.field:
-        p, k = args.field
+    if args.field is not None:
+        p, k = _int_pair(args.field)
         res = ge.build_field_action(p, k)
         group, action = res.group, res.action
     elif args.file:
@@ -731,8 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
              "group-build", *_GROUP_SOURCE)
     _command(group, "verify", "fixed-point theorems on an action", cmd_group_verify,
              "group-verify", ("check", {"choices": tuple(_FIELD_CHECKS) + ("all",)}),
-             ("--field", {"type": _int_pair, "default": None,
-                          "help": "p,k for the bundled field action"}),
+             ("--field", {"help": "p,k for the bundled field action"}),
              ("--file", {"help": "JSON file with 'group' and 'action'"}))
     _command(group, "jz", "dimension-subgroup filtration", cmd_group_jz, "group-jz",
              *_GROUP_SOURCE)
@@ -742,8 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
              "group-powerful", *_GROUP_SOURCE)
     _command(group, "bch", "Hausdorff-product group of a Lie ring", cmd_group_bch,
              "group-bch",
-             ("--pm", {"type": _int_pair, "default": None,
-                       "help": "p,m for the bundled cyclic-bracket ring"}),
+             ("--pm", {"help": "p,m for the bundled cyclic-bracket ring"}),
              ("--file", {"help": "JSON Lie ring file"}),
              ("--no-sweep", {"action": "store_true", "help": "skip the fixed-point sweeps"}))
 

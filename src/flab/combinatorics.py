@@ -463,6 +463,8 @@ def d_set(
     >>> sorted(d_set((1,), FrobeniusParams(7, 3, 2)))
     [2, 4, 6]
     """
+    if method not in ("auto", "brute", "formula"):
+        raise InputError(f"unknown d_set method {method!r}")
     n, q, r = params.n, params.q, params.r
     entries = _canon_seq(seq, n)
     if len(entries) + 1 > EXPONENT_CAP:
@@ -477,8 +479,6 @@ def d_set(
     exps, node, powers = _first_dependence(entries, n, q, r)
     if exps is not None:
         raise InputError("d_set requires an r-independent sequence")
-    if method not in ("auto", "brute", "formula"):
-        raise InputError(f"unknown d_set method {method!r}")
     plain = sum(entries) % n
     if method != "brute":
         # formula costs one step per sum and inverse; brute costs at least

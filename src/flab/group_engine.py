@@ -6,10 +6,11 @@ coordinate modules.
 The element laws conjugate, commutator, power and element_order are
 written once over mul, inv and identity (_GroupLaws).  FiniteGroup uses all
 four; BCHGroup uses the first two and reads powers and element orders off
-its coordinates.  Closures, commutator subgroups, both series (the lower
-central one seeded by the group's generating set), Sylow subgroups and the
-fixed-point checks that read no table take either kind.  What reads a table refuses a
-BCHGroup by name: is_automorphism (so action checks, invariant-subgroup
+its coordinates.  Each group records a generating set when it is built,
+and laws over pairs of ids are checked on it.  Closures, commutator
+subgroups, both series, Sylow subgroups and the fixed-point checks that
+read no table take either kind.  The rest refuses a BCHGroup by name:
+is_automorphism, which reads no table (so action checks, invariant-subgroup
 enumerations and coverage), quotient_group, direct_product, jz_filtration
 (so the Lazard algebra), free_module_check, exponent_of_subset and
 exponent_relation_report.
@@ -22,8 +23,8 @@ in place, in the stored id type.  Anything advertised as exhaustive
 raises CapacityError beyond it.  The Hausdorff-product group evaluates its
 formula on ids, one product at a time on ints or in batches on int64
 coordinate columns; transports of Lie automorphisms are one matmul on
-those columns and are rechecked as homomorphisms exactly, against the
-coordinate generators.  Its orders cap at BCH_CAP.
+those columns and are rechecked as homomorphisms exactly, by the same
+check against the coordinate basis.  Its orders cap at BCH_CAP.
 
 Polynomial arithmetic over F_p (the field actions' modulus, the
 free-module check) and every power come from rings: its polynomial helpers
@@ -172,9 +173,9 @@ def _rows_permute(t: np.ndarray) -> bool:
     return all((np.sort(t[i:i + block], axis=1) == ids).all() for i in range(0, n, block))
 
 
-def _check_associativity(t: np.ndarray, identity: int) -> None:
+def _check_associativity(t: np.ndarray, identity: int) -> list[int]:
     """Light's associativity test (Clifford and Preston, The Algebraic
-    Theory of Semigroups I, section 1.2), exact at every order.
+    Theory of Semigroups I, section 1.2), exact at every order; returns S.
 
     The ids s with (x*s)*y == x*(s*y) for all x and y include the identity
     and are closed under the product.  So once every s in a set S passes,
@@ -186,7 +187,8 @@ def _check_associativity(t: np.ndarray, identity: int) -> None:
     finite monoid with injective left multiplications, a group, and a new
     member s adds s*C, of size |C| and disjoint from C (s*c = c' would put
     s = c' * c^-1 in C): |S| <= log2(order).  A table that passes is such
-    a monoid itself, so a group, whose columns permute the ids too.
+    a monoid itself, so a group, whose columns permute the ids too, and S
+    is the set a Dimino walk of range(order) adjoins (_generating_set).
     """
     n = len(t)
     rows = memoryview(t)
@@ -209,6 +211,7 @@ def _check_associativity(t: np.ndarray, identity: int) -> None:
                 if not covered[y]:
                     covered[y] = 1
                     reached.append(y)
+    return gens
 
 
 _NOT_PERMUTED_ROWS = "each table row must permute the element ids"
@@ -256,8 +259,8 @@ class FiniteGroup(_GroupLaws):
     So no inverse law is checked, and inv reads each b off its row.  A
     group's columns permute the ids, so the columns are checked only once
     a later law fails, and a refusal names the first law broken in the
-    order rows, columns, identity, associativity.
-    BCHGroup shares conjugate and commutator (_GroupLaws) but has no table.
+    order rows, columns, identity, associativity.  Light's test's S is
+    kept as the group's generating set.  BCHGroup shares conjugate and commutator (_GroupLaws) but has no table.
     """
 
     def __init__(self, table, names=None):
@@ -286,7 +289,7 @@ class FiniteGroup(_GroupLaws):
             ident = int(t[0].argmin())  # row 0 holds 0 once; a right identity e has 0*e == 0
             if not (np.array_equal(t[ident], ids) and np.array_equal(t[:, ident], ids)):
                 raise InputError("table has no two-sided identity")
-            _check_associativity(t, ident)
+            gens = _check_associativity(t, ident)
         except InputError:
             if not _rows_permute(t.T):
                 raise InputError("each table column must permute the element ids") from None
@@ -297,6 +300,7 @@ class FiniteGroup(_GroupLaws):
         self._rows = memoryview(t)
         self._inv = tuple(inv.tolist())
         self.identity = ident
+        self._own_generators = tuple(gens)
         if names is not None and len(names) != n:
             raise InputError("names must cover every element")
         self.names = None if names is None else tuple(names)
@@ -325,7 +329,9 @@ class FiniteGroup(_GroupLaws):
         return exponent_of_subset(self, range(self.order))
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self._table, self._table.T))
+        """Whether the recorded generators commute pairwise."""
+        pairs = itertools.combinations(self._own_generators, 2)
+        return all(self.mul(x, y) == self.mul(y, x) for x, y in pairs)
 
     def to_json(self) -> dict:
         return {"table": self._table.tolist()}
@@ -774,21 +780,17 @@ def _generating_set(G, S=None, name="S") -> list[int]:
     """Greedy generators of the subgroup S, all of G by default: the ids
     that one Dimino walk of sorted(S) adjoins, each the least id outside the
     closure of the ones before, so at most log2|S| of them.  The walk ends
-    at <S>, so an S that is not a subgroup is refused by name.  The walk is
-    deterministic and G immutable, so G's own set is kept on G; a BCHGroup
-    records its coordinate basis there when it is built."""
-    whole = S is None
-    if not whole:
-        S = frozenset(S)  # a frozenset is not copied
-        whole = len(S) == G.order and S.issuperset(range(G.order))
-    if whole and "_own_generators" in vars(G):
+    at <S>, so an S that is not a subgroup is refused by name.  G's own set
+    is the one G recorded when it was built, never walked here: Light's
+    test picks the same ids on a table group (_check_associativity), and a
+    BCHGroup records its coordinate basis."""
+    S = None if S is None else frozenset(S)  # a frozenset is not copied
+    if S is None or (len(S) == G.order and S.issuperset(range(G.order))):
         return list(G._own_generators)
-    ids = range(G.order) if whole else sorted(S)
+    ids = sorted(S)
     span, gens = _dimino(G, ids)
     if len(span) != len(ids):  # ids lie in span, so only a larger span differs
         raise InputError(f"{name} is not a subgroup: its {len(ids)} ids generate {len(span)}")
-    if whole:
-        G._own_generators = tuple(gens)
     return gens
 
 
@@ -920,14 +922,28 @@ def subgroup_as_group(G, S) -> tuple[FiniteGroup, tuple[int, ...]]:
 # --- automorphism actions ---
 
 
+def _respect_generators(G, images) -> bool:
+    """Whether image[a*s] == image[a]*image[s] for each id array in images,
+    every id a and every s in G's recorded generating set, in batches of
+    _BCH_BLOCK ids.  Then each image is a homomorphism: every element is a
+    word s_1...s_k in the generators (s^-1 is a power of s), so by
+    induction on k, image[a*w*s] = image[a*w]*image[s] =
+    image[a]*image[w]*image[s] = image[a]*image[w*s]."""
+    for lo in range(0, G.order, _BCH_BLOCK):
+        a = np.arange(lo, min(lo + _BCH_BLOCK, G.order))
+        for s in G._own_generators:
+            prod = G.mul_many(a, s)
+            for image in images:
+                if not np.array_equal(image[prod], G.mul_many(image[a], image[s])):
+                    return False
+    return True
+
+
 def is_automorphism(G, perm) -> bool:
+    """A bijection of the ids that respects products (_respect_generators)."""
     _require_table(G)
-    n = G.order
-    if len(perm) != n or set(perm) != set(range(n)):
-        return False
-    t = G.table
-    p = np.array(perm, dtype=t.dtype)
-    return bool(np.array_equal(p[t], t[np.ix_(p, p)]))
+    bijective = len(perm) == G.order and set(perm) == set(range(G.order))
+    return bijective and _respect_generators(G, [np.array(perm, dtype=np.intp)])
 
 
 @dataclass(frozen=True)
@@ -1270,7 +1286,8 @@ def free_module_check(group, h, q: int):
     if len(fac) != 1:
         raise InputError("the module must be an elementary abelian p-group")
     p = next(iter(fac))
-    if not group.is_abelian() or group.exponent() != p:
+    gens = _generating_set(group)  # abelian, generated by order-p ids: exponent p
+    if not group.is_abelian() or any(group.power(s, p) != group.identity for s in gens):
         raise InputError("the module must be elementary abelian")
     h = tuple(h)
     if not is_automorphism(group, h):
@@ -1753,11 +1770,6 @@ class BCHGroup(_GroupLaws):
         ]))
 
 
-def bch_generators(G: BCHGroup) -> tuple[int, ...]:
-    """Ids of the coordinate basis vectors, G's recorded generating set."""
-    return G._own_generators
-
-
 def bch_nilpotency_class(G: BCHGroup) -> int:
     """nilpotency_class, seeded by the coordinate basis G records."""
     return nilpotency_class(G)
@@ -1772,23 +1784,11 @@ class LazardGroup:
 
 def lazard_group_from_lie(L: GradedLieRing, automorphisms=()) -> LazardGroup:
     """Hausdorff-product group on L plus the pointwise transports of the
-    given Lie automorphisms, each rechecked exactly as a homomorphism.
-
-    The recheck is perm[a*s] == perm[a]*perm[s] for every id a and every s
-    in bch_generators(G), one batched product per generator.  That covers
-    all pairs: the basis vectors generate G and every element is a word
-    s_1...s_k in them (s^-1 is a power of s), so by induction on k,
-    regrouping by associativity, perm[a*w*s] = perm[a*w]*perm[s] =
-    perm[a]*perm[w]*perm[s] = perm[a]*perm[w*s].  Orders above BCH_CAP
-    raise CapacityError before any work."""
+    given Lie automorphisms, each rechecked exactly as a homomorphism
+    against the coordinate basis (_respect_generators).  Orders above
+    BCH_CAP raise CapacityError before any work."""
     G = BCHGroup(L)
     perms = tuple(G.transport(matrix) for matrix in automorphisms)
-    images = [np.array(perm) for perm in perms]
-    for lo in range(0, G.order, _BCH_BLOCK):
-        a = np.arange(lo, min(lo + _BCH_BLOCK, G.order))
-        for s in bch_generators(G):
-            prod = G.mul_many(a, s)
-            for image in images:
-                if not np.array_equal(image[prod], G.mul_many(image[a], image[s])):
-                    raise RuntimeError("transported map is not a homomorphism")
+    if not _respect_generators(G, [np.array(perm) for perm in perms]):
+        raise RuntimeError("transported map is not a homomorphism")
     return LazardGroup(G, perms, G.lie_class)

@@ -437,6 +437,20 @@ def test_group_bch(capsys):
     assert recs[0]["group_class"] == 1
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("group", "bch", "--pm", "5"), "expected two comma-separated integers, got '5'"),
+    (("group", "verify", "all", "--field", "2,x"),
+     "expected comma-separated integers, got '2,x'"),
+    (("group", "verify", "all", "--field", ""), "expected two comma-separated integers, got ''"),
+], ids=["pm", "field", "empty-field"])
+def test_malformed_pairs_are_input_error_reports(capsys, argv, reason):
+    code = cli.run([*argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    (rec,) = [json.loads(ln) for ln in out.splitlines() if ln.strip()]
+    assert (code, err) == (2, "")
+    assert rec["status"] == "input-error" and rec["reason"] == reason
+
+
 def test_group_build_file(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(

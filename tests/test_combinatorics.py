@@ -304,6 +304,15 @@ def test_exponent_count_far_past_the_order_is_fast():
     assert peak < 1 << 20
 
 
+def test_d_set_names_an_unknown_method_before_any_work():
+    # a dependent sequence, and an over-cap search that builds its powers first
+    t0 = time.perf_counter()
+    for seq, p in (((1, 2), params(7, 3, 2)), ((1,), params(1_000_003, 1_000_002, 2))):
+        with pytest.raises(InputError, match="unknown d_set method 'bogus'"):
+            d_set(seq, p, method="bogus")
+    assert time.perf_counter() - t0 < 0.05
+
+
 @pytest.mark.parametrize("n, q, r", [(4_000_037, 4_000_036, 2), (10**9 + 7, 10**9, 5)])
 def test_exponent_tables_past_the_cap_are_refused_while_built(n, q, r):
     # r has more than POWERS_CAP distinct powers mod n; building them all

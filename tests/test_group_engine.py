@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import random
 import re
 import subprocess
 import sys
@@ -389,11 +390,11 @@ def test_generating_sets_and_layer_bases_are_one_dimino_walk_each(monkeypatch):
     dimino = ge._dimino
     monkeypatch.setattr(ge, "_dimino", lambda *args: calls.append(1) or dimino(*args))
     ge._generating_set(G)
-    ge._generating_set(G)  # kept on G
+    ge._generating_set(G)  # recorded when G was built
     ge._generating_set(G, terms[1])
-    assert len(calls) == 2
+    assert len(calls) == 1
     ge._layer_coordinates(G, terms, 3)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_derived_series_walks_each_terms_generators_once(monkeypatch):
@@ -428,6 +429,92 @@ def test_is_automorphism():
     D8 = ge.named_group("D8")
     conj = tuple(D8.conjugate(1, x) for x in range(8))
     assert ge.is_automorphism(D8, conj)
+
+
+# --- pairwise laws on the recorded generators, against every pair ---
+
+
+def is_automorphism_by_pairs(G, perm) -> bool:
+    """Oracle: a bijection p of the ids with p[a*b] == p[a]*p[b] for every pair."""
+    t, p = G.table, np.array(perm)
+    return sorted(perm) == list(range(G.order)) and bool(np.array_equal(p[t], t[np.ix_(p, p)]))
+
+
+def is_abelian_by_pairs(G) -> bool:
+    return bool(np.array_equal(G.table, G.table.T))
+
+
+def test_pairwise_laws_match_every_pair_on_every_permutation_of_small_groups():
+    maps = automorphisms = 0
+    for name, build in builder_groups(6).items():
+        G = build()
+        assert G.is_abelian() == is_abelian_by_pairs(G), name
+        for perm in itertools.permutations(range(G.order)):
+            verdict = ge.is_automorphism(G, perm)
+            assert verdict == is_automorphism_by_pairs(G, perm), (name, perm)
+            maps += 1
+            automorphisms += verdict
+    # builder_groups adds Q8 at every limit; |Aut| sums to 63 over the 13 groups
+    assert (maps, automorphisms) == (42707, 63)
+
+
+def test_pairwise_laws_match_every_pair_on_conjugations_and_shuffles():
+    checked = [0, 0]  # maps that are not, and that are, automorphisms
+    groups = {name: build() for name, build in builder_groups(24).items()}
+    # the cyclic factor's generators come first, so the first pairs commute
+    groups["S3xC4"] = ge.direct_product(ge.dihedral_group(3), ge.cyclic_group(4))
+    groups["Q8xC3"] = ge.direct_product(ge.quaternion_group(), ge.cyclic_group(3))
+    for name, G in groups.items():
+        assert G.is_abelian() == is_abelian_by_pairs(G), name
+        rng = random.Random(name)
+        maps = [tuple(G.conjugate(g, x) for x in range(G.order)) for g in range(G.order)]
+        for conj in maps[:G.order // 2]:  # near misses: two images swapped
+            near = list(conj)
+            i, j = rng.sample(range(G.order), 2) if G.order > 1 else (0, 0)
+            near[i], near[j] = near[j], near[i]
+            maps.append(tuple(near))
+        for _ in range(8):
+            maps.append(tuple(rng.sample(range(G.order), G.order)))
+        for perm in maps:
+            verdict = ge.is_automorphism(G, perm)
+            assert verdict == is_automorphism_by_pairs(G, perm), (name, perm)
+            checked[verdict] += 1
+    assert checked == [852, 841]
+
+
+def test_pairwise_laws_at_the_table_cap_stay_small():
+    C, D = ge.cyclic_group(5000), ge.dihedral_group(2500)
+    inversion = tuple(-x % 5000 for x in range(5000))
+    conj = tuple(D.conjugate(2500, x) for x in range(5000))  # by a reflection
+    near = list(conj)
+    near[1], near[2] = near[2], near[1]
+    calls = [(lambda: ge.is_automorphism(C, inversion), True),
+             (lambda: ge.is_automorphism(D, conj), True),
+             (lambda: ge.is_automorphism(D, tuple(near)), False),
+             (C.is_abelian, True), (D.is_abelian, False)]
+    tracemalloc.start()
+    try:
+        for call, verdict in calls:
+            tracemalloc.reset_peak()
+            assert call() is verdict
+            assert tracemalloc.get_traced_memory()[1] < 8 << 20  # 119 and 24 MiB on whole tables
+    finally:
+        tracemalloc.stop()
+
+
+def test_recorded_generating_sets_are_the_dimino_walk_of_every_id():
+    groups = {name: build() for name, build in builder_groups(24).items()}
+    groups["S5"] = ge.group_from_permutations(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    groups["S6"] = _s6()
+    groups["Q8xC6"] = ge.direct_product(ge.quaternion_group(), ge.cyclic_group(6))
+    D16 = ge.dihedral_group(8)
+    groups["D16/Z"] = ge.quotient_group(D16, ge.center(D16))[0]
+    for p, k in ((2, 5), (3, 3), (7, 2)):
+        groups[f"GF({p}^{k})"] = ge.build_field_action(p, k).group
+    for name, G in groups.items():
+        gens = ge._generating_set(G)
+        assert gens == ge._dimino(G, range(G.order))[1], name
+        assert len(ge.subgroup_closure(G, gens)) == G.order, name
 
 
 def test_invariant_subgroups():
@@ -701,9 +788,11 @@ def test_free_module_rejects_non_elementary():
     G = ge.cyclic_group(4)
     with pytest.raises(InputError):
         ge.free_module_check(G, ge.perm_identity(4), 2)
-    G = ge.direct_product(ge.cyclic_group(2), ge.cyclic_group(4))
-    with pytest.raises(InputError, match="the module must be elementary abelian"):
-        ge.free_module_check(G, ge.perm_identity(8), 2)
+    # the order-4 generator comes first, then last; Heis3 has exponent 3
+    for G in (ge.direct_product(ge.cyclic_group(2), ge.cyclic_group(4)),
+              ge.direct_product(ge.cyclic_group(4), ge.cyclic_group(2)), ge.heisenberg_group(3)):
+        with pytest.raises(InputError, match="the module must be elementary abelian"):
+            ge.free_module_check(G, ge.perm_identity(G.order), 2)
 
 
 # --- filtrations and the associated algebra ---
@@ -1414,7 +1503,7 @@ def test_bch_group_pm52():
     assert G.order == 15625
     assert G.lie_class == 2
     assert ge.bch_nilpotency_class(G) == 2
-    gens = ge.bch_generators(G)
+    gens = ge._generating_set(G)
     assert len(gens) == 3
     # group commutator of basis vectors realizes the scaled bracket
     c = G.commutator(gens[0], gens[1])
