@@ -360,6 +360,16 @@ def _over_step_cap(steps: int, n: int, q: int, r: int) -> CapacityError:
                          f"over SEARCH_STEP_CAP = {SEARCH_STEP_CAP}")
 
 
+def _cheap_order(n: int, q: int, r: int) -> int | None:
+    """ord r mod n where the powers table is not cached but its length is
+    cheap to know: q past TABLE_CACHE_MAX_Q, a unit r and
+    ROTATION_BITS_PER_STEP <= n <= BITSET_MAX_N; None elsewhere."""
+    if (q > TABLE_CACHE_MAX_Q and ROTATION_BITS_PER_STEP <= n <= BITSET_MAX_N
+            and math.gcd(r, n) == 1):
+        return multiplicative_order(r, n)
+    return None
+
+
 def _first_dependence(entries: tuple[int, ...], n: int, q: int, r: int, powers=None):
     """(first witness exponents or None, the sequence's reach node or None on
     the odometer route, the powers table).
@@ -371,13 +381,12 @@ def _first_dependence(entries: tuple[int, ...], n: int, q: int, r: int, powers=N
     where its length is cheap to know it checks SEARCH_STEP_CAP first: for
     q past TABLE_CACHE_MAX_Q, a unit r and ROTATION_BITS_PER_STEP <= n <=
     BITSET_MAX_N the length is 1 + min(q - 1, ord r), at most POWERS_CAP,
-    and factorize finds ord r by trial division alone.
+    and factorize finds ord r by trial division alone (_cheap_order).
     """
     if powers is not None:
         size = len(powers)
-    elif (q > TABLE_CACHE_MAX_Q and ROTATION_BITS_PER_STEP <= n <= BITSET_MAX_N
-          and math.gcd(r, n) == 1):
-        size = min(q, multiplicative_order(r, n) + 1)
+    elif (order := _cheap_order(n, q, r)) is not None:
+        size = min(q, order + 1)
     else:
         powers = _powers(n, q, r)
         size = len(powers)
@@ -458,7 +467,10 @@ def d_set(
     fills first.  On a length-1 sequence (a,) the sums are p * a and the
     formula gives a * D((1,)), which is read off the cached _d_set_of_one
     table while q <= TABLE_CACHE_MAX_Q (at most 255**2 products, far under
-    the cap); an uncached table would cost more than the sums loop.
+    the cap); an uncached table would cost more than the sums loop.  Where
+    _cheap_order knows ord r to be at least q, a unit entry a is independent
+    and its route's cost is known from q alone, so an over-cap sequence (a,)
+    refuses before the powers table is built.
 
     >>> sorted(d_set((1,), FrobeniusParams(7, 3, 2)))
     [2, 4, 6]
@@ -476,6 +488,15 @@ def d_set(
         if units is not None:
             a = entries[0]
             return {a * v % n for v in units}
+    if len(entries) == 1 and math.gcd(entries[0], n) == 1:
+        order = _cheap_order(n, q, r)
+        if order is not None and order >= q:
+            # no r**e with 0 < e < q is 1, so the unit entry is independent
+            # and its q sums are distinct: the formula costs q * (q - 1)
+            # steps and brute (n - 1) * q**2, known before any table
+            steps = (n - 1) * q * q if method == "brute" else q * (q - 1)
+            if steps > SEARCH_STEP_CAP:
+                raise _over_step_cap(steps, n, q, r)
     exps, node, powers = _first_dependence(entries, n, q, r)
     if exps is not None:
         raise InputError("d_set requires an r-independent sequence")

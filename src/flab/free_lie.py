@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Collection, Mapping, Sequence
 
 from .combinatorics import (
@@ -53,34 +54,30 @@ _LEAVES: dict[IndexedGenerator, "HallWord"] = {}
 _NODES: dict["HallWord", dict["HallWord", "HallWord"]] = {}
 
 
-class HallWord:
-    """Bracket tree in Hall normal form; compares by (weight, structure).
+class HallWord(tuple):
+    """Bracket tree in Hall normal form, which is its own order key.
 
-    Words are hash-consed: leaf() and node() return the one instance per
-    tree, so equality and hashing are by identity, and equal subtrees share
-    their keys (ordering compares keys, and tuple comparison skips shared
-    parts).  Copies and unpickled words go back through leaf() and node().
-    The key is (1, (name, index)) for a leaf and (weight, left.key,
-    right.key) for a node; only leaves have weight 1, so two keys of one
-    weight are both leaf keys or both node keys.
+    A word is an interned tuple: (1, (name, index), gen, index) for a leaf
+    and (weight, left, right, index_sum) for a node.  Native tuple order is
+    the Hall order, by weight first, then by (name, index) for leaves (only
+    leaves have weight 1) and by the left word then the right word for
+    nodes; the entries past those never decide it, since two words that
+    agree on them are the same word.  leaf() and node() return the one
+    instance per tree, so tuple equality comes down to identity, hashing is
+    by identity, and ordering skips the subwords two words share.  Copies
+    and unpickled words go back through leaf() and node().  `key` is the
+    nested (1, (name, index)) or (weight, left.key, right.key) that this
+    order agrees with.
     """
 
-    __slots__ = ("gen", "left", "right", "weight", "index_sum", "key")
-
-    def __init__(self, gen, left, right, weight, index_sum, key):
-        self.gen = gen
-        self.left = left
-        self.right = right
-        self.weight = weight
-        self.index_sum = index_sum
-        self.key = key
+    __slots__ = ()
+    __hash__ = object.__hash__
 
     @classmethod
     def leaf(cls, gen: IndexedGenerator) -> "HallWord":
         word = _LEAVES.get(gen)
         if word is None:
-            word = _LEAVES[gen] = cls(gen, None, None, 1, gen.index,
-                                      (1, (gen.name, gen.index)))
+            word = _LEAVES[gen] = tuple.__new__(cls, (1, (gen.name, gen.index), gen, gen.index))
         return word
 
     @classmethod
@@ -90,9 +87,8 @@ class HallWord:
             row = _NODES[left] = {}
         word = row.get(right)
         if word is None:
-            w = left.weight + right.weight
-            word = row[right] = cls(None, left, right, w, left.index_sum + right.index_sum,
-                                    (w, left.key, right.key))
+            word = row[right] = tuple.__new__(
+                cls, (left[0] + right[0], left, right, left[3] + right[3]))
         return word
 
     def __reduce__(self):
@@ -100,21 +96,30 @@ class HallWord:
             return HallWord.leaf, (self.gen,)
         return HallWord.node, (self.left, self.right)
 
+    weight = property(itemgetter(0))
+    index_sum = property(itemgetter(3))
+
     @property
     def is_leaf(self) -> bool:
-        return self.gen is not None
+        return self[0] == 1
 
-    def __lt__(self, other):
-        return self.key < other.key
+    @property
+    def gen(self) -> IndexedGenerator | None:
+        return self[2] if self[0] == 1 else None
 
-    def __le__(self, other):
-        return self.key <= other.key
+    @property
+    def left(self) -> "HallWord | None":
+        return None if self[0] == 1 else self[1]
 
-    def __gt__(self, other):
-        return self.key > other.key
+    @property
+    def right(self) -> "HallWord | None":
+        return None if self[0] == 1 else self[2]
 
-    def __ge__(self, other):
-        return self.key >= other.key
+    @property
+    def key(self) -> tuple:
+        if self[0] == 1:
+            return self[:2]
+        return (self[0], self[1].key, self[2].key)
 
     def to_tree(self):
         if self.is_leaf:
@@ -132,12 +137,14 @@ class HallWord:
 
 def is_hall(word: HallWord) -> bool:
     """Whether the tree satisfies the Hall conditions of the fixed order."""
-    if word.gen is not None:
+    # read by index, as in _hall_bracket: [0] == 1 marks a leaf, and a
+    # node's left and right words are [1] and [2]
+    if word[0] == 1:
         return True
-    u, v = word.left, word.right
-    if not (is_hall(u) and is_hall(v) and u.key > v.key):
+    u, v = word[1], word[2]
+    if not (is_hall(u) and is_hall(v) and u > v):
         return False
-    return u.gen is not None or u.right.key <= v.key
+    return u[0] == 1 or u[2] <= v
 
 
 def _add_into(acc: dict[HallWord, int],
@@ -214,17 +221,17 @@ def _hall_bracket(u: HallWord, v: HallWord) -> tuple[Collection[tuple[HallWord, 
     with [u, v] = sign * the sum of the row's (word, coefficient) pairs."""
     if u is v:
         return (), 1
-    if u.key < v.key:
+    if u < v:
         row, sign = _hall_bracket(v, u)
         return row, -sign
-    if u.gen is not None or u.right.key <= v.key:
+    if u[0] == 1 or u[2] <= v:
         return ((HallWord.node(u, v), 1),), 1
     pair = (u, v)
     got = _BRACKET_MEMO.get(pair)
     if got is not None:
         return got.items(), 1
     # u = [u1, u2] with u2 > v: [[u1,u2],v] = [[u1,v],u2] + [u1,[u2,v]]
-    u1, u2 = u.left, u.right
+    u1, u2 = u[1], u[2]
     acc: dict[HallWord, int] = {}
     row, sign = _hall_bracket(u1, v)
     for w, c in row:
@@ -273,23 +280,25 @@ def normalize(expr) -> FreeLieElement:
 def _normal_pairs(expr) -> Collection[tuple[HallWord, int]]:
     """normalize() as (word, coefficient) pairs with distinct words and no
     zero coefficient."""
-    if isinstance(expr, (tuple, list)):
-        if len(expr) != 2:
-            raise InputError("bracket trees are binary; use nested pairs")
-        a, b = _normal_pairs(expr[0]), _normal_pairs(expr[1])
-        if len(a) != 1 or len(b) != 1:
-            return _dict_bracket(a, b).items()
-        ((u, cu),), ((v, cv),) = a, b
-        row, sign = _hall_bracket(u, v)
-        c = cu * cv * sign
-        return row if c == 1 else tuple((w, c * k) for w, k in row)
-    if isinstance(expr, IndexedGenerator):
-        return ((HallWord.leaf(expr), 1),)
-    if isinstance(expr, HallWord):
-        return ((expr, 1),)
-    if isinstance(expr, FreeLieElement):
-        return expr.terms.items()
-    raise InputError(f"not a bracket expression: {expr!r}")
+    if type(expr) is not tuple:  # a plain tuple, a tree's inner node, goes on at once
+        if isinstance(expr, IndexedGenerator):
+            return ((HallWord.leaf(expr), 1),)
+        # a Hall word is a tuple too, so it is tested before the bracket case
+        if isinstance(expr, HallWord):
+            return ((expr, 1),)
+        if isinstance(expr, FreeLieElement):
+            return expr.terms.items()
+        if not isinstance(expr, (tuple, list)):
+            raise InputError(f"not a bracket expression: {expr!r}")
+    if len(expr) != 2:
+        raise InputError("bracket trees are binary; use nested pairs")
+    a, b = _normal_pairs(expr[0]), _normal_pairs(expr[1])
+    if len(a) != 1 or len(b) != 1:
+        return _dict_bracket(a, b).items()
+    ((u, cu),), ((v, cv),) = a, b
+    row, sign = _hall_bracket(u, v)
+    c = cu * cv * sign
+    return row if c == 1 else tuple((w, c * k) for w, k in row)
 
 
 def tree_index_sum(tree) -> int:
@@ -322,7 +331,7 @@ def hall_basis(
     if len({(g.name, g.index) for g in gens}) != len(gens):
         raise InputError("generators must be distinct")
     by_weight: list[list[HallWord]] = [[]]
-    by_weight.append(sorted((HallWord.leaf(g) for g in gens), key=lambda w: w.key))
+    by_weight.append(sorted(HallWord.leaf(g) for g in gens))
     for w in range(2, max_weight + 1):
         level = []
         for wu in range(1, w):
@@ -330,7 +339,7 @@ def hall_basis(
                 for v in by_weight[w - wu]:
                     if u > v and (u.is_leaf or u.right <= v):
                         level.append(HallWord.node(u, v))
-        by_weight.append(sorted(level, key=lambda t: t.key))
+        by_weight.append(sorted(level))
     return [t for level in by_weight[1:] for t in level]
 
 
@@ -438,7 +447,7 @@ def format_element(elem: FreeLieElement) -> str:
     if elem.is_zero():
         return "0"
     parts = []
-    for word in sorted(elem.terms, key=lambda w: w.key):
+    for word in sorted(elem.terms):
         c = elem.terms[word]
         text = format_tree(word)
         if c == 1:
@@ -676,7 +685,8 @@ def _spine_reading(tree, length: int):
     """Split tree as a left-normed [S_1, ..., S_length], if deep enough."""
     parts = []
     for _ in range(length - 1):
-        if isinstance(tree, IndexedGenerator) or not isinstance(tree, tuple):
+        # a Hall word is a tuple too, but it is read whole, as a generator is
+        if not isinstance(tree, tuple) or isinstance(tree, HallWord):
             return None
         parts.append(tree[1])
         tree = tree[0]
@@ -686,7 +696,7 @@ def _spine_reading(tree, length: int):
 
 def _subtrees(tree):
     yield tree
-    if isinstance(tree, tuple):
+    if isinstance(tree, tuple) and not isinstance(tree, HallWord):
         yield from _subtrees(tree[0])
         yield from _subtrees(tree[1])
 
@@ -750,8 +760,7 @@ def razresh_membership(
     target = delta(f, gens)
     qualifying = [t for t in _all_trees(gens) if _tree_qualifies(t, c, params)]
     elements = [normalize(t) for t in qualifying]
-    words = sorted({w for e in elements for w in e.terms} | set(target.terms),
-                   key=lambda w: w.key)
+    words = sorted({w for e in elements for w in e.terms} | set(target.terms))
     if not qualifying:
         return RazreshReport(target.is_zero(), 0, () if target.is_zero() else None)
     mat = [[Fraction(e.terms.get(w, 0)) for e in elements] for w in words]

@@ -615,6 +615,33 @@ def test_over_cap_searches_refuse_before_building_the_powers(monkeypatch, n, q, 
     assert "SEARCH_STEP_CAP = 16777216" in str(built.value)
 
 
+@pytest.mark.parametrize("n, q, r, a", [
+    (1_000_003, 1_000_002, 2, 1),  # 2 has order q = n - 1
+    (1_000_003, 1_000_002, 2, 5),
+    (4_507, 4_506, 2, 4_506),  # 2 has order q: 4,506 * 4,505 formula steps
+])
+def test_over_cap_length_1_d_sets_refuse_before_building_the_powers(monkeypatch, n, q, r, a):
+    # a unit entry at a unit r whose order is at least q is independent, and
+    # its q distinct sums fix the cost of either route before any table
+    def powers(*args):
+        pytest.fail("the powers were built before the step cap was checked")
+
+    monkeypatch.setattr(comb, "_powers", powers)
+    for method, steps in (("auto", q * (q - 1)), ("formula", q * (q - 1)),
+                          ("brute", (n - 1) * q * q)):
+        with pytest.raises(CapacityError, match=rf"needs about {steps} search steps, over "
+                                                rf"SEARCH_STEP_CAP = 16777216"):
+            d_set((a,), params(n, q, r), method=method)
+
+
+@pytest.mark.parametrize("method", ["auto", "formula", "brute"])
+def test_a_dependent_length_1_sequence_keeps_its_error_past_the_step_cap(method):
+    # 2 has order 4,506 = q - 1 mod 4,507, so 2**4506 * 1 = 1 and (1,) is
+    # dependent, though its table holds q powers as an independent one's would
+    with pytest.raises(InputError, match="d_set requires an r-independent sequence"):
+        d_set((1,), params(4_507, 4_507, 2), method=method)
+
+
 def test_d_set_requires_independent_input():
     with pytest.raises(InputError):
         d_set((1, 2), params(7, 3, 2))  # (1,2) is r-dependent

@@ -270,7 +270,8 @@ def builder_groups(limit: int) -> dict:
                 k += 1
             if p**3 <= limit:
                 out[f"Heis{p}"] = lambda p=p: ge.heisenberg_group(p)
-    out["Q8"] = ge.quaternion_group
+    if limit >= 8:
+        out["Q8"] = ge.quaternion_group
     names = sorted(ge.NAMED_GROUPS)
     for i, a in enumerate(names):
         for b in names[i:]:
@@ -446,7 +447,9 @@ def is_abelian_by_pairs(G) -> bool:
 
 def test_pairwise_laws_match_every_pair_on_every_permutation_of_small_groups():
     maps = automorphisms = 0
-    for name, build in builder_groups(6).items():
+    # Q8 too: each of its 40,320 permutations is a map on 8 ids
+    builders = {**builder_groups(6), "Q8": ge.quaternion_group}
+    for name, build in builders.items():
         G = build()
         assert G.is_abelian() == is_abelian_by_pairs(G), name
         for perm in itertools.permutations(range(G.order)):
@@ -454,7 +457,7 @@ def test_pairwise_laws_match_every_pair_on_every_permutation_of_small_groups():
             assert verdict == is_automorphism_by_pairs(G, perm), (name, perm)
             maps += 1
             automorphisms += verdict
-    # builder_groups adds Q8 at every limit; |Aut| sums to 63 over the 13 groups
+    # |Aut| sums to 63 over the 13 groups
     assert (maps, automorphisms) == (42707, 63)
 
 
